@@ -14,13 +14,15 @@ from .isocrystal import (
     Filtration,
     PhiModule,
     Polygon,
-    Steinberg,
+    SteinbergChain,
     UnsupportedRegimeError,
     admissible_by_inequalities,
     block_existence_criterion,
+    block_polygons,
     build_admissible_filtration,
     chain_sum_bounds,
     hodge_polygon,
+    inequality_rows,
     newton_polygon,
     polygon_dominates,
     steinberg_filtration,
@@ -48,7 +50,6 @@ from .satake import (
     twisted_action,
 )
 from .weildeligne import (
-    SteinbergChain,
     Unramified,
     WDRep,
     block_decompose,

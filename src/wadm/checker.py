@@ -2,6 +2,10 @@
 central character integrality, existence verdicts with witnesses, and
 normalized spectral membership.
 
+The existence criteria are evaluated in ``isocrystal`` (the partial-sum
+rows, the block paths, the chain oracle); this module picks the regime
+once per instance and renders what those functions return.
+
 Sign and inversion table -- the single reconciliation point between the
 Galois-side and spectral-side conventions.  Every module boundary below
 refers to this table; the translation identity in the acceptance suite
@@ -37,19 +41,21 @@ from .isocrystal import (
     Filtration,
     PhiModule,
     Polygon,
+    SteinbergChain,
     UnsupportedRegimeError,
-    admissible_by_inequalities,
-    block_existence_criterion,
+    block_polygons,
     build_admissible_filtration,
     hodge_polygon,
+    inequality_rows,
     newton_polygon,
+    polygon_dominates,
     steinberg_filtration,
     t_H,
     t_N,
     weak_admissible,
 )
 from .rootdata import HighestWeight, RootDatum, in_Vxi
-from .weildeligne import SteinbergChain, Unramified, WDRep, block_decompose, f_semisimplify
+from .weildeligne import WDRep, block_decompose, f_semisimplify, mod_of_wd
 
 PASS = "pass"
 FAIL = "fail"
@@ -165,6 +171,8 @@ class Instance:
                 f"expected {self.field.degree} embeddings of weights, got {len(self.weights_a)}"
             )
         n = len(self.weights_a[0])
+        if n == 0:
+            raise ValueError("an instance needs rank >= 1, got empty weight rows")
         if any(len(row) != n for row in self.weights_a):
             raise ValueError("weight rows must have equal length")
         if self.zeta_vals is not None and len(self.zeta_vals) != n:
@@ -191,19 +199,8 @@ class Instance:
         """Arithmetic Frobenius valuations of the Galois side (sign table)."""
         if self.zeta_vals is not None:
             return list(self.zeta_vals)
-        return [-v for v in _expanded_geometric_vals(self.wd)]
-
-
-def _expanded_geometric_vals(rep: WDRep) -> list[Fraction]:
-    vals: list[Fraction] = []
-    deg = rep.field.degree
-    for part in rep.parts:
-        if isinstance(part, Unramified):
-            vals.extend([part.val] * part.mult)
-        else:
-            for j in range(part.length):
-                vals.extend([part.base_val + j * deg] * part.piece_dim)
-    return vals
+        return [-b.slope for part in self.wd.parts for b in part.blocks(self.field.degree)
+                for _ in range(b.mult)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +264,17 @@ def central_char_integral(galois: Union[Sequence, WDRep], a_rows: Sequence[Seque
     return chi_rho + chi_pi == 0
 
 
-def _inequality_route(instance: Instance, slopes: Sequence[Fraction]) -> Verdict:
+def _inequality_route(instance: Instance, module: PhiModule) -> Verdict:
     """Existence via the partial-sum inequalities, with a witness built and
     re-verified by the subobject oracle; distinct slopes required."""
-    module = PhiModule.of_slopes(instance.field, slopes)
     jumps = instance.jumps()
-    checks = []
-    n = module.rank
-    vals = sorted(-s for s in module.slopes_expanded())
-    agg = [sum(sigma[j] for sigma in jumps) for j in range(n)]
-    ok_all = True
-    lhs = Fraction(0)
-    for i in range(1, n + 1):
-        lhs += agg[i - 1]
-        rhs = -sum(vals[n - i:], Fraction(0))
-        ok = (lhs <= rhs) if i < n else (lhs == rhs)
-        ok_all &= ok
-        kind = f"adm.ineq.i={i}" if i < n else "adm.eq.total"
-        checks.append(CheckLine(kind, ok, lhs, rhs))
-    assert ok_all == admissible_by_inequalities(module, jumps)
+    rows = inequality_rows(module, jumps)
+    n = len(rows)
+    checks = [
+        CheckLine(f"adm.ineq.i={i}" if i < n else "adm.eq.total", ok, lhs, rhs)
+        for i, (lhs, rhs, ok) in enumerate(rows, 1)
+    ]
+    ok_all = all(ok for _, _, ok in rows)
     newton = newton_polygon(module)
     hodge = hodge_polygon(Filtration.of_jumps(jumps))
     witness = None
@@ -297,13 +286,11 @@ def _inequality_route(instance: Instance, slopes: Sequence[Fraction]) -> Verdict
     return Verdict(PASS if ok_all else FAIL, checks, witness, newton, hodge)
 
 
-def _chain_route(instance: Instance, chain: SteinbergChain) -> Verdict:
+def _chain_route(instance: Instance, module: PhiModule) -> Verdict:
     """Existence for a single declared chain: the chain filtration is the
     simultaneous minimizer over the chain subobjects, so the oracle on it
     decides existence; for integer jumps this is the central equality."""
-    module = PhiModule.chain(instance.field, chain.piece_dim, chain.length - 1, chain.base_val)
-    jumps = instance.jumps()
-    filt = steinberg_filtration(module, jumps)
+    filt = steinberg_filtration(module, instance.jumps())
     ok = weak_admissible(module, filt)
     checks = [
         CheckLine("adm.chain.equality", t_H(filt) == t_N(module), t_H(filt), t_N(module)),
@@ -314,36 +301,36 @@ def _chain_route(instance: Instance, chain: SteinbergChain) -> Verdict:
     return Verdict(PASS if ok else FAIL, checks, filt if ok else None, newton, hodge)
 
 
-def _block_route(instance: Instance, rep: WDRep) -> Verdict:
+def _block_route(instance: Instance, blocks: Sequence[tuple]) -> Verdict:
     """Existence for declared direct sums via the block polygon criterion.
     Non-constructive: no witness filtration is attached."""
-    blocks = block_decompose(rep)
-    jumps = instance.jumps()
-    ok = block_existence_criterion(blocks, jumps)
-    total_dim = sum(d for _, d in blocks)
-    agg = [sum(sigma[j] for sigma in jumps) for j in range(total_dim)]
-    ordered = sorted(((Fraction(tn), int(d)) for tn, d in blocks), key=lambda bd: (bd[0], -bd[1]))
-    newton_pts = []
-    hodge_pts = []
-    x = 0
-    ysum = Fraction(0)
-    checks = []
-    for tn, dim in ordered:
-        x += dim
-        ysum += tn
-        hy = sum(agg[:x], Fraction(0))
-        newton_pts.append((Fraction(x), ysum))
-        hodge_pts.append((Fraction(x), hy))
-        boundary_ok = (hy <= ysum) if x < total_dim else (hy == ysum)
-        checks.append(CheckLine(f"adm.block.x={x}", boundary_ok, hy, ysum))
+    newton, hodge = block_polygons(blocks, instance.jumps())
+    ok = polygon_dominates(newton, hodge)
+    checks = [
+        CheckLine(f"adm.block.x={x}", hy <= ny if x < newton.width else hy == ny, hy, ny)
+        for (x, ny), (_, hy) in zip(newton.vertices[1:], hodge.vertices[1:])
+    ]
     checks.append(CheckLine("adm.block.criterion", ok, note="no constructive witness in this regime"))
-    return Verdict(
-        PASS if ok else FAIL,
-        checks,
-        None,
-        Polygon.from_path(newton_pts),
-        Polygon.from_path(hodge_pts),
-    )
+    return Verdict(PASS if ok else FAIL, checks, None, newton, hodge)
+
+
+def _regime(instance: Instance):
+    """The one regime dispatch: ("ineq", plain module), ("chain", chain
+    module) or ("block", per-summand (Newton number, dimension) pairs).
+    Raw valuations always give "ineq", repeated or not; declared data
+    gives "ineq" only with distinct multiplicity-one summands."""
+    if instance.zeta_vals is not None:
+        return "ineq", PhiModule.of_slopes(instance.field, [-v for v in instance.zeta_vals])
+    rep = f_semisimplify(instance.wd)
+    if rep.ramified:
+        raise UnsupportedRegimeError("ramified Galois data is outside the decidable regimes")
+    if len(rep.parts) == 1 and isinstance(rep.parts[0], SteinbergChain):
+        return "chain", mod_of_wd(rep)
+    if not rep.has_nilpotent():
+        module = mod_of_wd(rep)
+        if module.has_distinct_unit_blocks():
+            return "ineq", module
+    return "block", block_decompose(rep)
 
 
 def exists_admissible(instance: Instance) -> Verdict:
@@ -354,25 +341,19 @@ def exists_admissible(instance: Instance) -> Verdict:
     chain; block polygon criterion for declared direct sums.  Unsupported
     regimes return an undecided verdict with the reason, never a guess.
     """
-    if instance.zeta_vals is not None:
-        vals = list(instance.zeta_vals)
-        if len(set(vals)) != len(vals):
-            return Verdict(
-                UNDECIDED,
-                reason="repeated zeta valuations without declared summand structure",
-            )
-        return _inequality_route(instance, [-v for v in vals])
-    rep = instance.wd
-    if rep.ramified:
-        return Verdict(UNDECIDED, reason="ramified Galois data is outside the decidable regimes")
-    rep_ss = f_semisimplify(rep)
-    if len(rep_ss.parts) == 1 and isinstance(rep_ss.parts[0], SteinbergChain):
-        return _chain_route(instance, rep_ss.parts[0])
-    if not rep_ss.has_nilpotent():
-        geo = _expanded_geometric_vals(rep_ss)
-        if len(set(geo)) == len(geo):
-            return _inequality_route(instance, geo)
-    return _block_route(instance, rep_ss)
+    try:
+        kind, data = _regime(instance)
+    except UnsupportedRegimeError as exc:
+        return Verdict(UNDECIDED, reason=str(exc))
+    if kind == "chain":
+        return _chain_route(instance, data)
+    if kind == "block":
+        return _block_route(instance, data)
+    if not data.has_distinct_unit_blocks():
+        return Verdict(
+            UNDECIDED, reason="repeated zeta valuations without declared summand structure"
+        )
+    return _inequality_route(instance, data)
 
 
 def membership_check(instance: Instance) -> Verdict:
@@ -421,27 +402,15 @@ def membership_check(instance: Instance) -> Verdict:
 def polygons_for_instance(instance: Instance) -> tuple[Polygon, Polygon, bool]:
     """Newton/Hodge pair of an instance and whether the Hodge side is
     dominated.  Unlike the existence verdict this is defined for repeated
-    raw valuations too (the polygons are purely numerical)."""
-    from .isocrystal import polygon_dominates  # local to keep the import list honest
-
-    jumps = instance.jumps()
-    if instance.zeta_vals is not None:
-        module = PhiModule.of_slopes(instance.field, [-v for v in instance.zeta_vals])
-        newton = newton_polygon(module)
-        hodge = hodge_polygon(Filtration.of_jumps(jumps))
-        return newton, hodge, polygon_dominates(newton, hodge)
-    rep = f_semisimplify(instance.wd)
-    if rep.ramified:
-        raise UnsupportedRegimeError("ramified Galois data has no polygon pair here")
-    if len(rep.parts) == 1 and isinstance(rep.parts[0], SteinbergChain):
-        chain = rep.parts[0]
-        module = PhiModule.chain(instance.field, chain.piece_dim, chain.length - 1,
-                                 chain.base_val)
-        newton = newton_polygon(module)
-        hodge = hodge_polygon(Filtration.of_jumps(jumps))
-        return newton, hodge, polygon_dominates(newton, hodge)
-    verdict = _block_route(instance, rep)
-    return verdict.newton, verdict.hodge, verdict.passed
+    raw valuations too (the polygons are purely numerical); it builds no
+    witness and runs no oracle."""
+    kind, data = _regime(instance)
+    if kind == "block":
+        newton, hodge = block_polygons(data, instance.jumps())
+    else:
+        newton = newton_polygon(data)
+        hodge = hodge_polygon(Filtration.of_jumps(instance.jumps()))
+    return newton, hodge, polygon_dominates(newton, hodge)
 
 
 @dataclass
@@ -459,8 +428,7 @@ def check_instance(instance: Instance) -> InstanceResult:
     existence verdict's."""
     vals = instance.arithmetic_vals()
     norm = invariant_norm_inequalities(vals, instance.weights_a, instance.field)
-    galois = instance.wd if instance.wd is not None else vals
-    central = central_char_integral(galois, instance.weights_a, instance.field)
+    central = central_char_integral(vals, instance.weights_a, instance.field)
     adm = exists_admissible(instance)
     membership = None
     datum = instance.datum()

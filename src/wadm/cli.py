@@ -13,7 +13,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,10 +72,7 @@ def _cmd_check(args) -> int:
     except InstanceError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    # independent checks run in parallel; assembly is deterministic by id
-    with ThreadPoolExecutor(max_workers=min(8, len(instances))) as pool:
-        results = list(pool.map(check_instance, instances))
-    results.sort(key=lambda r: r.instance.ident)
+    results = sorted(map(check_instance, instances), key=lambda r: r.instance.ident)
     text = "\n".join(render_check_report(r) for r in results)
     _emit(text, args.out)
     return max((_STATUS_CODE[r.status] for r in results), default=EXIT_PASS)

@@ -31,10 +31,10 @@ RatLike = Union[int, Fraction]
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the decimal-free "n/d" (or "n") form of a rational."""
+    """Parse the decimal-free "n/d" (or "n") form of a rational; d != 0."""
     text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
-        raise ValueError(f"not a rational in n/d form: {text!r}")
+    if not re.fullmatch(r"-?\d+(/\d*[1-9]\d*)?", text):
+        raise ValueError(f"not a rational in n/d form with a nonzero d: {text!r}")
     return Fraction(text)
 
 

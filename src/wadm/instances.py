@@ -38,7 +38,7 @@ from typing import Optional
 
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, format_rat, parse_rat
-from .isocrystal import Polygon
+from .isocrystal import Polygon, polygon_rows
 from .rootdata import HighestWeight, RootDatum
 from .satake import GroupRingElem
 from .weildeligne import SteinbergChain, Unramified, WDRep
@@ -160,7 +160,11 @@ def parse_group(spec: str) -> RootDatum:
             try:
                 matrix = ast.literal_eval(literal)
             except (SyntaxError, ValueError):
-                raise ValueError(f"bad Cartan matrix literal {literal!r}") from None
+                matrix = None
+            if not (isinstance(matrix, list) and all(
+                    isinstance(row, list) and all(type(v) is int for v in row) for row in matrix)):
+                raise ValueError(f"bad Cartan matrix literal {literal!r}: "
+                                 "expected a list of integer lists")
             return RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
     raise ValueError(f"unknown group {spec!r}")
 
@@ -428,21 +432,16 @@ def render_polygon_report(ident: str, newton: Polygon, hodge: Polygon, dominates
         f"dominates: {'true' if dominates else 'false'}",
     ]
     lines.append("table: x newton hodge")
-    for x in sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices}):
-        lines.append(
-            f"table.x={format_rat(x)}: newton={format_rat(newton.value_at(x))} "
-            f"hodge={format_rat(hodge.value_at(x))}"
-        )
+    for x, ny, hy in polygon_rows(newton, hodge):
+        lines.append(f"table.x={format_rat(x)}: newton={format_rat(ny)} hodge={format_rat(hy)}")
     return "\n".join(lines) + "\n"
 
 
 def polygon_vertex_table(newton: Polygon, hodge: Polygon) -> str:
     """Plain-text vertex table (golden-testable plot companion)."""
     lines = ["x\tnewton\thodge"]
-    for x in sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices}):
-        lines.append(
-            f"{format_rat(x)}\t{format_rat(newton.value_at(x))}\t{format_rat(hodge.value_at(x))}"
-        )
+    for x, ny, hy in polygon_rows(newton, hodge):
+        lines.append(f"{format_rat(x)}\t{format_rat(ny)}\t{format_rat(hy)}")
     return "\n".join(lines) + "\n"
 
 

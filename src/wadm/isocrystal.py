@@ -3,6 +3,11 @@ polygons, the weak admissibility criterion and its brute-force subobject
 oracle, explicit admissible filtrations, Steinberg chain modules, and the
 block polygon existence criterion.
 
+Each existence criterion is evaluated here once: ``inequality_rows`` and
+``block_polygons`` return the evaluated rows and paths that the checker
+reports, and the boolean criteria are thin views of them.  ``Block`` and
+``SteinbergChain`` are also the two Weil-Deligne summand types.
+
 Normalization, fixed once (see FieldData for the valuation conventions):
 
 * A block's ``slope`` is the val_L of its Frobenius-power eigenvalue, so
@@ -48,7 +53,11 @@ class UnsupportedRegimeError(RuntimeError):
 @dataclass(frozen=True)
 class Block:
     """One isotypic piece: slope (val_L of the eigenvalue), multiplicity,
-    and the Jordan partition of the multiplicity."""
+    and the Jordan partition of the multiplicity.
+
+    Under the Weil-Deligne dictionary this is also an unramified summand
+    (``weildeligne.Unramified``), whose geometric Frobenius valuation
+    ``val`` is the slope."""
 
     slope: Fraction
     mult: int
@@ -63,20 +72,42 @@ class Block:
         if any(p < 1 for p in jordan) or sum(jordan) != self.mult:
             raise ValueError(f"jordan {jordan} is not a partition of {self.mult}")
 
+    @property
+    def val(self) -> Fraction:
+        return self.slope
+
+    @property
+    def dimension(self) -> int:
+        return self.mult
+
+    def blocks(self, degree: int) -> tuple["Block", ...]:
+        return (self,)
+
 
 @dataclass(frozen=True)
-class Steinberg:
-    """Chain structure D_0 + D_0(1) + ... + D_0(s): the nilpotent operator
-    maps twist n to twist n-1 by the identity."""
+class SteinbergChain:
+    """An indecomposable chain D_0 + D_0(1) + ... of ``length`` twists of a
+    piece of dimension ``piece_dim`` at slope ``base_val``; the nilpotent
+    operator maps twist n to twist n-1 by the identity."""
 
-    piece_rank: int
-    s: int
-    base_slope: Fraction
+    base_val: Fraction
+    piece_dim: int
+    length: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_slope", Fraction(self.base_slope))
-        if self.piece_rank < 1 or self.s < 0:
-            raise ValueError("piece_rank must be >= 1 and s >= 0")
+        object.__setattr__(self, "base_val", Fraction(self.base_val))
+        if self.piece_dim < 1 or self.length < 2:
+            raise ValueError("piece_dim must be >= 1 and length >= 2")
+
+    @property
+    def dimension(self) -> int:
+        return self.piece_dim * self.length
+
+    def blocks(self, degree: int) -> tuple[Block, ...]:
+        """One block per twist; twist n shifts the slope by n*[L:Q_p]."""
+        return tuple(
+            Block(self.base_val + n * degree, self.piece_dim) for n in range(self.length)
+        )
 
 
 @dataclass(frozen=True)
@@ -85,25 +116,20 @@ class PhiModule:
 
     Coordinates: the blocks occupy consecutive standard basis vectors in
     the order given (a chain module's twist j occupies coordinates
-    j*piece_rank .. (j+1)*piece_rank - 1).  Filtration flags are written
+    j*piece_dim .. (j+1)*piece_dim - 1).  Filtration flags are written
     in this basis.
     """
 
     field: FieldData
     blocks: tuple[Block, ...]
-    steinberg: Optional[Steinberg] = None
+    steinberg: Optional[SteinbergChain] = None
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("a module needs at least one block")
-        if self.steinberg is not None:
-            st = self.steinberg
-            expected = tuple(
-                Block(st.base_slope + n * self.field.degree, st.piece_rank)
-                for n in range(st.s + 1)
-            )
-            if self.blocks != expected:
-                raise ValueError("blocks do not match the declared chain structure")
+        if self.steinberg is not None and \
+                self.blocks != self.steinberg.blocks(self.field.degree):
+            raise ValueError("blocks do not match the declared chain structure")
 
     @classmethod
     def of_slopes(cls, field: FieldData, slopes: Sequence) -> "PhiModule":
@@ -112,12 +138,9 @@ class PhiModule:
 
     @classmethod
     def chain(cls, field: FieldData, piece_rank: int, s: int, base_slope) -> "PhiModule":
-        """The chain module with s+1 twists of a rank piece_rank base."""
-        st = Steinberg(piece_rank, s, Fraction(base_slope))
-        blocks = tuple(
-            Block(st.base_slope + n * field.degree, st.piece_rank) for n in range(st.s + 1)
-        )
-        return cls(field, blocks, st)
+        """The chain module with s+1 twists of a rank piece_rank base (s >= 1)."""
+        chain = SteinbergChain(base_slope, piece_rank, s + 1)
+        return cls(field, chain.blocks(field.degree), chain)
 
     @property
     def rank(self) -> int:
@@ -193,10 +216,6 @@ class Filtration:
     @property
     def rank(self) -> int:
         return sum(d for _, d in self.levels[0])
-
-    def jump_lists(self) -> list[list[Fraction]]:
-        """Per-embedding jumps expanded with multiplicity (nondecreasing)."""
-        return [[j for j, d in sigma for _ in range(d)] for sigma in self.levels]
 
     def dims_pattern(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(d for _, d in sigma) for sigma in self.levels)
@@ -302,6 +321,13 @@ def hodge_polygon(filtration: Filtration) -> Polygon:
     return Polygon.from_slopes(slopes)
 
 
+def polygon_rows(newton: Polygon, hodge: Polygon):
+    """(x, newton value, hodge value) at every breakpoint of either path,
+    x ascending."""
+    for x in sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices}):
+        yield x, newton.value_at(x), hodge.value_at(x)
+
+
 def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
     """True iff the hodge path lies on or below the newton path at every
     breakpoint and both endpoints coincide exactly."""
@@ -309,8 +335,7 @@ def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
         raise ValueError(f"unequal widths: {newton.width} vs {hodge.width}")
     if newton.endpoint != hodge.endpoint:
         return False
-    xs = sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices})
-    return all(hodge.value_at(x) <= newton.value_at(x) for x in xs)
+    return all(hy <= ny for _, ny, hy in polygon_rows(newton, hodge))
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +358,34 @@ def _check_jumps_shape(module: PhiModule, jumps: Sequence[Sequence]) -> list[lis
     return out
 
 
-def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> bool:
+def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]:
     """The partial-sum inequalities deciding existence of an admissible
-    filtration with the given jump type.
+    filtration with the given jump type, evaluated: one (lhs, rhs, ok) row
+    per 1 <= i <= n.
 
-    With zeta-valuations v = sorted(-slope) ascending, the test is, for
-    each 1 <= i < n, sum of the first i aggregated jumps <= -(sum of the
-    last i values of v), with equality at i = n.  Requires a plain module
-    (no chain structure); repeated slopes are fine, the test is purely
-    numerical.
+    With zeta-valuations v = sorted(-slope) ascending, row i compares the
+    sum of the first i aggregated jumps (lhs) with -(sum of the last i
+    values of v) (rhs): lhs <= rhs for i < n, lhs == rhs at i = n.
+    Requires a plain module (no chain structure); repeated slopes are
+    fine, the test is purely numerical.
     """
     if module.steinberg is not None:
         raise ValueError("the inequality test applies to modules without chain structure")
     js = _check_jumps_shape(module, jumps)
     n = module.rank
     vals = sorted(-s for s in module.slopes_expanded())
-    agg = [sum(sigma[j] for sigma in js) for j in range(n)]
+    rows = []
     lhs = Fraction(0)
     for i in range(1, n + 1):
-        lhs += agg[i - 1]
+        lhs += sum(sigma[i - 1] for sigma in js)
         rhs = -sum(vals[n - i:], Fraction(0))
-        if i < n:
-            if lhs > rhs:
-                return False
-        elif lhs != rhs:
-            return False
-    return True
+        rows.append((lhs, rhs, lhs <= rhs if i < n else lhs == rhs))
+    return rows
+
+
+def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> bool:
+    """Whether every partial-sum inequality of ``inequality_rows`` holds."""
+    return all(ok for _, _, ok in inequality_rows(module, jumps))
 
 
 def _induced_t_H_on_subspace(filtration: Filtration, coords: Sequence[int]) -> Fraction:
@@ -385,9 +412,8 @@ def _subobject_coords(module: PhiModule):
     """Enumerate the stable subobjects as coordinate index tuples, paired
     with their Newton numbers.  The full module comes last."""
     if module.steinberg is not None:
-        st = module.steinberg
-        p = st.piece_rank
-        for nchain in range(st.s + 1):
+        p = module.steinberg.piece_dim
+        for nchain in range(module.steinberg.length):
             coords = tuple(range((nchain + 1) * p))
             tn = sum(
                 (b.slope * b.mult for b in module.blocks[: nchain + 1]), Fraction(0)
@@ -474,7 +500,7 @@ def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) ->
 def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtration:
     """The chain filtration along the twist blocks of a chain module.
 
-    At the jump with index j*piece_rank (0-based) the filtration steps
+    At the jump with index j*piece_dim (0-based) the filtration steps
     down to the span of the twists >= j; within a twist block the flag
     descends one coordinate at a time.
     """
@@ -514,14 +540,14 @@ def chain_sum_bounds(h: int, c, ivals: Sequence[int]) -> tuple[bool, bool]:
     return hypotheses_ok, conclusions_ok
 
 
-def block_existence_criterion(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> bool:
-    """Existence criterion for modules declared as a direct sum of
+def block_polygons(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> tuple[Polygon, Polygon]:
+    """The (newton, hodge) paths of a module declared as a direct sum of
     indecomposable pieces, given per-piece (Newton number, dimension).
 
     Pieces are ordered by Newton number ascending, ties by dimension
-    descending; the block Newton path through the cumulative sums must
-    dominate the path of aggregated jump prefix sums at the block
-    boundaries, with equal endpoints.
+    descending; both paths have a vertex at every block boundary: the
+    Newton path through the cumulative Newton numbers, the Hodge path
+    through the aggregated jump prefix sums.
     """
     if not blocks:
         raise ValueError("need at least one block")
@@ -550,4 +576,11 @@ def block_existence_criterion(blocks: Sequence[tuple], jumps: Sequence[Sequence]
         ysum += tn
         newton_pts.append((Fraction(x), ysum))
         hodge_pts.append((Fraction(x), sum(agg[:x], Fraction(0))))
-    return polygon_dominates(Polygon.from_path(newton_pts), Polygon.from_path(hodge_pts))
+    return Polygon.from_path(newton_pts), Polygon.from_path(hodge_pts)
+
+
+def block_existence_criterion(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> bool:
+    """Existence criterion for declared direct sums: the block Newton path
+    of ``block_polygons`` dominates its Hodge path at the block
+    boundaries, with equal endpoints."""
+    return polygon_dominates(*block_polygons(blocks, jumps))

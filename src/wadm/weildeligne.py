@@ -1,6 +1,11 @@
 """Dictionary between unramified-or-Steinberg Weil-Deligne data and
 Frobenius modules, F-semisimplification, and block decomposition.
 
+The summand types are the module's own: ``Unramified`` is
+``isocrystal.Block`` (its ``val`` reads the block's ``slope``), and
+``SteinbergChain`` is ``isocrystal.SteinbergChain``; both are re-exported
+here.
+
 Convention table (see also the checker module):
 
 * A ``WDRep`` stores valuations of GEOMETRIC Frobenius eigenvalues, in the
@@ -26,51 +31,11 @@ from fractions import Fraction
 from typing import Union
 
 from .exact import FieldData
-from .isocrystal import Block, PhiModule, UnsupportedRegimeError
+from .isocrystal import Block, PhiModule, SteinbergChain, UnsupportedRegimeError
 
-
-@dataclass(frozen=True)
-class Unramified:
-    """An unramified piece: eigenvalue valuation of geometric Frobenius,
-    multiplicity, and the Jordan partition of the Frobenius action."""
-
-    val: Fraction
-    mult: int
-    jordan: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "val", Fraction(self.val))
-        jordan = tuple(sorted((int(v) for v in self.jordan), reverse=True)) or (1,) * self.mult
-        object.__setattr__(self, "jordan", jordan)
-        if self.mult < 1:
-            raise ValueError("multiplicity must be >= 1")
-        if any(p < 1 for p in jordan) or sum(jordan) != self.mult:
-            raise ValueError(f"jordan {jordan} is not a partition of {self.mult}")
-
-    @property
-    def dimension(self) -> int:
-        return self.mult
-
-
-@dataclass(frozen=True)
-class SteinbergChain:
-    """An indecomposable chain of length pieces, each of dimension
-    piece_dim, over an unramified piece at base_val; the nilpotent
-    operator maps each twist onto the previous one."""
-
-    base_val: Fraction
-    piece_dim: int
-    length: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_val", Fraction(self.base_val))
-        if self.piece_dim < 1 or self.length < 2:
-            raise ValueError("piece_dim must be >= 1 and length >= 2")
-
-    @property
-    def dimension(self) -> int:
-        return self.piece_dim * self.length
-
+# An unramified summand (geometric Frobenius valuation ``val``, multiplicity,
+# Jordan partition) carries exactly a Frobenius block's data.
+Unramified = Block
 
 Summand = Union[Unramified, SteinbergChain]
 
@@ -95,9 +60,7 @@ class WDRep:
         if not self.parts:
             raise ValueError("a representation needs at least one summand")
         for part in self.parts:
-            if isinstance(part, SteinbergChain):
-                continue
-            if not isinstance(part, Unramified):
+            if not isinstance(part, (Unramified, SteinbergChain)):
                 raise TypeError(f"unsupported summand {part!r}")
 
     @property
@@ -126,11 +89,10 @@ def mod_of_wd(rep: WDRep) -> PhiModule:
     if rep.ramified:
         raise UnsupportedRegimeError("ramified data cannot be transported by valuations alone")
     if not rep.has_nilpotent():
-        blocks = tuple(Block(p.val, p.mult, p.jordan) for p in rep.parts)
-        return PhiModule(rep.field, blocks)
+        return PhiModule(rep.field, rep.parts)
     if len(rep.parts) == 1:
         chain = rep.parts[0]
-        return PhiModule.chain(rep.field, chain.piece_dim, chain.length - 1, chain.base_val)
+        return PhiModule(rep.field, chain.blocks(rep.field.degree), chain)
     raise UnsupportedRegimeError(
         "mixed nilpotent and plain summands: decompose into blocks instead"
     )
@@ -138,11 +100,7 @@ def mod_of_wd(rep: WDRep) -> PhiModule:
 
 def wd_of_mod(module: PhiModule) -> WDRep:
     """Inverse dictionary, up to canonical form of the data."""
-    if module.steinberg is not None:
-        st = module.steinberg
-        part = SteinbergChain(st.base_slope, st.piece_rank, st.s + 1)
-        return WDRep(module.field, (part,)).canonical()
-    parts = tuple(Unramified(b.slope, b.mult, b.jordan) for b in module.blocks)
+    parts = (module.steinberg,) if module.steinberg is not None else module.blocks
     return WDRep(module.field, parts).canonical()
 
 

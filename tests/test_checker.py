@@ -16,6 +16,7 @@ from wadm.checker import (
     invariant_norm_inequalities,
     jumps_from_weights,
     membership_check,
+    polygons_for_instance,
     weights_from_jumps,
 )
 from wadm.exact import FieldData
@@ -226,6 +227,44 @@ def test_exists_block_interior_failure():
     v = exists_admissible(inst)
     assert v.status in (PASS, FAIL)
     assert v.newton is not None and v.hodge is not None
+
+
+def test_check_instance_ramified_undecided():
+    rep = WDRep(QP, (Unramified(0, 1), Unramified(1, 1)), ramified=True)
+    res = check_instance(_wd_instance(rep, [[0, 0]]))
+    assert res.status == UNDECIDED and "ramified" in res.adm.reason
+    # the central character comes from the arithmetic valuations (0, -1)
+    assert res.central_ok == central_char_integral([0, -1], [[0, 0]], QP)
+
+
+POLYGON_CASES = {
+    "raw-pass": _zeta_instance([0, 2], [[0, 1]]),
+    "raw-fail": _zeta_instance([-1, 3], [[0, 1]]),
+    "wd-distinct": _wd_instance(WDRep(QP, (Unramified(0, 1), Unramified(-2, 1))), [[0, 1]]),
+    "wd-distinct-fail": _wd_instance(
+        WDRep(QP, (Unramified(Fraction(-1, 2), 1), Unramified(3, 1), Unramified(1, 1))),
+        weights_from_jumps([[-1, 0, 1]])),
+    "chain": _wd_instance(WDRep(QP, (SteinbergChain(-1, 1, 2),)), weights_from_jumps([[-1, 0]])),
+    "block-sum": _wd_instance(
+        WDRep(QP, (Unramified(-2, 1), Unramified(2, 1), SteinbergChain(0, 1, 2))),
+        weights_from_jumps([[-2, -1, 1, 3]])),
+    "block-mult": _wd_instance(WDRep(QP, (Unramified(Fraction(1, 2), 2),)),
+                               weights_from_jumps([[0, 1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYGON_CASES))
+def test_polygon_command_draws_the_verdict_polygons(name, monkeypatch):
+    inst = POLYGON_CASES[name]
+    with monkeypatch.context() as m:  # the polygons need no witness and no oracle
+        for fn in ("weak_admissible", "build_admissible_filtration"):
+            m.setattr(f"wadm.checker.{fn}", lambda *a, fn=fn: pytest.fail(f"{fn} called"))
+        newton, hodge, dominates = polygons_for_instance(inst)
+    verdict = exists_admissible(inst)
+    assert verdict.status != UNDECIDED
+    assert (newton, hodge) == (verdict.newton, verdict.hodge)
+    if not name.startswith("chain"):
+        assert dominates == verdict.passed
 
 
 # --- membership -----------------------------------------------------------------

@@ -177,6 +177,51 @@ def test_cli_batch_worst_code(capsys):
     assert out.index("id: gl2-fail") < out.index("id: gl2-pass")
 
 
+_HEAD = "field.p: 3\nfield.e: 1\nfield.f: 1\n"
+MALFORMED = {
+    "zero-denominator": _HEAD + "weights.sigma1: 0 1\ngalois.form: zeta\ngalois.zeta_vals: 1/0 2\n",
+    "wd-zero-denominator": _HEAD + "weights.sigma1: 0\ngalois.form: wd\n"
+                                   "galois.wd.1: unramified val=1/0 mult=1\n",
+    "empty-lists": _HEAD + "weights.sigma1:\ngalois.form: zeta\ngalois.zeta_vals:\n",
+    "cartan-int": _HEAD + "group: cartan 5\nweights.sigma1: 0 1\n"
+                          "galois.form: zeta\ngalois.zeta_vals: 0 2\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "polygon"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_input_exits_3(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.inst"
+    path.write_text(MALFORMED[name])
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}:") and not captured.out
+
+
+def test_cli_zero_denominator_in_queries(tmp_path, capsys):
+    point = (GOLDEN / "affinoid_gl2.inst").read_text()
+    point = point.replace("point.vals: 0 0", "point.vals: 1/0 0")
+    norm = (GOLDEN / "satake_norm_gl2.inst").read_text().replace("a=1", "a=1/0")
+    for command, text in (("affinoid", point), ("satake-norm", norm)):
+        assert "1/0" in text
+        path = tmp_path / f"{command}.inst"
+        path.write_text(text)
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:")
+
+
+def test_cli_ramified_check_is_undecided(tmp_path, capsys):
+    path = tmp_path / "ramified.inst"
+    path.write_text(_HEAD + "weights.sigma1: 0 0\ngalois.form: wd\n"
+                    "galois.wd.1: unramified val=0 mult=1\ngalois.wd.2: unramified val=1 mult=1\n"
+                    "galois.wd.ramified: true\n")
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "adm.reason: ramified" in out and out.endswith("verdict: undecided\n")
+    assert main(["polygon", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_cli_convert_weights(capsys):
     assert main(["convert-weights", "--form", "a", "--values", "0 1"]) == 0
     out = capsys.readouterr().out

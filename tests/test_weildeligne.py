@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wadm.exact import FieldData
-from wadm.isocrystal import PhiModule, UnsupportedRegimeError, t_N
+from wadm.isocrystal import Block, PhiModule, UnsupportedRegimeError, t_N
 from wadm.weildeligne import (
     SteinbergChain,
     Unramified,
@@ -63,6 +63,17 @@ def test_wd_of_mod_examples():
     assert wd_of_mod(PhiModule.of_slopes(QP, [2])).parts == (Unramified(2, 1, (1,)),)
     chain = PhiModule.chain(QP, 1, 1, Fraction(1))
     assert wd_of_mod(chain).parts == (SteinbergChain(1, 1, 2),)
+
+
+def test_summands_are_the_module_types():
+    assert Unramified is Block
+    part = Unramified(Fraction(1, 2), 2)
+    assert part.val == part.slope == Fraction(1, 2) and part.dimension == 2
+    chain = SteinbergChain(0, 2, 3)
+    assert chain.blocks(2) == (Block(0, 2), Block(2, 2), Block(4, 2))
+    assert mod_of_wd(WDRep(F2, (chain,))).steinberg is chain
+    with pytest.raises(ValueError):
+        PhiModule.chain(QP, 1, 0, 0)  # a chain has at least two twists
 
 
 def _random_rep(rng):
