@@ -50,9 +50,16 @@ EXIT_INPUT = 3
 _STATUS_CODE = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNDECIDED: EXIT_UNDECIDED}
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InstanceError(path, None, f"cannot write file: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -65,13 +72,9 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> int:
-    try:
-        instances = [
-            parse_instance(_read(path), path, default_id=Path(path).stem) for path in args.files
-        ]
-    except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    instances = [
+        parse_instance(_read(path), path, default_id=Path(path).stem) for path in args.files
+    ]
     results = sorted(map(check_instance, instances), key=lambda r: r.instance.ident)
     text = "\n".join(render_check_report(r) for r in results)
     _emit(text, args.out)
@@ -79,32 +82,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
-    try:
-        inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
-        newton, hodge, dominates = polygons_for_instance(inst)
-    except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except UnsupportedRegimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNDECIDED
-    _emit(render_polygon_report(inst.ident, newton, hodge, dominates), args.out)
+    inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
+    newton, hodge, dominates = polygons_for_instance(inst)
     if args.plot:
-        Path(args.plot + ".svg").write_text(
-            svg_polygons(newton, hodge, title=inst.ident), encoding="utf-8"
-        )
-        Path(args.plot + ".txt").write_text(polygon_vertex_table(newton, hodge), encoding="utf-8")
+        _write(args.plot + ".svg", svg_polygons(newton, hodge, title=inst.ident))
+        _write(args.plot + ".txt", polygon_vertex_table(newton, hodge))
+    _emit(render_polygon_report(inst.ident, newton, hodge, dominates), args.out)
     return EXIT_PASS if dominates else EXIT_FAIL
 
 
 def _cmd_satake_norm(args) -> int:
-    try:
-        ident, datum, field, xi, elem = parse_norm_query(
-            _read(args.file), args.file, default_id=Path(args.file).stem
-        )
-    except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    ident, datum, field, xi, elem = parse_norm_query(
+        _read(args.file), args.file, default_id=Path(args.file).stem
+    )
     value = norm_xi_val(datum, field, xi, elem)
     val_q_text = "+inf" if value == INF else format_rat(value)
     val_l_text = "+inf" if value == INF else format_rat(value * field.degree)
@@ -121,13 +111,9 @@ def _cmd_satake_norm(args) -> int:
 
 
 def _cmd_affinoid(args) -> int:
-    try:
-        ident, datum, field, xi, point, normalized = parse_point_query(
-            _read(args.file), args.file, default_id=Path(args.file).stem
-        )
-    except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    ident, datum, field, xi, point, normalized = parse_point_query(
+        _read(args.file), args.file, default_id=Path(args.file).stem
+    )
     member = spectrum_member(datum, field, xi, point, normalized=normalized)
     lines = [
         "report: affinoid",
@@ -164,6 +150,11 @@ def _cmd_convert_weights(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, value, low in (("--rank", args.rank, 1), ("--embeddings", args.embeddings, 1),
+                             ("--count", args.count, 0)):
+        if value < low:
+            print(f"sweep: {flag} must be >= {low}, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("WADM_SEED", "0"))
@@ -253,8 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; input and output errors exit 3 with a
+    ``path[:line]: message`` line on stderr, unsupported regimes exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InstanceError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except UnsupportedRegimeError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":  # pragma: no cover

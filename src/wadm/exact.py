@@ -15,11 +15,14 @@ throughout the library:
 The conversion constant is val_L = e*f*val_q = degree*val_q.
 
 No operation in this module ever rounds; the only non-rational value that
-can appear is ``INF``, the valuation of zero.
+can appear is ``INF``, the valuation of zero.  ``rank`` scales rows to
+integers and eliminates fraction-free (Bareiss), so it builds no
+``Fraction``; ``solve_linear`` and ``lp_feasible`` run over ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,7 +272,7 @@ def val_q(x: QSqrtQ):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Fraction
+# Exact linear algebra
 # ---------------------------------------------------------------------------
 
 
@@ -326,24 +329,43 @@ def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction
 
 
 def rank(rows: Matrix) -> int:
-    """Exact rank of a matrix of rationals."""
-    a = _copy_matrix(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
+    """Exact rank of a matrix of rationals, by fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    keeps the row space.  Bareiss's one-step rule then keeps every entry an
+    integer: after k pivots an entry is the (k+1)-minor on the pivot rows
+    and columns plus its own row and column (Sylvester's identity), so the
+    division by the previous pivot is exact, skipped columns included, as
+    long as every remaining row takes the step.  The pivot row and the
+    pivot column leave the matrix after each step.
+    """
+    a: list[list[int]] = []
+    for row in rows:
+        # A list, not a generator: ``*`` unpacks a generator into a tuple
+        # sized by its length hint and then shrinks it, which leaves tuples
+        # on CPython's per-size free lists and raises peak RSS.
+        scale = math.lcm(*[v.denominator for v in row])
+        if scale == 1:  # integral rows, such as the oracle's flags: no division
+            a.append([v.numerator for v in row])
+        else:
+            a.append([v.numerator * (scale // v.denominator) for v in row])
+    if len({len(v) for v in a}) > 1:
+        raise ValueError("ragged matrix")
     r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pr is None:
+    prev = 1
+    while a and a[0]:
+        for pr, v in enumerate(a):
+            if v[0]:
+                break
+        else:
+            a = [v[1:] for v in a]
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][col]
-        for i in range(r + 1, m):
-            if a[i][col] != 0:
-                factor = a[i][col] / inv
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        w = a.pop(pr)
+        p = w[0]
+        w = w[1:]
+        a = [[(p * x - v[0] * y) // prev for x, y in zip(v[1:], w)] for v in a]
+        prev = p
         r += 1
-        if r == m:
-            break
     return r
 
 

@@ -190,6 +190,21 @@ def test_exists_chain_integrality_suffices():
         assert exists_admissible(inst).passed == expect
 
 
+def test_exists_rank13_pass_is_undecided_past_the_oracle_cap():
+    rng = random.Random(13)
+    a = [sorted(rng.randint(-4, 4) for _ in range(13))]
+    vals = [-j for j in jumps_from_weights(a)[0]]  # Newton = Hodge: the inequalities hold
+    v = exists_admissible(_zeta_instance(vals, a))
+    assert v.status == UNDECIDED
+    assert "witness oracle did not run" in v.reason and "capped at rank 12" in v.reason
+    assert [c.name for c in v.checks] == [f"adm.ineq.i={i}" for i in range(1, 13)] + ["adm.eq.total"]
+    assert all(c.ok for c in v.checks)
+    assert v.witness is None and v.newton is not None and v.hodge is not None
+    # A failing rank-13 instance never reaches the oracle and keeps its verdict.
+    vals[-1] += 1
+    assert exists_admissible(_zeta_instance(vals, a)).status == FAIL
+
+
 def test_exists_ramified_undecided():
     rep = WDRep(QP, (Unramified(0, 1), Unramified(2, 1)), ramified=True)
     assert exists_admissible(_wd_instance(rep, [[0, 1]])).status == UNDECIDED

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wadm.exact import (
@@ -21,6 +21,7 @@ from wadm.exact import (
     solve_linear,
     val_q,
 )
+from wadm.isocrystal import PhiModule, build_admissible_filtration
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -187,6 +188,76 @@ def test_rank():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0]]) == 0
+    # The second row has 0 in the first pivot column and must still take
+    # the elimination step, or the later exact divisions go wrong.
+    assert rank([[5, 0, 2, 2], [0, 0, -1, 0], [2, 0, 5, 0]]) == 3
+    assert rank([]) == 0
+    assert rank([[]]) == 0
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank([[1, 2], [3]])
+
+
+def _reference_rank(rows) -> int:
+    """Textbook Gaussian elimination over Fraction, independent of ``rank``."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                factor = a[i][col] / a[r][col]
+                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7])).map(
+    lambda x: x.numerator if x.denominator == 1 else x  # mixed int and Fraction entries
+)
+
+
+@st.composite
+def designed_rank_matrices(draw):
+    """An m x r times r x n product (rank <= r), then a few one-entry
+    perturbations and zeroed rows; shapes run from empty to tall and wide.
+    Half the factors are sparse, so pivot columns often hold zeros."""
+    m, n, r = draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    factor = st.one_of(st.just(0), entries) if draw(st.booleans()) else entries
+    left = draw(st.lists(st.lists(factor, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(factor, min_size=n, max_size=n), min_size=r, max_size=r))
+    rows = [[sum((x * right[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(n)]
+            for row in left]
+    if m and n:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] += draw(entries)
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+            rows[i] = [0] * n
+    return [[v.numerator if v.denominator == 1 else v for v in row] for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(designed_rank_matrices())
+def test_rank_matches_fraction_elimination(rows):
+    assert rank(rows) == _reference_rank(rows)
+
+
+def test_rank_of_rank12_witness_flag():
+    # The rank-12 witness flag has integer entries up to 12**11.
+    n = 12
+    module = PhiModule.of_slopes(FieldData(p=3, e=1, f=1), [Fraction(j) for j in range(n)])
+    flag = build_admissible_filtration(module, [list(range(n))]).flags[0]
+    assert max(abs(v) for vec in flag for v in vec) == 12**11
+    assert rank(flag) == n
+    for start in range(n):
+        tail = flag[start:]
+        assert rank(tail) == _reference_rank(tail) == n - start
+        cols = list(range(start, n))
+        restricted = [[vec[c] for c in cols] for vec in tail]
+        assert rank(restricted) == _reference_rank(restricted)
 
 
 def test_lp_feasible_simplex():

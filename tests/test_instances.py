@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wadm.checker import Instance
+from wadm.checker import Instance, jumps_from_weights
 from wadm.cli import main
 from wadm.exact import FieldData
 from wadm.instances import (
@@ -220,6 +220,39 @@ def test_cli_ramified_check_is_undecided(tmp_path, capsys):
     assert "adm.reason: ramified" in out and out.endswith("verdict: undecided\n")
     assert main(["polygon", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_cli_rank13_pass_is_undecided(tmp_path, capsys):
+    a = [sorted((k * 5) % 9 - 4 for k in range(13))]
+    vals = [Fraction(-j) for j in jumps_from_weights(a)[0]]
+    inst = Instance(ident="r13", field=FieldData(p=3, e=1, f=1),
+                    weights_a=tuple(map(tuple, a)), zeta_vals=tuple(vals))
+    path = tmp_path / "r13.inst"
+    path.write_text(serialize_instance(inst))
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "adm.ineq.i=12: " in out and "adm.eq.total: " in out
+    assert "adm.reason: the inequalities hold, but the witness oracle did not run: " \
+           "subobject enumeration capped at rank 12\n" in out
+    assert "witness." not in out and out.endswith("verdict: undecided\n")
+
+
+def test_cli_unwritable_output_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing" / "dir"
+    gl2 = str(GOLDEN / "gl2_pass.inst")
+    for argv, target in ((["check", gl2, "--out", str(missing / "x")], missing / "x"),
+                         (["polygon", gl2, "--plot", str(missing / "p")], missing / "p.svg")):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{target}: cannot write file: ")
+        assert not captured.out
+
+
+@pytest.mark.parametrize("flag,value", [("--rank", "0"), ("--embeddings", "0"), ("--count", "-1")])
+def test_cli_sweep_rejects_bad_sizes(flag, value, capsys):
+    assert main(["sweep", flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"sweep: {flag} must be >= ") and not captured.out
 
 
 def test_cli_convert_weights(capsys):
