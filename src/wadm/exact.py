@@ -15,9 +15,11 @@ throughout the library:
 The conversion constant is val_L = e*f*val_q = degree*val_q.
 
 No operation in this module ever rounds; the only non-rational value that
-can appear is ``INF``, the valuation of zero.  ``rank`` scales rows to
-integers and eliminates fraction-free (Bareiss), so it builds no
-``Fraction``; ``solve_linear`` and ``lp_feasible`` run over ``Fraction``.
+can appear is ``INF``, the valuation of zero.  ``rank`` and
+``solve_linear`` share one fraction-free elimination (rows scaled to
+integers, then Bareiss), which builds no ``Fraction``; ``solve_linear``
+back-substitutes over ``Fraction``, and ``lp_feasible`` runs over
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -279,57 +281,8 @@ def val_q(x: QSqrtQ):
 Matrix = Sequence[Sequence[RatLike]]
 
 
-def _copy_matrix(rows: Matrix) -> list[list[Fraction]]:
-    out = [[Fraction(v) for v in row] for row in rows]
-    width = {len(r) for r in out}
-    if len(width) > 1:
-        raise ValueError("ragged matrix")
-    return out
-
-
-def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly by Gaussian elimination.
-
-    Returns one exact solution (free variables set to 0), or None when the
-    system is inconsistent.  Raises ValueError on dimension mismatch.
-    """
-    a = _copy_matrix(rows)
-    b = [Fraction(v) for v in rhs]
-    if len(a) != len(b):
-        raise ValueError("matrix/rhs dimension mismatch")
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pr = next((i for i in range(row, m) if a[i][col] != 0), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        b[row], b[pr] = b[pr], b[row]
-        inv = a[row][col]
-        a[row] = [v / inv for v in a[row]]
-        b[row] /= inv
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[row])]
-                b[i] -= factor * b[row]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if b[i] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = b[r]
-    return x
-
-
-def rank(rows: Matrix) -> int:
-    """Exact rank of a matrix of rationals, by fraction-free elimination.
+def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
+    """Fraction-free row echelon form of a matrix of rationals.
 
     Each row is scaled to integers by the lcm of its denominators, which
     keeps the row space.  Bareiss's one-step rule then keeps every entry an
@@ -338,6 +291,10 @@ def rank(rows: Matrix) -> int:
     division by the previous pivot is exact, skipped columns included, as
     long as every remaining row takes the step.  The pivot row and the
     pivot column leave the matrix after each step.
+
+    Returns one ``(column, pivot, entries right of the pivot)`` triple per
+    pivot row, in column order; together these rows span the input's row
+    space.
     """
     a: list[list[int]] = []
     for row in rows:
@@ -351,7 +308,8 @@ def rank(rows: Matrix) -> int:
             a.append([v.numerator * (scale // v.denominator) for v in row])
     if len({len(v) for v in a}) > 1:
         raise ValueError("ragged matrix")
-    r = 0
+    pivots: list[tuple[int, int, list[int]]] = []
+    col = 0
     prev = 1
     while a and a[0]:
         for pr, v in enumerate(a):
@@ -359,14 +317,40 @@ def rank(rows: Matrix) -> int:
                 break
         else:
             a = [v[1:] for v in a]
+            col += 1
             continue
         w = a.pop(pr)
         p = w[0]
         w = w[1:]
         a = [[(p * x - v[0] * y) // prev for x, y in zip(v[1:], w)] for v in a]
+        pivots.append((col, p, w))
         prev = p
-        r += 1
-    return r
+        col += 1
+    return pivots
+
+
+def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction]]:
+    """Solve A x = b exactly: fraction-free elimination on [A | b], then
+    back substitution over Fraction.
+
+    Returns one exact solution (free variables set to 0), or None when the
+    system is inconsistent.  Raises ValueError on dimension mismatch.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("matrix/rhs dimension mismatch")
+    n = len(rows[0]) if rows else 0
+    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1][0] == n:
+        return None
+    x = [Fraction(0)] * n
+    for c, p, w in reversed(pivots):
+        x[c] = Fraction(w[-1] - sum(v * x[j] for j, v in enumerate(w[:-1], c + 1)), p)
+    return x
+
+
+def rank(rows: Matrix) -> int:
+    """Exact rank of a matrix of rationals, by fraction-free elimination."""
+    return len(_echelon(rows))
 
 
 def lp_feasible(rows: Matrix, rhs: Sequence[RatLike]) -> bool:

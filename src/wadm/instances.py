@@ -39,7 +39,8 @@ from typing import Optional
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, format_rat, parse_rat
 from .isocrystal import Polygon, polygon_rows
-from .rootdata import HighestWeight, RootDatum
+from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, all_roots,
+                       validate_highest_weight)
 from .satake import GroupRingElem
 from .weildeligne import SteinbergChain, Unramified, WDRep
 
@@ -127,7 +128,7 @@ class KeyValues:
             return None
         try:
             return parse_group(spec)
-        except ValueError as exc:
+        except (ValueError, InfiniteWeylGroupError) as exc:
             raise self.error("group", str(exc)) from None
 
     def rational_list(self, key: str) -> list[Fraction]:
@@ -165,7 +166,9 @@ def parse_group(spec: str) -> RootDatum:
                     isinstance(row, list) and all(type(v) is int for v in row) for row in matrix)):
                 raise ValueError(f"bad Cartan matrix literal {literal!r}: "
                                  "expected a list of integer lists")
-            return RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
+            datum = RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
+            all_roots(datum)  # raises InfiniteWeylGroupError for an infinite type
+            return datum
     raise ValueError(f"unknown group {spec!r}")
 
 
@@ -281,15 +284,27 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
         raise InstanceError(path, None, str(exc)) from None
 
 
+def _query_weight(kv: KeyValues, field: FieldData) -> tuple[RootDatum, HighestWeight]:
+    """The group of a query (gl(n) by default) and its highest weight, one
+    dominant weight of the group's rank per embedding."""
+    datum = kv.group()
+    weights = _parse_weights(kv, field, datum)
+    xi = HighestWeight.of(weights)
+    try:
+        if datum is None:
+            datum = RootDatum.gl(len(weights[0]))
+        validate_highest_weight(datum, field, xi)
+    except ValueError as exc:
+        raise kv.error("weights.sigma1", str(exc)) from None
+    return datum, xi
+
+
 def parse_point_query(text: str, path: str = "<string>", default_id: str = "query"):
     """Parse a spectral membership query: group, weights (as the dominant
     weight per embedding), point.vals, options.normalized."""
     kv = KeyValues.parse(text, path)
     field = kv.field()
-    datum = kv.group()
-    weights = _parse_weights(kv, field, datum)
-    if datum is None:
-        datum = RootDatum.gl(len(weights[0]))
+    datum, xi = _query_weight(kv, field)
     point = tuple(kv.rational_list("point.vals"))
     if len(point) != datum.rank:
         raise InstanceError(kv.path, kv.lineno("point.vals"),
@@ -298,7 +313,7 @@ def parse_point_query(text: str, path: str = "<string>", default_id: str = "quer
         kv.get("id", default_id),
         datum,
         field,
-        HighestWeight.of(weights),
+        xi,
         point,
         _parse_bool(kv, "options.normalized", True),
     )
@@ -308,10 +323,7 @@ def parse_norm_query(text: str, path: str = "<string>", default_id: str = "query
     """Parse a norm query: group, weights, and element.N term lines."""
     kv = KeyValues.parse(text, path)
     field = kv.field()
-    datum = kv.group()
-    weights = _parse_weights(kv, field, datum)
-    if datum is None:
-        datum = RootDatum.gl(len(weights[0]))
+    datum, xi = _query_weight(kv, field)
     terms = []
     for key, value in kv.numbered("element."):
         rest = dict(_WD_KV.findall(value))
@@ -331,7 +343,7 @@ def parse_norm_query(text: str, path: str = "<string>", default_id: str = "query
         kv.get("id", default_id),
         datum,
         field,
-        HighestWeight.of(weights),
+        xi,
         GroupRingElem.from_terms(terms),
     )
 

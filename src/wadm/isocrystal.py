@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FieldData, rank as mat_rank
-from .rootdata import Vec, vec
+from .exact import FieldData, RatLike, rank as mat_rank
 
 SUBOBJECT_ENUM_CAP = 12
 
@@ -167,10 +166,12 @@ class Filtration:
     ``flags[sigma]`` lists rank-many independent coordinate vectors; at
     the t-th jump the filtration step is the span of the last
     (dims[t] + dims[t+1] + ...) vectors, so earlier vectors leave first.
+    Flag entries are kept as given (int or Fraction), so integral flags
+    reach ``exact.rank`` as plain ints.
     """
 
     levels: tuple[tuple[tuple[Fraction, int], ...], ...]
-    flags: Optional[tuple[tuple[Vec, ...], ...]] = None
+    flags: Optional[tuple[tuple[tuple[RatLike, ...], ...], ...]] = None
 
     def __post_init__(self) -> None:
         levels = tuple(
@@ -191,7 +192,7 @@ class Filtration:
             raise ValueError("per-embedding dimensions must sum to a common rank")
         if self.flags is not None:
             n = ranks.pop()
-            flags = tuple(tuple(vec(v) for v in sigma) for sigma in self.flags)
+            flags = tuple(tuple(tuple(v) for v in sigma) for sigma in self.flags)
             object.__setattr__(self, "flags", flags)
             if len(flags) != len(levels):
                 raise ValueError("flags must cover every embedding")
@@ -485,13 +486,12 @@ def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) ->
     n = module.rank
     vals = [-b.slope for b in module.blocks]
     tau = sorted(range(n), key=lambda i: (vals[i], i))
-    flag: list[Vec] = []
+    flag = []
     for j in range(1, n + 1):
-        coeffs = [Fraction(0)] * n
-        coeffs[tau[n - j]] = Fraction(1)
-        xj = Fraction(j)
+        coeffs = [0] * n
+        coeffs[tau[n - j]] = 1
         for m in range(1, j):
-            coeffs[tau[n - j + m]] = xj ** (j - m)
+            coeffs[tau[n - j + m]] = j ** (j - m)
         flag.append(tuple(coeffs))
     flags = tuple(tuple(flag) for _ in js)
     return Filtration.of_jumps(js, flags)
@@ -511,9 +511,7 @@ def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtra
         if any(a >= b for a, b in zip(sigma, sigma[1:])):
             raise ValueError("chain filtration jumps must be strictly increasing")
     n = module.rank
-    identity = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     flags = tuple(identity for _ in js)
     return Filtration.of_jumps(js, flags)
 

@@ -41,11 +41,11 @@ IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
 
 DEFAULT_ORBIT_CAP = 10**6
-_ROOT_CLOSURE_CAP = 10_000
 
 
 class InfiniteWeylGroupError(RuntimeError):
-    """The reflection closure exceeded its cap; the Weyl group is not finite."""
+    """A reflection closure outgrew its bound; for the root closure of
+    ``all_roots`` this proves the Weyl group infinite."""
 
 
 class OrbitCapError(RuntimeError):
@@ -136,7 +136,7 @@ class RootDatum:
     def gl(cls, n: int) -> "RootDatum":
         """GL_n with the lower-triangular Borel (dominant = nondecreasing)."""
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"gl(n) needs n >= 1, got {n}")
         roots = []
         for i in range(n - 1):
             v = [0] * n
@@ -225,9 +225,13 @@ class RootDatum:
 
 @lru_cache(maxsize=None)
 def all_roots(datum: RootDatum) -> tuple[Vec, ...]:
-    """The full (finite) root system, by reflection closure of the simples."""
-    if datum.nsimple == 0:
-        return ()
+    """The full (finite) root system, by reflection closure of the simples.
+
+    A finite root system of rank r has at most r * max(2r, 30) roots (its
+    Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8), so a
+    larger closure proves the Weyl group infinite.
+    """
+    bound = datum.nsimple * max(2 * datum.nsimple, 30)
     seen: set[Vec] = set()
     frontier = [vec(r) for r in datum.simple_roots]
     seen.update(frontier)
@@ -239,9 +243,10 @@ def all_roots(datum: RootDatum) -> tuple[Vec, ...]:
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
-        if len(seen) > _ROOT_CLOSURE_CAP:
+        if len(seen) > bound:
             raise InfiniteWeylGroupError(
-                f"root closure exceeded {_ROOT_CLOSURE_CAP}; the Weyl group is infinite"
+                f"root closure passed {bound} roots, more than a finite root system "
+                f"of rank {datum.nsimple} can have; the Weyl group is infinite"
             )
         frontier = nxt
     return tuple(sorted(seen))
@@ -249,14 +254,13 @@ def all_roots(datum: RootDatum) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: RootDatum) -> tuple[Vec, ...]:
-    """Roots that are non-negative rational combinations of the simples."""
-    cols = list(zip(*[vec(r) for r in datum.simple_roots])) if datum.nsimple else []
-    out = []
-    for r in all_roots(datum):
-        coeffs = solve_linear(cols, r) if cols else None
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.append(r)
-    return tuple(out)
+    """Roots that are non-negative rational combinations of the simples.
+
+    <r, lam> with <alpha_i, lam> = 1 for every simple root is the height of
+    r, and a root's simple-root coefficients share one sign.
+    """
+    lam = solve_linear(datum.simple_roots, [1] * datum.nsimple)
+    return tuple(r for r in all_roots(datum) if dot(r, lam) > 0)
 
 
 @lru_cache(maxsize=None)
@@ -355,9 +359,7 @@ def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:
     if len(a) != datum.rank or len(b) != datum.rank:
         raise ValueError("vector length must equal the rank")
     diff = tuple(y - x for x, y in zip(a, b))
-    if datum.nsimple == 0:
-        return all(v == 0 for v in diff)
-    cols = list(zip(*[vec(r) for r in datum.simple_roots]))
+    cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
     coeffs = solve_linear(cols, diff)
     return coeffs is not None and all(c >= 0 for c in coeffs)
 

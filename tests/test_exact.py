@@ -172,6 +172,16 @@ def test_solve_dimension_mismatch():
         solve_linear([[1, 0]], [1, 2])
 
 
+def test_solve_edge_shapes():
+    assert solve_linear([], []) == []
+    assert solve_linear([[]], [0]) == []
+    assert solve_linear([[]], [1]) is None
+    # x2 is free and set to 0; x1 comes from back substitution
+    assert solve_linear([[2, 3], [4, 6]], [1, 2]) == [Fraction(1, 2), 0]
+    with pytest.raises(ValueError, match="ragged matrix"):
+        solve_linear([[1, 2], [3]], [1, 2])
+
+
 def test_solve_random_round_trip():
     rng = random.Random(23)
     for _ in range(50):
@@ -214,6 +224,40 @@ def _reference_rank(rows) -> int:
     return r
 
 
+def _reference_solve(rows, rhs):
+    """Gauss-Jordan elimination over Fraction, independent of ``solve_linear``:
+    one solution with the free variables at 0, or None."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        pr = next((i for i in range(row, m) if a[i][col] != 0), None)
+        if pr is None:
+            continue
+        a[row], a[pr] = a[pr], a[row]
+        b[row], b[pr] = b[pr], b[row]
+        inv = a[row][col]
+        a[row] = [v / inv for v in a[row]]
+        b[row] /= inv
+        for i in range(m):
+            if i != row and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [v - factor * w for v, w in zip(a[i], a[row])]
+                b[i] -= factor * b[row]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    if any(b[i] != 0 for i in range(row, m)):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in pivots:
+        x[c] = b[r]
+    return x
+
+
 entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7])).map(
     lambda x: x.numerator if x.denominator == 1 else x  # mixed int and Fraction entries
 )
@@ -243,6 +287,20 @@ def designed_rank_matrices(draw):
 @given(designed_rank_matrices())
 def test_rank_matches_fraction_elimination(rows):
     assert rank(rows) == _reference_rank(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(designed_rank_matrices(), st.booleans(), st.data())
+def test_solve_matches_gauss_jordan(rows, consistent, data):
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if consistent:  # b = A x, so a solution exists
+        x = data.draw(st.lists(entries, min_size=n, max_size=n))
+        rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
+    got = solve_linear(rows, rhs)
+    assert got == _reference_solve(rows, rhs)
+    assert got is None or all(type(v) is Fraction for v in got)
 
 
 def test_rank_of_rank12_witness_flag():

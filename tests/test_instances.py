@@ -1,6 +1,7 @@
 """Instance files, reports, and the command line: parsing, round trips,
 golden outputs, determinism, exit codes."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,16 +199,31 @@ def test_cli_malformed_input_exits_3(name, command, tmp_path, capsys):
     assert captured.err.startswith(f"{path}:") and not captured.out
 
 
-def test_cli_zero_denominator_in_queries(tmp_path, capsys):
-    point = (GOLDEN / "affinoid_gl2.inst").read_text()
-    point = point.replace("point.vals: 0 0", "point.vals: 1/0 0")
-    norm = (GOLDEN / "satake_norm_gl2.inst").read_text().replace("a=1", "a=1/0")
-    for command, text in (("affinoid", point), ("satake-norm", norm)):
-        assert "1/0" in text
-        path = tmp_path / f"{command}.inst"
-        path.write_text(text)
-        assert main([command, str(path)]) == 3
-        assert capsys.readouterr().err.startswith(f"{path}:")
+# (group, weights.sigma1, point.vals, element.1); affinoid reads the point,
+# satake-norm the element.
+BAD_QUERIES = {
+    "zero-denominator": ("gl(2)", "0 0", "1/0 0", "lambda=1,0 a=1/0 b=0"),
+    "sp4-not-dominant": ("sp(4)", "0 1", "0 0", "lambda=0,0 a=1 b=0"),
+    "sl3-not-dominant": ("sl(3)", "0 -1", "0 0", "lambda=0,0 a=1 b=0"),
+    "cartan-not-dominant": ("cartan [[2]]", "-1", "0", "lambda=0 a=1 b=0"),
+    "gl2-short-weight": ("gl(2)", "0", "0 0", "lambda=0,0 a=1 b=0"),
+    "sp4-long-weight": ("sp(4)", "0 1 2", "0 0", "lambda=0,0 a=1 b=0"),
+    "empty-weight-no-group": (None, "", "0", "lambda=0 a=1 b=0"),
+    "hyperbolic-cartan": ("cartan [[2,-3],[-3,2]]", "0 0", "0 0", "lambda=0,0 a=1 b=0"),
+}
+
+
+@pytest.mark.parametrize("command", ["affinoid", "satake-norm"])
+@pytest.mark.parametrize("name", sorted(BAD_QUERIES))
+def test_cli_bad_query_exits_3(name, command, tmp_path, capsys):
+    group, weight, point, element = BAD_QUERIES[name]
+    text = _HEAD + (f"group: {group}\n" if group else "") + f"weights.sigma1: {weight}\n"
+    text += f"point.vals: {point}\n" if command == "affinoid" else f"element.1: {element}\n"
+    path = tmp_path / f"{name}.inst"
+    path.write_text(text)
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert re.match(rf"{re.escape(str(path))}:\d+: ", captured.err) and not captured.out
 
 
 def test_cli_ramified_check_is_undecided(tmp_path, capsys):

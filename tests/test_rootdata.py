@@ -11,9 +11,11 @@ from wadm.rootdata import (
     HighestWeight,
     InfiniteWeylGroupError,
     RootDatum,
+    all_roots,
     antidominant_rep_cochar,
     dominance_leq,
     dominant_rep,
+    dot,
     eta_L,
     half_sum_positive_roots,
     in_hull,
@@ -71,6 +73,37 @@ def test_infinite_weyl_group_rejected():
     # (dependent simple roots)
     with pytest.raises(ValueError):
         RootDatum.from_cartan([[2, -2], [-2, 2]], name="affine-a1")
+
+
+def _e8_cartan():
+    c = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]:
+        c[i][j] = c[j][i] = -1
+    return c
+
+
+# (Cartan matrix, number of positive roots)
+CARTANS = {
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 9),
+    "C3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 9),
+    "G2": ([[2, -1], [-3, 2]], 6),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 24),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 12),
+    "E8": (_e8_cartan(), 120),
+}
+
+
+@pytest.mark.parametrize("kind", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("name", sorted(CARTANS))
+def test_positive_roots_of_finite_types(name, kind):
+    cartan, npos = CARTANS[name]
+    datum = RootDatum.from_cartan(cartan, kind=kind, name=name)
+    # E8 has 240 = 8 * 30 roots, exactly the closure bound, which must not raise
+    assert len(all_roots(datum)) == 2 * npos
+    assert len(positive_roots(datum)) == npos
+    # eta pairs to 1 with every simple coroot, however the roots were found
+    eta = half_sum_positive_roots(datum)
+    assert all(dot(eta, cov) == 1 for cov in datum.simple_coroots)
 
 
 # --- orbits ----------------------------------------------------------------
