@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 INF = float("inf")
@@ -61,8 +62,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^f with p prime, or raise ValueError."""
+    """Decompose q = p^f with p prime, or raise ValueError.  Cached: every
+    ``QSqrtQ`` construction and every ``val_q`` asks again for the same q."""
     if q < 2:
         raise ValueError(f"not a prime power: {q}")
     p = 2

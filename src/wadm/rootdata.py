@@ -3,10 +3,13 @@ valuation domains.
 
 Vectors live in the rational span V of the character lattice X*(T) of a
 maximal split torus; cocharacters live in the dual lattice.  Both are
-plain tuples of Fractions (resp. ints), paired by the standard dot
-product.  Weyl group elements are stored as pairs of integer matrices,
-one acting on cocharacters and one (the inverse transpose) acting on
-weights, so that the pairing is preserved.
+plain tuples, paired by the standard dot product: integer vectors (roots,
+coroots, cocharacters) pair to an ``int``, and a vector with a Fraction
+entry (weights, eta, orbit points) pairs to a ``Fraction``.  Weyl group
+elements are stored as pairs of integer matrices, one acting on
+cocharacters and one (the inverse transpose) acting on weights, so that
+the pairing is preserved.  Roots, Weyl orbits and Weyl group elements all
+come from one breadth-first closure (``_closure``).
 
 Conventions, fixed once for the whole library:
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 from .exact import FieldData, lp_feasible, rank as mat_rank, solve_linear
 
@@ -56,10 +59,27 @@ def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-def dot(x: Sequence, y: Sequence) -> Fraction:
+def dot(x: Sequence, y: Sequence) -> Union[int, Fraction]:
+    """The standard pairing: an ``int`` for integer vectors (also for empty
+    ones), a ``Fraction`` as soon as one entry is a Fraction."""
     if len(x) != len(y):
         raise ValueError("dimension mismatch in pairing")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _closure(seeds: Iterable, images: Callable, bound: int, error: Exception) -> tuple:
+    """Breadth-first closure of ``seeds`` under ``images(x)``, in the order
+    found; raises ``error`` once it holds more than ``bound`` elements."""
+    order = list(seeds)
+    seen = set(order)
+    for x in order:
+        if len(order) > bound:
+            raise error
+        for y in images(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return tuple(order)
 
 
 def _identity(n: int) -> IntMatrix:
@@ -122,7 +142,7 @@ class RootDatum:
                 raise ValueError("root/coroot length must equal the rank")
         for i, alpha in enumerate(roots):
             for j, cov in enumerate(coroots):
-                c = sum(a * b for a, b in zip(alpha, cov))
+                c = dot(alpha, cov)
                 if i == j and c != 2:
                     raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {c}, expected 2")
                 if i != j and c > 0:
@@ -195,13 +215,14 @@ class RootDatum:
     def nsimple(self) -> int:
         return len(self.simple_roots)
 
-    def reflect_weight(self, i: int, z: Sequence) -> Vec:
-        """Simple reflection s_i on the weight side: z - <z, alpha_i^vee> alpha_i."""
+    def reflect_weight(self, i: int, z: Sequence) -> tuple:
+        """Simple reflection s_i on the weight side: z - <z, alpha_i^vee> alpha_i
+        (integer vectors stay integer, Fraction vectors stay Fraction)."""
         c = dot(z, self.simple_coroots[i])
-        return tuple(Fraction(v) - c * r for v, r in zip(z, self.simple_roots[i]))
+        return tuple(v - c * r for v, r in zip(z, self.simple_roots[i]))
 
     def reflect_cochar(self, i: int, lam: Sequence[int]) -> IntVec:
-        c = sum(a * b for a, b in zip(self.simple_roots[i], lam))
+        c = dot(self.simple_roots[i], lam)
         return tuple(v - c * r for v, r in zip(lam, self.simple_coroots[i]))
 
     def simple_reflection(self, i: int) -> WeylElement:
@@ -223,37 +244,30 @@ class RootDatum:
         return all(v.denominator == 1 for v in half_sum_positive_roots(self))
 
 
+def _reflections(datum: RootDatum) -> Callable:
+    """The images of a weight under the simple reflections."""
+    return lambda z: (datum.reflect_weight(i, z) for i in range(datum.nsimple))
+
+
 @lru_cache(maxsize=None)
-def all_roots(datum: RootDatum) -> tuple[Vec, ...]:
-    """The full (finite) root system, by reflection closure of the simples.
+def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
+    """The full (finite) root system, by reflection closure of the simples;
+    integer vectors, sorted.
 
     A finite root system of rank r has at most r * max(2r, 30) roots (its
     Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8), so a
     larger closure proves the Weyl group infinite.
     """
     bound = datum.nsimple * max(2 * datum.nsimple, 30)
-    seen: set[Vec] = set()
-    frontier = [vec(r) for r in datum.simple_roots]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for i in range(datum.nsimple):
-                img = datum.reflect_weight(i, r)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if len(seen) > bound:
-            raise InfiniteWeylGroupError(
-                f"root closure passed {bound} roots, more than a finite root system "
-                f"of rank {datum.nsimple} can have; the Weyl group is infinite"
-            )
-        frontier = nxt
-    return tuple(sorted(seen))
+    error = InfiniteWeylGroupError(
+        f"root closure passed {bound} roots, more than a finite root system "
+        f"of rank {datum.nsimple} can have; the Weyl group is infinite"
+    )
+    return tuple(sorted(_closure(datum.simple_roots, _reflections(datum), bound, error)))
 
 
 @lru_cache(maxsize=None)
-def positive_roots(datum: RootDatum) -> tuple[Vec, ...]:
+def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     """Roots that are non-negative rational combinations of the simples.
 
     <r, lam> with <alpha_i, lam> = 1 for every simple root is the height of
@@ -266,33 +280,20 @@ def positive_roots(datum: RootDatum) -> tuple[Vec, ...]:
 @lru_cache(maxsize=None)
 def half_sum_positive_roots(datum: RootDatum) -> Vec:
     """Half the sum of the positive roots (eta); (-d/2,...,d/2) for GL_{d+1}."""
-    total = [Fraction(0)] * datum.rank
+    total = [0] * datum.rank
     for r in positive_roots(datum):
         for i, v in enumerate(r):
             total[i] += v
-    return tuple(v / 2 for v in total)
+    return tuple(Fraction(v, 2) for v in total)
 
 
 @lru_cache(maxsize=None)
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_ORBIT_CAP) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by closure of the simple reflections."""
-    n = datum.rank
-    ident = WeylElement(_identity(n), _identity(n))
+    ident = WeylElement(_identity(datum.rank), _identity(datum.rank))
     gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
-    elements = {ident.cochar: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                prod = g * w
-                if prod.cochar not in elements:
-                    elements[prod.cochar] = prod
-                    nxt.append(prod)
-        if len(elements) > cap:
-            raise InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
-        frontier = nxt
-    return tuple(elements.values())
+    error = InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
+    return _closure([ident], lambda w: (g * w for g in gens), cap, error)
 
 
 def weyl_orbit(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
@@ -300,20 +301,8 @@ def weyl_orbit(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> f
     start = vec(z)
     if len(start) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(datum.nsimple):
-                img = datum.reflect_weight(i, v)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if len(seen) > cap:
-            raise OrbitCapError(f"orbit size exceeded cap {cap}")
-        frontier = nxt
-    return frozenset(seen)
+    error = OrbitCapError(f"orbit size exceeded cap {cap}")
+    return frozenset(_closure([start], _reflections(datum), cap, error))
 
 
 def dominant_rep(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> Vec:
@@ -343,7 +332,7 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int],
     cur = tuple(int(v) for v in lam)
     for _ in range(cap):
         for i in range(datum.nsimple):
-            if sum(a * b for a, b in zip(datum.simple_roots[i], cur)) > 0:
+            if dot(datum.simple_roots[i], cur) > 0:
                 cur = datum.reflect_cochar(i, cur)
                 break
         else:

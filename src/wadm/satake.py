@@ -96,7 +96,7 @@ def delta_half_val(datum: RootDatum, lam: Sequence[int]) -> Fraction:
     Linear in lambda: +<eta, lambda>.  On GL_2 with lambda = (1, 0) this is
     -1/2 (golden value; the sign is locked by the norm invariants).
     """
-    return dot(half_sum_positive_roots(datum), lam)
+    return Fraction(dot(half_sum_positive_roots(datum), lam))
 
 
 def cocycle_gamma_val(datum: RootDatum, w: WeylElement, lam: Sequence[int]) -> Fraction:
@@ -149,7 +149,7 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
             val_q(c)
             + delta_half_val(datum, anti)
             - delta_half_val(datum, lam)
-            + dot(xi_l, anti) / field.degree
+            + Fraction(dot(xi_l, anti), field.degree)
         )
         if best is None or v < best:
             best = v

@@ -55,6 +55,10 @@ def test_prime_power():
         prime_power(12)
     with pytest.raises(ValueError):
         prime_power(1)
+    # prime_power is cached; a rejected q must be rejected every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            QSqrtQ.of(1, 0, 12)
 
 
 def test_field_data_validation():

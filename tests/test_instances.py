@@ -315,13 +315,21 @@ def test_polygon_report_and_plot_match_goldens(tmp_path):
         assert (tmp_path / f"plot.{k}.txt").read_bytes() == expected_table
 
 
-def test_affinoid_and_norm_match_goldens(tmp_path):
-    out = tmp_path / "aff.txt"
-    assert main(["affinoid", str(GOLDEN / "affinoid_gl2.inst"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "expected" / "affinoid_gl2.txt").read_bytes()
-    out = tmp_path / "norm.txt"
-    assert main(["satake-norm", str(GOLDEN / "satake_norm_gl2.inst"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "expected" / "satake_norm_gl2.txt").read_bytes()
+# (command, golden name): gl(2), then G2 over f = 2 unnormalized and the
+# adjoint A1 datum, whose eta is half-integral
+QUERY_GOLDENS = [
+    ("affinoid", "affinoid_gl2"),
+    ("satake-norm", "satake_norm_gl2"),
+    ("affinoid", "affinoid_g2"),
+    ("satake-norm", "satake_norm_pgl2"),
+]
+
+
+@pytest.mark.parametrize("command, name", QUERY_GOLDENS, ids=[n for _, n in QUERY_GOLDENS])
+def test_affinoid_and_norm_match_goldens(command, name, tmp_path):
+    out = tmp_path / f"{name}.txt"
+    assert main([command, str(GOLDEN / f"{name}.inst"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "expected" / f"{name}.txt").read_bytes()
 
 
 def test_sweep_rank3_count100_byte_identical(tmp_path):

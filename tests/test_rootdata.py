@@ -1,16 +1,19 @@
 """Root data: orbits, dominance order, eta, and membership domains."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from wadm.exact import FieldData
+from wadm.exact import FieldData, QSqrtQ, solve_linear
 from wadm.rootdata import (
     HighestWeight,
     InfiniteWeylGroupError,
+    OrbitCapError,
     RootDatum,
+    WeylElement,
     all_roots,
     antidominant_rep_cochar,
     dominance_leq,
@@ -25,6 +28,7 @@ from wadm.rootdata import (
     weyl_elements,
     weyl_orbit,
 )
+from wadm.satake import GroupRingElem, cocycle_gamma_val, delta_half_val, norm_xi_val
 
 QP = FieldData(p=3, e=1, f=1)
 
@@ -104,6 +108,161 @@ def test_positive_roots_of_finite_types(name, kind):
     # eta pairs to 1 with every simple coroot, however the roots were found
     eta = half_sum_positive_roots(datum)
     assert all(dot(eta, cov) == 1 for cov in datum.simple_coroots)
+
+
+# --- the reflection closures, against the loops they replaced ---------------
+
+
+def _identity_element(n):
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return WeylElement(one, one)
+
+
+def _reference_reflect(datum, i, z):
+    """s_i on the weight side over Fraction, independent of ``reflect_weight``."""
+    c = sum(Fraction(a) * Fraction(b) for a, b in zip(z, datum.simple_coroots[i]))
+    return tuple(Fraction(v) - c * r for v, r in zip(z, datum.simple_roots[i]))
+
+
+def _reference_all_roots(datum):
+    bound = datum.nsimple * max(2 * datum.nsimple, 30)
+    seen = set()
+    frontier = [vec(r) for r in datum.simple_roots]
+    seen.update(frontier)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for i in range(datum.nsimple):
+                img = _reference_reflect(datum, i, r)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        if len(seen) > bound:
+            raise InfiniteWeylGroupError(f"root closure passed {bound} roots")
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _reference_positive_roots(datum):
+    lam = solve_linear(datum.simple_roots, [1] * datum.nsimple)
+    return tuple(
+        r for r in _reference_all_roots(datum)
+        if sum(Fraction(a) * b for a, b in zip(r, lam)) > 0
+    )
+
+
+def _reference_weyl_elements(datum, cap):
+    ident = _identity_element(datum.rank)
+    gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
+    elements = {ident.cochar: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                prod = g * w
+                if prod.cochar not in elements:
+                    elements[prod.cochar] = prod
+                    nxt.append(prod)
+        if len(elements) > cap:
+            raise InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
+        frontier = nxt
+    return tuple(elements.values())
+
+
+def _reference_weyl_orbit(datum, z, cap):
+    start = vec(z)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(datum.nsimple):
+                img = _reference_reflect(datum, i, v)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        if len(seen) > cap:
+            raise OrbitCapError(f"orbit size exceeded cap {cap}")
+        frontier = nxt
+    return frozenset(seen)
+
+
+# Weyl group orders of the CARTANS types
+WEYL_ORDERS = {"B3": 48, "C3": 48, "G2": 12, "F4": 1152, "D4": 192, "E8": 696729600}
+# (datum, |W|)
+CLOSURE_DATA = (
+    [(RootDatum.from_cartan(cartan, kind=kind, name=f"{name}-{kind}"), WEYL_ORDERS[name])
+     for name, (cartan, _) in sorted(CARTANS.items())
+     for kind in ("simply_connected", "adjoint")]
+    + [(RootDatum.gl(n), math.factorial(n)) for n in range(1, 9)]
+    + [(RootDatum.sl(3), 6), (RootDatum.sp4(), 8)]
+)
+# Weyl groups up to |W(F4)| are enumerated in full; on the larger ones
+# (gl(7), gl(8), E8) both closures must stop at a cap of 100
+SMALL_ORDER = 1152
+
+
+def _same_outcome(new, reference):
+    """Both closures return equal values, or both raise the same error."""
+    try:
+        expected = reference()
+    except (InfiniteWeylGroupError, OrbitCapError) as exc:
+        with pytest.raises(type(exc)):
+            new()
+        return
+    assert new() == expected
+
+
+@pytest.mark.parametrize("datum, order", [pytest.param(d, o, id=d.name) for d, o in CLOSURE_DATA])
+def test_closures_match_reference(datum, order):
+    assert all_roots(datum) == _reference_all_roots(datum)
+    assert positive_roots(datum) == _reference_positive_roots(datum)
+    cap = order if order <= SMALL_ORDER else 100
+    # tuple equality: the same Weyl elements in the same order
+    _same_outcome(lambda: weyl_elements(datum, cap), lambda: _reference_weyl_elements(datum, cap))
+    if order <= SMALL_ORDER:
+        assert len(weyl_elements(datum, cap)) == order
+    rng = random.Random(datum.name)
+    points = [tuple(rng.choice((Fraction(-1, 2), Fraction(2))) for _ in range(datum.rank))]
+    if datum.nsimple:
+        points.append(tuple(Fraction(3, 2) * v for v in datum.simple_roots[-1]))
+    for z in points:
+        _same_outcome(lambda: weyl_orbit(datum, z, cap), lambda: _reference_weyl_orbit(datum, z, cap))
+
+
+def test_closure_errors_match_reference():
+    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
+    for roots in (all_roots, _reference_all_roots):
+        with pytest.raises(InfiniteWeylGroupError):
+            roots(hyperbolic)
+    for elements in (weyl_elements, _reference_weyl_elements):
+        with pytest.raises(InfiniteWeylGroupError):
+            elements(hyperbolic, 500)
+    # a regular sp(4) orbit has exactly 8 points
+    for orbit in (weyl_orbit, _reference_weyl_orbit):
+        with pytest.raises(OrbitCapError):
+            orbit(RootDatum.sp4(), (1, 3), 7)
+        assert len(orbit(RootDatum.sp4(), (1, 3), 8)) == 8
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [d for d, _ in CLOSURE_DATA if d.name.split("-")[0] in CARTANS]
+    + [RootDatum.from_cartan([], name="rank-0"), RootDatum.gl(1)],
+    ids=lambda d: d.name,
+)
+def test_roots_pair_as_int_and_values_stay_fraction(datum):
+    assert all(type(v) is int for r in all_roots(datum) for v in r)
+    field = FieldData(p=3, e=1, f=2)
+    assert all(type(v) is Fraction for v in half_sum_positive_roots(datum))
+    assert all(type(v) is Fraction for v in eta_L(datum, field))
+    lam = tuple(range(1, datum.rank + 1))
+    w = datum.simple_reflection(0) if datum.nsimple else _identity_element(datum.rank)
+    assert type(delta_half_val(datum, lam)) is Fraction
+    assert type(cocycle_gamma_val(datum, w, lam)) is Fraction
+    x = GroupRingElem.monomial(lam, QSqrtQ.of(3, 1, field.q))
+    assert type(norm_xi_val(datum, field, HighestWeight.zero(datum, field), x)) is Fraction
 
 
 # --- orbits ----------------------------------------------------------------
