@@ -43,6 +43,7 @@ from .isocrystal import (
     Polygon,
     SteinbergChain,
     UnsupportedRegimeError,
+    admissible_by_inequalities,
     block_polygons,
     build_admissible_filtration,
     hodge_polygon,
@@ -396,6 +397,16 @@ def membership_check(instance: Instance) -> Verdict:
     flavor = "normalized" if instance.normalized else "unnormalized"
     checks.append(CheckLine(f"membership.{flavor}", member))
     return Verdict(PASS if member else FAIL, checks)
+
+
+def translation_verdicts(instance: Instance) -> tuple[bool, bool, bool]:
+    """The translation identity's three verdicts on general-linear data: norm
+    inequalities, partial sums after weight conversion, normalized membership."""
+    vals = instance.arithmetic_vals()
+    ineq = invariant_norm_inequalities(vals, instance.weights_a, instance.field).passed
+    module = PhiModule.of_slopes(instance.field, [-v for v in vals])
+    adm = admissible_by_inequalities(module, instance.jumps())
+    return ineq, adm, membership_check(instance).passed
 
 
 # ---------------------------------------------------------------------------

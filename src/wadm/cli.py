@@ -22,10 +22,9 @@ from .checker import (
     UNDECIDED,
     Instance,
     check_instance,
-    invariant_norm_inequalities,
     jumps_from_weights,
-    membership_check,
     polygons_for_instance,
+    translation_verdicts,
     weights_from_jumps,
 )
 from .exact import INF, FieldData, format_rat
@@ -39,7 +38,7 @@ from .instances import (
     render_polygon_report,
     svg_polygons,
 )
-from .isocrystal import PhiModule, UnsupportedRegimeError, admissible_by_inequalities
+from .isocrystal import UnsupportedRegimeError
 from .satake import norm_xi_val, spectrum_member
 
 EXIT_PASS = 0
@@ -181,10 +180,7 @@ def _cmd_sweep(args) -> int:
             weights_a=tuple(tuple(r) for r in a),
             zeta_vals=tuple(vals),
         )
-        ineq = invariant_norm_inequalities(vals, a, field).passed
-        module = PhiModule.of_slopes(field, [-v for v in vals])
-        adm = admissible_by_inequalities(module, inst.jumps())
-        member = membership_check(inst).passed
+        ineq, adm, member = translation_verdicts(inst)
         agree = ineq == adm == member
         agreements += agree
         lines.append(

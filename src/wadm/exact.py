@@ -17,8 +17,8 @@ The conversion constant is val_L = e*f*val_q = degree*val_q.
 No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``solve_linear`` share one fraction-free elimination (rows scaled to
-integers, then Bareiss), which builds no ``Fraction``; ``solve_linear``
-back-substitutes over ``Fraction``, and ``lp_feasible`` runs over
+integers, then Bareiss), and ``lp_feasible`` pivots the same integer rows
+by the same rule; only ``solve_linear``'s back substitution builds
 ``Fraction``.
 """
 
@@ -49,17 +49,22 @@ def format_rat(x: RatLike) -> str:
     return str(Fraction(x))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+@lru_cache(maxsize=None)
+def _least_factor(n: int) -> int:
+    """Least prime factor of n >= 2 by trial division over 2 and the odd
+    numbers; ``FieldData`` and ``QSqrtQ`` ask for the same p when f = 1."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 @lru_cache(maxsize=None)
@@ -68,13 +73,7 @@ def prime_power(q: int) -> tuple[int, int]:
     ``QSqrtQ`` construction and every ``val_q`` asks again for the same q."""
     if q < 2:
         raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
+    p = _least_factor(q)
     f = 0
     m = q
     while m % p == 0:
@@ -284,6 +283,24 @@ def val_q(x: QSqrtQ):
 Matrix = Sequence[Sequence[RatLike]]
 
 
+def _integer_rows(rows: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators, as integers; raises
+    ValueError on a ragged matrix."""
+    a: list[list[int]] = []
+    for row in rows:
+        # A list, not a generator: ``*`` unpacks a generator into a tuple
+        # sized by its length hint and then shrinks it, which leaves tuples
+        # on CPython's per-size free lists and raises peak RSS.
+        scale = math.lcm(*[v.denominator for v in row])
+        if scale == 1:  # integral rows, such as the oracle's flags: no division
+            a.append([v.numerator for v in row])
+        else:
+            a.append([v.numerator * (scale // v.denominator) for v in row])
+    if len({len(v) for v in a}) > 1:
+        raise ValueError("ragged matrix")
+    return a
+
+
 def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
     """Fraction-free row echelon form of a matrix of rationals.
 
@@ -299,18 +316,7 @@ def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
     pivot row, in column order; together these rows span the input's row
     space.
     """
-    a: list[list[int]] = []
-    for row in rows:
-        # A list, not a generator: ``*`` unpacks a generator into a tuple
-        # sized by its length hint and then shrinks it, which leaves tuples
-        # on CPython's per-size free lists and raises peak RSS.
-        scale = math.lcm(*[v.denominator for v in row])
-        if scale == 1:  # integral rows, such as the oracle's flags: no division
-            a.append([v.numerator for v in row])
-        else:
-            a.append([v.numerator * (scale // v.denominator) for v in row])
-    if len({len(v) for v in a}) > 1:
-        raise ValueError("ragged matrix")
+    a = _integer_rows(rows)
     pivots: list[tuple[int, int, list[int]]] = []
     col = 0
     prev = 1
@@ -359,58 +365,43 @@ def rank(rows: Matrix) -> int:
 def lp_feasible(rows: Matrix, rhs: Sequence[RatLike]) -> bool:
     """Decide whether {x >= 0 : A x = b} is nonempty, exactly.
 
-    Phase-1 simplex over Fraction with Bland's rule (no cycling); the
-    verdict is exact because no arithmetic ever leaves Q.
+    Phase-1 simplex with Bland's rule (no cycling) on the integer rows of
+    [A | b], b made nonnegative; the objective w + sum_j colsum_j x_j = sum b
+    (w the sum of the artificials) is one more row.  Every row but the pivot
+    row takes ``_echelon``'s step (p*v - v[s]*w) // d, which keeps each
+    entry d times its rational value, d > 0 the basis determinant (Edmonds
+    1967), so every division is exact.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/rhs dimension mismatch")
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return True
-    n = len(rows[0])
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        if len(rows[i]) != n:
-            raise ValueError("ragged matrix")
-        r = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            r = [-v for v in r]
-            b = -b
-        tableau.append(r + [b])
-    # w = sum of artificials = sum(b) - sum_j colsum_j x_j; artificials
-    # never re-enter, so only the n real columns are tracked in the
-    # objective row.
-    obj = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
-    obj.append(sum(tableau[i][n] for i in range(m)))
-    basis = [n + i for i in range(m)]  # artificial markers
+    a = [[-v for v in r] if r[-1] < 0 else r
+         for r in _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])]
+    m, n = len(a), len(a[0]) - 1
+    a.append([sum(col) for col in zip(*a)])
+    basis = list(range(n, n + m))  # artificial markers; artificials never re-enter
+    d = 1
     while True:
-        enter = next((j for j in range(n) if obj[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
+        obj = a[m]
+        s = next((j for j in range(n) if obj[j] > 0), None)
+        if s is None:
+            return obj[n] == 0
+        # Bland: the least ratio v[n] / v[s], cross-multiplied; 1 / 0 is infinite
+        leave, num, den = None, 1, 0
         for i in range(m):
-            t = tableau[i][enter]
-            if t > 0:
-                ratio = tableau[i][n] / t
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            v = a[i]
+            if v[s] > 0:
+                c = v[n] * den - num * v[s]
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
+                    leave, num, den = i, v[n], v[s]
         if leave is None:  # pragma: no cover - phase 1 is always bounded
             raise ArithmeticError("unbounded phase-1 simplex")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leave])]
-        factor = obj[enter]
-        if factor != 0:
-            # w = const + sum obj[j] x_j; substituting x_enter from the pivot
-            # row subtracts from the coefficients but adds to the constant.
-            for j in range(n):
-                obj[j] -= factor * tableau[leave][j]
-            obj[n] += factor * tableau[leave][n]
-        basis[leave] = enter
-    return obj[n] == 0
+        w = a[leave]
+        p = w[s]
+        for i, v in enumerate(a):
+            if i != leave:
+                f = v[s]
+                a[i] = [(p * x - f * y) // d for x, y in zip(v, w)]
+        basis[leave] = s
+        d = p

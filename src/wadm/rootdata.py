@@ -153,6 +153,7 @@ class RootDatum:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=None)
     def gl(cls, n: int) -> "RootDatum":
         """GL_n with the lower-triangular Borel (dominant = nondecreasing)."""
         if n < 1:
@@ -438,6 +439,6 @@ def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     zv = vec(z)
     pts = _hull_points(datum, field, xi, cap)
     rows = [[pt[i] for pt in pts] for i in range(datum.rank)]
-    rows.append([Fraction(1)] * len(pts))
-    rhs = list(zv) + [Fraction(1)]
+    rows.append([1] * len(pts))
+    rhs = list(zv) + [1]
     return lp_feasible(rows, rhs)

@@ -16,9 +16,7 @@ from pathlib import Path
 from wadm.checker import (
     Instance,
     central_char_integral,
-    invariant_norm_inequalities,
-    jumps_from_weights,
-    membership_check,
+    translation_verdicts,
     weights_from_jumps,
 )
 from wadm.cli import main
@@ -350,16 +348,13 @@ def test_criterion_8_translation_identity():
         if rng.random() < 0.5:
             target = sum(sum(r) for r in a_rows) + Fraction(field.degree * (n - 1) * n, 2)
             vals[-1] = target - sum(vals[:-1])
-        ineq = invariant_norm_inequalities(vals, a_rows, field).passed
-        module = PhiModule.of_slopes(field, [-v for v in vals])
-        adm = admissible_by_inequalities(module, jumps_from_weights(a_rows))
         inst = Instance(
             ident="tr",
             field=field,
             weights_a=tuple(tuple(r) for r in a_rows),
             zeta_vals=tuple(vals),
         )
-        member = membership_check(inst).passed
+        ineq, adm, member = translation_verdicts(inst)
         assert ineq == adm == member, (vals, a_rows, field)
         positives += ineq
     _report(8, positives > 50, f"500 instances, {positives} positive, three verdicts identical "

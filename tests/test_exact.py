@@ -13,6 +13,7 @@ from wadm.exact import (
     QSqrtQ,
     format_qsqrtq,
     format_rat,
+    is_prime,
     lp_feasible,
     parse_qsqrtq,
     parse_rat,
@@ -59,6 +60,18 @@ def test_prime_power():
     for _ in range(2):
         with pytest.raises(ValueError):
             QSqrtQ.of(1, 0, 12)
+
+
+def test_primes_match_naive_trial_division():
+    for n in range(-2, 2000):
+        least = next((d for d in range(2, n + 1) if n % d == 0), None)
+        assert is_prime(n) == (least == n)
+        powers = [f for f in range(1, n.bit_length() + 1) if least and least**f == n]
+        if powers:
+            assert prime_power(n) == (least, powers[0])
+        else:
+            with pytest.raises(ValueError):
+                prime_power(n)
 
 
 def test_field_data_validation():
@@ -322,6 +335,71 @@ def test_rank_of_rank12_witness_flag():
         assert rank(restricted) == _reference_rank(restricted)
 
 
+def _reference_lp(rows, rhs) -> bool:
+    """Phase-1 simplex over Fraction with Bland's rule, independent of
+    ``lp_feasible``: whether {x >= 0 : A x = b} is nonempty."""
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+    tableau = []
+    for row, b in zip(rows, rhs):
+        r = [Fraction(v) for v in row] + [Fraction(b)]
+        tableau.append([-v for v in r] if r[-1] < 0 else r)
+    # w = sum of artificials = sum(b) - sum_j colsum_j x_j; artificials
+    # never re-enter, so only the n real columns are tracked.
+    obj = [-sum(t[j] for t in tableau) for j in range(n)] + [sum(t[n] for t in tableau)]
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n) if obj[j] < 0), None)
+        if enter is None:
+            return obj[n] == 0
+        leave = best = None
+        for i in range(m):
+            t = tableau[i][enter]
+            if t > 0:
+                ratio = tableau[i][n] / t
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                factor = tableau[i][enter]
+                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leave])]
+        # substituting x_enter subtracts from the coefficients, adds to the constant
+        factor = obj[enter]
+        obj = [v - factor * w for v, w in zip(obj[:n], tableau[leave])] + \
+            [obj[n] + factor * tableau[leave][n]]
+        basis[leave] = enter
+
+
+@st.composite
+def lp_systems(draw):
+    """A designed-rank matrix with duplicated rows and zero columns added,
+    and b = A x for some x >= 0 (feasible) or an arbitrary b (mostly
+    infeasible); returns (rows, rhs, whether b was drawn as A x)."""
+    rows = draw(designed_rank_matrices())
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)) if rows else ():
+        rows.append(list(rows[i]))
+    for j in draw(st.lists(st.integers(0, len(rows[0]) if rows else 0), max_size=2)):
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+    n = len(rows[0]) if rows else 0
+    if draw(st.booleans()):
+        x = draw(st.lists(entries.map(abs), min_size=n, max_size=n))
+        return rows, [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows], True
+    return rows, draw(st.lists(entries, min_size=len(rows), max_size=len(rows))), False
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems())
+def test_lp_feasible_matches_fraction_simplex(system):
+    rows, rhs, feasible = system
+    got = lp_feasible(rows, rhs)
+    assert got == _reference_lp(rows, rhs)
+    assert got or not feasible
+
+
 def test_lp_feasible_simplex():
     # x1 + x2 = 1, x >= 0: feasible
     assert lp_feasible([[1, 1]], [1])
@@ -332,6 +410,14 @@ def test_lp_feasible_simplex():
     # zero row with nonzero rhs
     assert not lp_feasible([[0, 0]], [1])
     assert lp_feasible([[0, 0]], [0])
+    assert lp_feasible([], [])
+    assert lp_feasible([[]], [0])
+    assert not lp_feasible([[]], [1])
+    assert not lp_feasible([[]], [Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        lp_feasible([[1, 2], [3]], [1, 2])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lp_feasible([[1, 2]], [1, 2])
 
 
 def test_lp_feasible_matches_bruteforce_hull():
