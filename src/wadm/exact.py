@@ -52,7 +52,7 @@ def format_rat(x: RatLike) -> str:
 @lru_cache(maxsize=None)
 def _least_factor(n: int) -> int:
     """Least prime factor of n >= 2 by trial division over 2 and the odd
-    numbers; ``FieldData`` and ``QSqrtQ`` ask for the same p when f = 1."""
+    numbers; ``FieldData`` and ``QSqrtQ`` ask for the same p."""
     if n % 2 == 0:
         return 2
     d = 3
@@ -67,21 +67,27 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
 
 
+def _integer_root(q: int, f: int) -> int:
+    """floor(q^(1/f)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // f)
+    while True:
+        s = ((f - 1) * r + q // r ** (f - 1)) // f
+        if s >= r:
+            return r
+        r = s
+
+
 @lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^f with p prime, or raise ValueError.  Cached: every
-    ``QSqrtQ`` construction and every ``val_q`` asks again for the same q."""
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    p = _least_factor(q)
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise ValueError(f"not a prime power: {q}")
-    return p, f
+    """Decompose q = p^f with p prime, or raise ValueError.  p is an exact
+    integer f-th root of q, tried from the largest f down, so only the
+    candidate p is trial-divided.  Cached: every ``QSqrtQ`` construction
+    and every ``val_q`` asks again for the same q."""
+    for f in range(q.bit_length() if q >= 2 else 0, 0, -1):
+        r = _integer_root(q, f)
+        if r**f == q and is_prime(r):
+            return r, f
+    raise ValueError(f"not a prime power: {q}")
 
 
 def val_p_rat(x: RatLike, p: int):

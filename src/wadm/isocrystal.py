@@ -430,12 +430,9 @@ def _subobject_coords(module: PhiModule):
     if n > SUBOBJECT_ENUM_CAP:
         raise UnsupportedRegimeError(f"subobject enumeration capped at rank {SUBOBJECT_ENUM_CAP}")
     slopes = module.slopes_expanded()
-    proper = []
     for size in range(1, n):
         for coords in itertools.combinations(range(n), size):
-            proper.append((coords, sum((slopes[i] for i in coords), Fraction(0))))
-    for item in proper:
-        yield item
+            yield coords, sum((slopes[i] for i in coords), Fraction(0))
     yield tuple(range(n)), t_N(module)
 
 

@@ -8,8 +8,8 @@ coroots, cocharacters) pair to an ``int``, and a vector with a Fraction
 entry (weights, eta, orbit points) pairs to a ``Fraction``.  Weyl group
 elements are stored as pairs of integer matrices, one acting on
 cocharacters and one (the inverse transpose) acting on weights, so that
-the pairing is preserved.  Roots, Weyl orbits and Weyl group elements all
-come from one breadth-first closure (``_closure``).
+the pairing is preserved.  Roots, orbits and Weyl elements come from one
+closure (``_closure``), dominant representatives from one walk (``_chamber_walk``).
 
 Conventions, fixed once for the whole library:
 
@@ -32,12 +32,12 @@ Conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import FieldData, lp_feasible, rank as mat_rank, solve_linear
+from .exact import FieldData, _integer_rows, lp_feasible, rank as mat_rank, solve_linear
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -52,7 +52,7 @@ class InfiniteWeylGroupError(RuntimeError):
 
 
 class OrbitCapError(RuntimeError):
-    """A Weyl orbit enumeration exceeded the requested cap."""
+    """An orbit enumeration (``weyl_orbit``, ``in_hull``) passed its cap."""
 
 
 def vec(values: Iterable) -> Vec:
@@ -120,15 +120,16 @@ class RootDatum:
 
     ``simple_roots[i]`` has integer coordinates in the character lattice,
     ``simple_coroots[i]`` in the cocharacter lattice; the Cartan pairing
-    <alpha_i, alpha_j^vee> must be 2 on the diagonal and a non-positive
-    integer off it.  ``eta_integral`` records whether the half sum of
-    positive roots lies in the character lattice.
+    ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
+    a non-positive integer off it.  ``eta_integral`` records whether the
+    half sum of positive roots lies in the character lattice.
     """
 
     rank: int
     simple_roots: tuple[IntVec, ...]
     simple_coroots: tuple[IntVec, ...]
     name: str = ""
+    cartan: IntMatrix = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         roots = tuple(tuple(int(v) for v in r) for r in self.simple_roots)
@@ -140,9 +141,10 @@ class RootDatum:
         for r in roots + coroots:
             if len(r) != self.rank:
                 raise ValueError("root/coroot length must equal the rank")
-        for i, alpha in enumerate(roots):
-            for j, cov in enumerate(coroots):
-                c = dot(alpha, cov)
+        cartan = tuple(tuple(dot(alpha, cov) for cov in coroots) for alpha in roots)
+        object.__setattr__(self, "cartan", cartan)
+        for i, row in enumerate(cartan):
+            for j, c in enumerate(row):
                 if i == j and c != 2:
                     raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {c}, expected 2")
                 if i != j and c > 0:
@@ -202,13 +204,11 @@ class RootDatum:
             raise ValueError("Cartan matrix must be square")
         ident = _identity(n)
         if kind == "simply_connected":
-            datum = cls(rank=n, simple_roots=rows, simple_coroots=ident, name=name)
-        elif kind == "adjoint":
+            return cls(rank=n, simple_roots=rows, simple_coroots=ident, name=name)
+        if kind == "adjoint":
             cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
-            datum = cls(rank=n, simple_roots=ident, simple_coroots=cols, name=name)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return datum
+            return cls(rank=n, simple_roots=ident, simple_coroots=cols, name=name)
+        raise ValueError(f"unknown kind {kind!r}")
 
     # -- basic actions ------------------------------------------------------
 
@@ -221,10 +221,6 @@ class RootDatum:
         (integer vectors stay integer, Fraction vectors stay Fraction)."""
         c = dot(z, self.simple_coroots[i])
         return tuple(v - c * r for v, r in zip(z, self.simple_roots[i]))
-
-    def reflect_cochar(self, i: int, lam: Sequence[int]) -> IntVec:
-        c = dot(self.simple_roots[i], lam)
-        return tuple(v - c * r for v, r in zip(lam, self.simple_coroots[i]))
 
     def simple_reflection(self, i: int) -> WeylElement:
         n = self.rank
@@ -271,10 +267,10 @@ def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
 def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     """Roots that are non-negative rational combinations of the simples.
 
-    <r, lam> with <alpha_i, lam> = 1 for every simple root is the height of
-    r, and a root's simple-root coefficients share one sign.
+    <r, lam> for the integer lam with all <alpha_i, lam> equal and positive
+    is a multiple of r's height; a root's simple-root coefficients share one sign.
     """
-    lam = solve_linear(datum.simple_roots, [1] * datum.nsimple)
+    lam = _integer_rows([solve_linear(datum.simple_roots, [1] * datum.nsimple)])[0]
     return tuple(r for r in all_roots(datum) if dot(r, lam) > 0)
 
 
@@ -306,39 +302,42 @@ def weyl_orbit(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> f
     return frozenset(_closure([start], _reflections(datum), cap, error))
 
 
-def dominant_rep(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> Vec:
-    """The unique dominant point in the W-orbit of z.
-
-    For GL_n with the library convention this is the nondecreasing
-    rearrangement of the coordinates.
-    """
-    cur = vec(z)
-    for _ in range(cap):
-        for i in range(datum.nsimple):
-            if dot(cur, datum.simple_coroots[i]) < 0:
-                cur = datum.reflect_weight(i, cur)
-                break
-        else:
-            return cur
-    raise OrbitCapError(f"dominant representative not reached within {cap} reflections")
+@lru_cache(maxsize=None)
+def _dual(datum: RootDatum) -> RootDatum:
+    """Roots and coroots swapped; its Cartan matrix is the transpose."""
+    return RootDatum(datum.rank, datum.simple_coroots, datum.simple_roots, datum.name)
 
 
-def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int],
-                            cap: int = DEFAULT_ORBIT_CAP) -> IntVec:
-    """The antidominant representative of a cocharacter.
+def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
+    """The dominant point of the W-orbit of x, W finite: reflecting at a
+    negative label c_i = <x, alpha_i^vee> subtracts c_i times Cartan row i
+    from the labels; x is rebuilt once at the end.  s_i permutes the other
+    positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps."""
+    labels = [dot(x, cov) for cov in datum.simple_coroots]
+    coeffs = [0] * datum.nsimple
+    while (c := min(labels, default=0)) < 0:
+        i = labels.index(c)
+        coeffs[i] += c
+        labels = [a - c * b if b else a for a, b in zip(labels, datum.cartan[i])]
+    for k, alpha in zip(coeffs, datum.simple_roots):
+        if k:
+            x = [v - k * r if r else v for v, r in zip(x, alpha)]
+    return tuple(x)
 
-    Antidominant means <alpha, lam> <= 0 for every positive root alpha,
-    equivalently for every simple root.
-    """
-    cur = tuple(int(v) for v in lam)
-    for _ in range(cap):
-        for i in range(datum.nsimple):
-            if dot(datum.simple_roots[i], cur) > 0:
-                cur = datum.reflect_cochar(i, cur)
-                break
-        else:
-            return cur
-    raise OrbitCapError(f"antidominant representative not reached within {cap} reflections")
+
+def dominant_rep(datum: RootDatum, z: Sequence) -> Vec:
+    """The dominant point of the W-orbit of z (for GL_n, the nondecreasing
+    rearrangement); raises ``InfiniteWeylGroupError`` when W is infinite."""
+    positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
+    return _chamber_walk(datum, vec(z))
+
+
+def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
+    """The antidominant representative of a cocharacter: <alpha, lam> <= 0
+    for every simple root alpha, so -lam is dominant for the dual datum.
+    Raises ``InfiniteWeylGroupError`` when W is infinite."""
+    positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
+    return tuple(-v for v in _chamber_walk(_dual(datum), [-int(v) for v in lam]))
 
 
 def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:

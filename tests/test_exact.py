@@ -52,6 +52,8 @@ def test_prime_power():
     assert prime_power(9) == (3, 2)
     assert prime_power(125) == (5, 3)
     assert prime_power(7) == (7, 1)
+    # q = p^2 with p near 1e8: p comes from the exact square root of q
+    assert prime_power(100000007**2) == (100000007, 2)
     with pytest.raises(ValueError):
         prime_power(12)
     with pytest.raises(ValueError):

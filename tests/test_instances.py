@@ -332,6 +332,18 @@ def test_affinoid_and_norm_match_goldens(command, name, tmp_path):
     assert out.read_bytes() == (GOLDEN / "expected" / f"{name}.txt").read_bytes()
 
 
+def test_norm_query_over_a_large_residue_field(tmp_path, capsys):
+    # q = p^2 with p = 100000007: prime_power takes p as an integer square
+    # root of q instead of trial-dividing up to p
+    text = (GOLDEN / "satake_norm_gl2.inst").read_text()
+    text = text.replace("field.p: 3", "field.p: 100000007").replace("field.f: 1", "field.f: 2")
+    text = text.replace("weights.sigma1: 0 0", "weights.sigma1: 0 0\nweights.sigma2: 0 0")
+    path = tmp_path / "big_q.inst"
+    path.write_text(text)
+    assert main(["satake-norm", str(path)]) == 0
+    assert "norm.val_q: 0" in capsys.readouterr().out
+
+
 def test_sweep_rank3_count100_byte_identical(tmp_path):
     outs = []
     for k in range(2):

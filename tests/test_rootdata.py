@@ -203,6 +203,32 @@ CLOSURE_DATA = (
 SMALL_ORDER = 1152
 
 
+def _reference_dominant_rep(datum, z):
+    """The reflection loop ``dominant_rep`` replaced: reflect the whole
+    vector at the first negative pairing, then rescan."""
+    cur = vec(z)
+    while True:
+        for i in range(datum.nsimple):
+            if sum(a * b for a, b in zip(cur, datum.simple_coroots[i])) < 0:
+                cur = _reference_reflect(datum, i, cur)
+                break
+        else:
+            return cur
+
+
+def _reference_antidominant_rep_cochar(datum, lam):
+    """The loop ``antidominant_rep_cochar`` replaced, on the cocharacter."""
+    cur = tuple(int(v) for v in lam)
+    while True:
+        for i in range(datum.nsimple):
+            c = sum(a * b for a, b in zip(datum.simple_roots[i], cur))
+            if c > 0:
+                cur = tuple(v - c * r for v, r in zip(cur, datum.simple_coroots[i]))
+                break
+        else:
+            return cur
+
+
 def _same_outcome(new, reference):
     """Both closures return equal values, or both raise the same error."""
     try:
@@ -229,6 +255,25 @@ def test_closures_match_reference(datum, order):
         points.append(tuple(Fraction(3, 2) * v for v in datum.simple_roots[-1]))
     for z in points:
         _same_outcome(lambda: weyl_orbit(datum, z, cap), lambda: _reference_weyl_orbit(datum, z, cap))
+
+
+@pytest.mark.parametrize("datum", [d for d, _ in CLOSURE_DATA], ids=lambda d: d.name)
+def test_chamber_walk_matches_reference(datum):
+    rng = random.Random(datum.name)
+    for _ in range(20):
+        z = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(datum.rank))
+        assert dominant_rep(datum, z) == _reference_dominant_rep(datum, z)
+        lam = tuple(rng.randint(-9, 9) for _ in range(datum.rank))
+        assert antidominant_rep_cochar(datum, lam) == _reference_antidominant_rep_cochar(datum, lam)
+
+
+def test_chamber_walk_rejects_infinite_weyl_group():
+    # the reference loops would grow entries without end on this datum
+    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
+    with pytest.raises(InfiniteWeylGroupError):
+        dominant_rep(hyperbolic, (-1, -1))
+    with pytest.raises(InfiniteWeylGroupError):
+        antidominant_rep_cochar(hyperbolic, (1, 1))
 
 
 def test_closure_errors_match_reference():
@@ -263,6 +308,8 @@ def test_roots_pair_as_int_and_values_stay_fraction(datum):
     assert type(cocycle_gamma_val(datum, w, lam)) is Fraction
     x = GroupRingElem.monomial(lam, QSqrtQ.of(3, 1, field.q))
     assert type(norm_xi_val(datum, field, HighestWeight.zero(datum, field), x)) is Fraction
+    assert all(type(v) is Fraction for v in dominant_rep(datum, lam[::-1]))
+    assert all(type(v) is int for v in antidominant_rep_cochar(datum, lam))
 
 
 # --- orbits ----------------------------------------------------------------
