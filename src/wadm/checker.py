@@ -3,8 +3,9 @@ central character integrality, existence verdicts with witnesses, and
 normalized spectral membership.
 
 The existence criteria are evaluated in ``isocrystal`` (the partial-sum
-rows, the block paths, the chain oracle); this module picks the regime
-once per instance and renders what those functions return.
+rows, the polygon rows, the chain oracle); this module picks the regime
+once per instance and renders what those functions return.  Only
+``check_instance`` compares membership with the norm inequalities.
 
 Sign and inversion table -- the single reconciliation point between the
 Galois-side and spectral-side conventions.  Every module boundary below
@@ -50,6 +51,7 @@ from .isocrystal import (
     inequality_rows,
     newton_polygon,
     polygon_dominates,
+    polygon_rows,
     steinberg_filtration,
     t_H,
     t_N,
@@ -262,7 +264,8 @@ def central_char_integral(galois: Union[Sequence, WDRep], a_rows: Sequence[Seque
     return chi_rho + chi_pi == 0
 
 
-def _inequality_route(instance: Instance, module: PhiModule) -> Verdict:
+def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
+                      hodge: Polygon) -> Verdict:
     """Existence via the partial-sum inequalities, with a witness built and
     re-verified by the subobject oracle; distinct slopes required.  Past
     the oracle's rank cap a passing witness cannot be re-verified, so the
@@ -275,8 +278,6 @@ def _inequality_route(instance: Instance, module: PhiModule) -> Verdict:
         for i, (lhs, rhs, ok) in enumerate(rows, 1)
     ]
     ok_all = all(ok for _, _, ok in rows)
-    newton = newton_polygon(module)
-    hodge = hodge_polygon(Filtration.of_jumps(jumps))
     witness = None
     if ok_all:
         witness = build_admissible_filtration(module, jumps)
@@ -291,30 +292,25 @@ def _inequality_route(instance: Instance, module: PhiModule) -> Verdict:
     return Verdict(PASS if ok_all else FAIL, checks, witness, newton, hodge)
 
 
-def _chain_route(instance: Instance, module: PhiModule) -> Verdict:
+def _chain_route(instance: Instance, module: PhiModule, newton: Polygon,
+                 hodge: Polygon) -> Verdict:
     """Existence for a single declared chain: the chain filtration is the
     simultaneous minimizer over the chain subobjects, so the oracle on it
     decides existence; for integer jumps this is the central equality."""
     filt = steinberg_filtration(module, instance.jumps())
     ok = weak_admissible(module, filt)
-    checks = [
-        CheckLine("adm.chain.equality", t_H(filt) == t_N(module), t_H(filt), t_N(module)),
-        CheckLine("adm.chain.oracle", ok),
-    ]
-    newton = newton_polygon(module)
-    hodge = hodge_polygon(filt)
+    th, tn = t_H(filt), t_N(module)
+    checks = [CheckLine("adm.chain.equality", th == tn, th, tn), CheckLine("adm.chain.oracle", ok)]
     return Verdict(PASS if ok else FAIL, checks, filt if ok else None, newton, hodge)
 
 
-def _block_route(instance: Instance, blocks: Sequence[tuple]) -> Verdict:
-    """Existence for declared direct sums via the block polygon criterion.
-    Non-constructive: no witness filtration is attached."""
-    newton, hodge = block_polygons(blocks, instance.jumps())
-    ok = polygon_dominates(newton, hodge)
-    checks = [
-        CheckLine(f"adm.block.x={x}", hy <= ny if x < newton.width else hy == ny, hy, ny)
-        for (x, ny), (_, hy) in zip(newton.vertices[1:], hodge.vertices[1:])
-    ]
+def _block_route(newton: Polygon, hodge: Polygon) -> Verdict:
+    """Existence for declared direct sums via the block polygon criterion,
+    rendered from ``polygon_rows`` past the origin.  Non-constructive: no
+    witness filtration is attached."""
+    rows = list(polygon_rows(newton, hodge))[1:]
+    checks = [CheckLine(f"adm.block.x={x}", ok, hy, ny) for x, ny, hy, ok in rows]
+    ok = all(row_ok for *_, row_ok in rows)
     checks.append(CheckLine("adm.block.criterion", ok, note="no constructive witness in this regime"))
     return Verdict(PASS if ok else FAIL, checks, None, newton, hodge)
 
@@ -338,6 +334,14 @@ def _regime(instance: Instance):
     return "block", block_decompose(rep)
 
 
+def _polygon_pair(instance: Instance, kind: str, data) -> tuple[Polygon, Polygon]:
+    """The (newton, hodge) pair of a regime: the block paths of a declared
+    direct sum, else the Newton polygon and the jump type's Hodge polygon."""
+    if kind == "block":
+        return block_polygons(data, instance.jumps())
+    return newton_polygon(data), hodge_polygon(Filtration.of_jumps(instance.jumps()))
+
+
 def exists_admissible(instance: Instance) -> Verdict:
     """Existence of an admissible filtration with the instance's jump type.
 
@@ -350,58 +354,47 @@ def exists_admissible(instance: Instance) -> Verdict:
         kind, data = _regime(instance)
     except UnsupportedRegimeError as exc:
         return Verdict(UNDECIDED, reason=str(exc))
-    if kind == "chain":
-        return _chain_route(instance, data)
-    if kind == "block":
-        return _block_route(instance, data)
-    if not data.has_distinct_unit_blocks():
+    if kind == "ineq" and not data.has_distinct_unit_blocks():
         return Verdict(
             UNDECIDED, reason="repeated zeta valuations without declared summand structure"
         )
-    return _inequality_route(instance, data)
+    newton, hodge = _polygon_pair(instance, kind, data)
+    if kind == "block":
+        return _block_route(newton, hodge)
+    route = _chain_route if kind == "chain" else _inequality_route
+    return route(instance, data, newton, hodge)
 
 
 def membership_check(instance: Instance) -> Verdict:
-    """Normalized spectral membership of the instance's parameter.
+    """Normalized spectral membership of the instance's parameter, alone
+    (``check_instance`` compares it with the invariant-norm inequalities).
 
     For general-linear data the spectral point is the zeta-valuation
-    vector shifted by the modulus (see the sign table), and the verdict is
-    cross-checked against the invariant-norm inequalities; the two must
-    agree identically.  For other group presets the Galois-side valuations
-    are taken as the spectral point itself and tested under the instance's
-    normalized/unnormalized option; half-integral data needs no special
-    path.
+    vector shifted by the modulus (see the sign table).  For other group
+    presets the Galois-side valuations are taken as the spectral point
+    itself and tested under the instance's normalized/unnormalized option;
+    half-integral data needs no special path.
     """
     datum = instance.datum()
-    is_gl = datum.name.startswith("gl(")
     xi = HighestWeight.of(instance.weights_a)
-    checks: list[CheckLine] = []
-    if is_gl:
-        vals = instance.arithmetic_vals()
-        d = instance.dimension - 1
-        shift = Fraction(instance.field.degree * d, 2)
+    vals = instance.arithmetic_vals()
+    if datum.name.startswith("gl("):
+        shift = Fraction(instance.field.degree * (instance.dimension - 1), 2)
         point = tuple(sorted(Fraction(v) - shift for v in vals))
         member = in_Vxi(datum, instance.field, xi, point, normalized=True)
-        checks.append(CheckLine("membership.normalized", member,
-                                note="point=(" + ", ".join(format_rat(v) for v in point) + ")"))
-        norm_verdict = invariant_norm_inequalities(vals, instance.weights_a, instance.field)
-        agree = member == norm_verdict.passed
-        checks.append(CheckLine("membership.agrees_with_norm_inequalities", agree))
-        if not agree:  # pragma: no cover - identity violation means a bug
-            raise RuntimeError("membership and norm inequalities disagree")
-        return Verdict(PASS if member else FAIL, checks)
-    vals = instance.arithmetic_vals()
+        check = CheckLine("membership.normalized", member,
+                          note="point=(" + ", ".join(format_rat(v) for v in point) + ")")
+        return Verdict(PASS if member else FAIL, [check])
     if len(vals) != datum.rank:
         raise ValueError("spectral point length must equal the group rank")
     member = in_Vxi(datum, instance.field, xi, vals, normalized=instance.normalized)
     flavor = "normalized" if instance.normalized else "unnormalized"
-    checks.append(CheckLine(f"membership.{flavor}", member))
-    return Verdict(PASS if member else FAIL, checks)
+    return Verdict(PASS if member else FAIL, [CheckLine(f"membership.{flavor}", member)])
 
 
 def translation_verdicts(instance: Instance) -> tuple[bool, bool, bool]:
-    """The translation identity's three verdicts on general-linear data: norm
-    inequalities, partial sums after weight conversion, normalized membership."""
+    """The translation identity's three independent verdicts on general-linear
+    data: norm inequalities, partial sums after weight conversion, normalized membership."""
     vals = instance.arithmetic_vals()
     ineq = invariant_norm_inequalities(vals, instance.weights_a, instance.field).passed
     module = PhiModule.of_slopes(instance.field, [-v for v in vals])
@@ -419,12 +412,7 @@ def polygons_for_instance(instance: Instance) -> tuple[Polygon, Polygon, bool]:
     dominated.  Unlike the existence verdict this is defined for repeated
     raw valuations too (the polygons are purely numerical); it builds no
     witness and runs no oracle."""
-    kind, data = _regime(instance)
-    if kind == "block":
-        newton, hodge = block_polygons(data, instance.jumps())
-    else:
-        newton = newton_polygon(data)
-        hodge = hodge_polygon(Filtration.of_jumps(instance.jumps()))
+    newton, hodge = _polygon_pair(instance, *_regime(instance))
     return newton, hodge, polygon_dominates(newton, hodge)
 
 
@@ -440,13 +428,20 @@ class InstanceResult:
 
 def check_instance(instance: Instance) -> InstanceResult:
     """Run every named check on one instance; the overall status is the
-    existence verdict's."""
+    existence verdict's, or undecided if membership and the norm disagree."""
     vals = instance.arithmetic_vals()
     norm = invariant_norm_inequalities(vals, instance.weights_a, instance.field)
     central = central_char_integral(vals, instance.weights_a, instance.field)
     adm = exists_admissible(instance)
-    membership = None
+    status, membership = adm.status, None
     datum = instance.datum()
-    if datum.name.startswith("gl(") or len(vals) == datum.rank:
+    is_gl = datum.name.startswith("gl(")
+    if is_gl or len(vals) == datum.rank:
         membership = membership_check(instance)
-    return InstanceResult(instance, norm, central, adm, membership, adm.status)
+    if is_gl:
+        agree = membership.passed == norm.passed
+        membership.checks.append(CheckLine("membership.agrees_with_norm_inequalities", agree))
+        if not agree:
+            membership.reason = "membership and the norm inequalities disagree"
+            status = UNDECIDED
+    return InstanceResult(instance, norm, central, adm, membership, status)

@@ -49,22 +49,36 @@ def format_rat(x: RatLike) -> str:
     return str(Fraction(x))
 
 
-@lru_cache(maxsize=None)
-def _least_factor(n: int) -> int:
-    """Least prime factor of n >= 2 by trial division over 2 and the odd
-    numbers; ``FieldData`` and ``QSqrtQ`` ask for the same p."""
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+# Miller-Rabin over these bases is exact below MILLER_RABIN_BOUND, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_factor(n) == n
+    """Deterministic Miller-Rabin over the prime bases 2..41; raises
+    ValueError for n >= MILLER_RABIN_BOUND, where those bases stop being
+    a proof."""
+    if n < 2:
+        return False
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: the Miller-Rabin test "
+                         f"used here is exact only below {MILLER_RABIN_BOUND}")
+    if any(n % b == 0 for b in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _integer_root(q: int, f: int) -> int:
@@ -81,7 +95,7 @@ def _integer_root(q: int, f: int) -> int:
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^f with p prime, or raise ValueError.  p is an exact
     integer f-th root of q, tried from the largest f down, so only the
-    candidate p is trial-divided.  Cached: every ``QSqrtQ`` construction
+    candidate p is tested for primality.  Cached: every ``QSqrtQ`` construction
     and every ``val_q`` asks again for the same q."""
     for f in range(q.bit_length() if q >= 2 else 0, 0, -1):
         r = _integer_root(q, f)

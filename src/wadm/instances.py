@@ -444,7 +444,7 @@ def render_polygon_report(ident: str, newton: Polygon, hodge: Polygon, dominates
         f"dominates: {'true' if dominates else 'false'}",
     ]
     lines.append("table: x newton hodge")
-    for x, ny, hy in polygon_rows(newton, hodge):
+    for x, ny, hy, _ in polygon_rows(newton, hodge):
         lines.append(f"table.x={format_rat(x)}: newton={format_rat(ny)} hodge={format_rat(hy)}")
     return "\n".join(lines) + "\n"
 
@@ -452,7 +452,7 @@ def render_polygon_report(ident: str, newton: Polygon, hodge: Polygon, dominates
 def polygon_vertex_table(newton: Polygon, hodge: Polygon) -> str:
     """Plain-text vertex table (golden-testable plot companion)."""
     lines = ["x\tnewton\thodge"]
-    for x, ny, hy in polygon_rows(newton, hodge):
+    for x, ny, hy, _ in polygon_rows(newton, hodge):
         lines.append(f"{format_rat(x)}\t{format_rat(ny)}\t{format_rat(hy)}")
     return "\n".join(lines) + "\n"
 

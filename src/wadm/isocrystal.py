@@ -204,9 +204,11 @@ class Filtration:
 
     @classmethod
     def of_jumps(cls, jumps_per_embedding: Sequence[Sequence], flags=None) -> "Filtration":
-        """All graded dimensions 1: one jump per basis line."""
+        """One level per run of equal (nondecreasing) jumps, its graded
+        dimension the run length; strictly increasing jumps give dims 1."""
         levels = tuple(
-            tuple((Fraction(j), 1) for j in sigma) for sigma in jumps_per_embedding
+            tuple((j, len(list(run))) for j, run in itertools.groupby(map(Fraction, sigma)))
+            for sigma in jumps_per_embedding
         )
         return cls(levels, flags)
 
@@ -323,10 +325,13 @@ def hodge_polygon(filtration: Filtration) -> Polygon:
 
 
 def polygon_rows(newton: Polygon, hodge: Polygon):
-    """(x, newton value, hodge value) at every breakpoint of either path,
-    x ascending."""
-    for x in sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices}):
-        yield x, newton.value_at(x), hodge.value_at(x)
+    """(x, newton value, hodge value, ok) at every breakpoint of either
+    path, x ascending; ``ok`` is hodge <= newton, with equality at the
+    last x."""
+    xs = sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices})
+    for x in xs:
+        ny, hy = newton.value_at(x), hodge.value_at(x)
+        yield x, ny, hy, hy <= ny if x < xs[-1] else hy == ny
 
 
 def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
@@ -334,9 +339,7 @@ def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
     breakpoint and both endpoints coincide exactly."""
     if newton.width != hodge.width:
         raise ValueError(f"unequal widths: {newton.width} vs {hodge.width}")
-    if newton.endpoint != hodge.endpoint:
-        return False
-    return all(hy <= ny for _, ny, hy in polygon_rows(newton, hodge))
+    return all(ok for *_, ok in polygon_rows(newton, hodge))
 
 
 # ---------------------------------------------------------------------------

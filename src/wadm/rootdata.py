@@ -286,7 +286,9 @@ def half_sum_positive_roots(datum: RootDatum) -> Vec:
 
 @lru_cache(maxsize=None)
 def weyl_elements(datum: RootDatum, cap: int = DEFAULT_ORBIT_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, by closure of the simple reflections."""
+    """All Weyl group elements, by closure of the simple reflections;
+    raises ``InfiniteWeylGroupError`` at once when W is infinite."""
+    positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     ident = WeylElement(_identity(datum.rank), _identity(datum.rank))
     gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
     error = InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
@@ -294,10 +296,12 @@ def weyl_elements(datum: RootDatum, cap: int = DEFAULT_ORBIT_CAP) -> tuple[WeylE
 
 
 def weyl_orbit(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
-    """The W-orbit of z (weight side), as a frozenset of vectors."""
+    """The W-orbit of z (weight side), as a frozenset of vectors; raises
+    ``InfiniteWeylGroupError`` at once when W is infinite."""
     start = vec(z)
     if len(start) != datum.rank:
         raise ValueError("vector length must equal the rank")
+    positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     error = OrbitCapError(f"orbit size exceeded cap {cap}")
     return frozenset(_closure([start], _reflections(datum), cap, error))
 

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wadm.checker
 from wadm.checker import (
     FAIL,
     PASS,
@@ -21,10 +23,12 @@ from wadm.checker import (
 )
 from wadm.exact import FieldData
 from wadm.isocrystal import PhiModule, admissible_by_inequalities, t_H, t_N
-from wadm.rootdata import RootDatum
+from wadm.cli import main
+from wadm.rootdata import RootDatum, in_Vxi
 from wadm.weildeligne import SteinbergChain, Unramified, WDRep
 
 QP = FieldData(p=3, e=1, f=1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- weight conversions -------------------------------------------------------
@@ -293,6 +297,15 @@ def test_membership_gl_cross_check():
     assert not membership_check(inst2).passed
 
 
+def test_membership_does_not_evaluate_the_norm_side(monkeypatch):
+    # membership is one side of the norm/membership pair; it never calls the other
+    monkeypatch.setattr("wadm.checker.invariant_norm_inequalities",
+                        lambda *a: pytest.fail("invariant_norm_inequalities called"))
+    for inst in POLYGON_CASES.values():
+        verdict = membership_check(inst)
+        assert [c.name for c in verdict.checks] == ["membership.normalized"]
+
+
 def test_membership_identity_random():
     rng = random.Random(17)
     for _ in range(150):
@@ -388,3 +401,41 @@ def test_instance_validation():
             zeta_vals=(0, 1),
             group=RootDatum.gl(3),
         )
+
+
+def _count_norm_calls(monkeypatch):
+    calls = []
+    real = wadm.checker.invariant_norm_inequalities
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("wadm.checker.invariant_norm_inequalities", counted)
+    return calls
+
+
+def test_norm_evaluated_once_per_instance(monkeypatch, capsys):
+    calls = _count_norm_calls(monkeypatch)
+    files = [str(GOLDEN / f"{name}.inst") for name in ("gl2_pass", "gl2_fail", "gl2_steinberg")]
+    assert main(["check", *files]) == 1
+    assert len(calls) == 3
+    calls.clear()
+    assert main(["sweep", "--rank", "4", "--count", "500", "--seed", "1"]) == 0
+    assert len(calls) == 500
+    capsys.readouterr()
+
+
+def test_membership_disagreement_is_reported_not_raised(monkeypatch, capsys):
+    # a broken membership side must show as a disagreement: check is
+    # undecided (exit 2), the sweep fails its identity (exit 1)
+    monkeypatch.setattr("wadm.checker.in_Vxi", lambda *a, **k: not in_Vxi(*a, **k))
+    assert main(["check", str(GOLDEN / "gl2_pass.inst")]) == 2
+    out = capsys.readouterr().out
+    assert "membership.normalized: ok=false" in out
+    assert "membership.agrees_with_norm_inequalities: ok=false\n" in out
+    assert "membership.reason: membership and the norm inequalities disagree\n" in out
+    assert "adm.verdict: pass\n" in out and out.endswith("verdict: undecided\n")
+    assert main(["sweep", "--rank", "2", "--count", "10", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("agree=false") == 10 and out.endswith("verdict: fail\n")

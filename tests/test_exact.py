@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field laws, valuations, linear algebra."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wadm.exact import (
     INF,
+    MILLER_RABIN_BOUND,
     FieldData,
     QSqrtQ,
     format_qsqrtq,
@@ -74,6 +76,22 @@ def test_primes_match_naive_trial_division():
         else:
             with pytest.raises(ValueError):
                 prime_power(n)
+
+
+def test_primality_of_large_and_pseudoprime_inputs():
+    start = time.perf_counter()
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert time.perf_counter() - start < 1.0
+    assert prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    assert is_prime(10000000000037) and not is_prime(10000000000037 * 3)
+    # the least strong pseudoprimes to the bases 2..p_k, for k = 1..12
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        FieldData(p=2**89 - 1, e=1, f=1)
 
 
 def test_field_data_validation():

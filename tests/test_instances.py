@@ -2,6 +2,7 @@
 golden outputs, determinism, exit codes."""
 
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,7 +283,8 @@ def test_cli_convert_weights(capsys):
 # --- golden files ----------------------------------------------------------------
 
 
-CHECK_GOLDENS = ["gl2_pass", "gl2_fail", "gl2_steinberg"]
+# gl4_block is a declared direct sum, decided by the block polygon criterion
+CHECK_GOLDENS = ["gl2_pass", "gl2_fail", "gl2_steinberg", "gl4_block"]
 
 
 @pytest.mark.parametrize("name", CHECK_GOLDENS)
@@ -342,6 +344,23 @@ def test_norm_query_over_a_large_residue_field(tmp_path, capsys):
     path.write_text(text)
     assert main(["satake-norm", str(path)]) == 0
     assert "norm.val_q: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, code", [(2**61 - 1, 0), (2**89 - 1, 3)], ids=["2^61-1", "2^89-1"])
+def test_check_over_a_large_prime(p, code, tmp_path, capsys):
+    # primality is a Miller-Rabin test, exact below 3317044064679887385961981;
+    # a larger p is an input error that names that bound
+    path = tmp_path / "big_p.inst"
+    path.write_text((GOLDEN / "gl2_pass.inst").read_text().replace("field.p: 3", f"field.p: {p}"))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith(f"{path}:3: ")
+        assert "exact only below 3317044064679887385961981" in captured.err
+    else:
+        assert captured.out.endswith("verdict: pass\n")
 
 
 def test_sweep_rank3_count100_byte_identical(tmp_path):

@@ -20,6 +20,7 @@ from wadm.isocrystal import (
     hodge_polygon,
     newton_polygon,
     polygon_dominates,
+    polygon_rows,
     steinberg_filtration,
     t_H,
     t_N,
@@ -112,6 +113,17 @@ def test_polygon_dominates_examples():
     assert polygon_dominates(n01, n01)
     assert polygon_dominates(nhalf, n01)
     assert not polygon_dominates(n01, nhalf)
+
+
+def test_polygon_rows_carry_the_verdict():
+    n01 = Polygon.from_slopes([0, 1])
+    nhalf = Polygon.from_slopes([Fraction(1, 2), Fraction(1, 2)])
+    assert [ok for *_, ok in polygon_rows(n01, nhalf)] == [True, False, True]
+    assert [ok for *_, ok in polygon_rows(nhalf, n01)] == [True, True, True]
+    # the last row asks for equality, not just hodge <= newton
+    low = Polygon.from_slopes([0, 0])
+    assert list(polygon_rows(n01, low))[-1] == (2, 1, 0, False)
+    assert not polygon_dominates(n01, low)
 
 
 def test_polygon_dominates_width_mismatch():
@@ -284,6 +296,38 @@ def test_build_oracle_roundtrip_random():
             continue
         filt = build_admissible_filtration(module, jumps)
         assert weak_admissible(module, filt)
+        built += 1
+    assert built > 50
+
+
+def test_build_repeated_jumps_example():
+    # equal jumps share one level, whose graded dimension is the run length
+    module = PhiModule.of_slopes(QP, [1, 0, -1])
+    filt = build_admissible_filtration(module, [[-1, -1, 2]])
+    assert filt.levels == (((Fraction(-1), 2), (Fraction(2), 1)),)
+    assert weak_admissible(module, filt)
+
+
+def test_build_oracle_roundtrip_repeated_jumps_random():
+    # jumps drawn from a coarse grid repeat; the inequalities allow that,
+    # and the built witness must still pass the oracle
+    rng = random.Random(41)
+    narrow = [Fraction(k, 4) for k in range(-8, 9)]
+    built = 0
+    for _ in range(120):
+        field = FieldData(p=3, e=rng.randint(1, 2), f=1)
+        n = rng.randint(2, 7)
+        module = PhiModule.of_slopes(field, rng.sample(narrow, n))
+        jumps = [sorted(rng.choice(range(-6, 7, 3)) for _ in range(n)) for _ in range(field.degree)]
+        delta = (t_N(module) - sum(map(sum, jumps))) / field.degree / n
+        jumps = [[j + delta for j in sigma] for sigma in jumps]
+        if all(len(set(sigma)) == n for sigma in jumps):
+            continue
+        if not admissible_by_inequalities(module, jumps):
+            continue
+        filt = build_admissible_filtration(module, jumps)
+        assert any(d > 1 for sigma in filt.levels for _, d in sigma)
+        assert weak_admissible(module, filt), (module, jumps)
         built += 1
     assert built > 50
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,16 @@ def test_chamber_walk_rejects_infinite_weyl_group():
         dominant_rep(hyperbolic, (-1, -1))
     with pytest.raises(InfiniteWeylGroupError):
         antidominant_rep_cochar(hyperbolic, (1, 1))
+
+
+def test_closures_reject_infinite_weyl_group_at_once():
+    # with the default cap the closures alone would run toward 10**6 elements
+    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
+    for closure in (lambda: weyl_orbit(hyperbolic, (1, 0)), lambda: weyl_elements(hyperbolic)):
+        start = time.perf_counter()
+        with pytest.raises(InfiniteWeylGroupError):
+            closure()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_closure_errors_match_reference():
