@@ -35,14 +35,14 @@ jumps = [[-2, 0]]
 
 print("module slopes:", [str(b.slope) for b in module.blocks])
 print("t_N =", t_N(module))
-print("jumps:", jumps, "-> t_H =", t_H(Filtration.of_jumps(jumps)))
+print("jumps:", jumps, "-> t_H =", t_H(Filtration(jumps)))
 
 def fmt(poly):
     return " ".join(f"({x}, {y})" for x, y in poly.vertices)
 
 
 newton = newton_polygon(module)
-hodge = hodge_polygon(Filtration.of_jumps(jumps))
+hodge = hodge_polygon(Filtration(jumps))
 print("newton vertices:", fmt(newton))
 print("hodge vertices:  ", fmt(hodge))
 print("hodge under newton with equal endpoints?", polygon_dominates(newton, hodge))
@@ -63,5 +63,5 @@ print("brute-force oracle accepts the construction?", weak_admissible(module, fi
 bad = PhiModule.of_slopes(field, [1, -3])
 print("\nshifted slopes (1, -3):")
 print("partial-sum inequalities?", admissible_by_inequalities(bad, jumps))
-line = Filtration.of_jumps(jumps, (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))),))
+line = Filtration(jumps, (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))),))
 print("a sample explicit flag passes the oracle?", weak_admissible(bad, line))

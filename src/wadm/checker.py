@@ -339,7 +339,7 @@ def _polygon_pair(instance: Instance, kind: str, data) -> tuple[Polygon, Polygon
     direct sum, else the Newton polygon and the jump type's Hodge polygon."""
     if kind == "block":
         return block_polygons(data, instance.jumps())
-    return newton_polygon(data), hodge_polygon(Filtration.of_jumps(instance.jumps()))
+    return newton_polygon(data), hodge_polygon(Filtration(instance.jumps()))
 
 
 def exists_admissible(instance: Instance) -> Verdict:

@@ -131,6 +131,10 @@ def _cmd_convert_weights(args) -> int:
     try:
         for chunk in args.values.split(";"):
             rows.append([int(tok) for tok in chunk.split()])
+        if not all(rows):
+            raise ValueError("every row needs at least one entry")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("rows must have equal length")
         if args.form == "a":
             jumps = jumps_from_weights(rows)
             weights = rows
@@ -156,7 +160,12 @@ def _cmd_sweep(args) -> int:
             return EXIT_INPUT
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("WADM_SEED", "0"))
+        env_seed = os.environ.get("WADM_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"sweep: WADM_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return EXIT_INPUT
     rng = random.Random(seed)
     field = FieldData(p=3, e=args.embeddings, f=1)
     n = args.rank

@@ -422,8 +422,8 @@ def render_check_report(result: InstanceResult) -> str:
     lines += _verdict_lines("adm", result.adm)
     if result.adm.witness is not None:
         filt = result.adm.witness
-        for k, (levels, flag) in enumerate(zip(filt.levels, filt.flags), 1):
-            lines.append(f"witness.sigma{k}.jumps: " + " ".join(format_rat(j) for j, _ in levels))
+        for k, (jumps, flag) in enumerate(zip(filt.jumps, filt.flags), 1):
+            lines.append(f"witness.sigma{k}.jumps: " + " ".join(format_rat(j) for j in jumps))
             for v_idx, vector in enumerate(flag, 1):
                 lines.append(f"witness.sigma{k}.vector{v_idx}: {_fmt_vals(vector)}")
     if result.membership is not None:

@@ -1,4 +1,4 @@
-"""Filtered Frobenius modules: slope/jump bookkeeping, Newton and Hodge
+"""Filtered Frobenius modules: slopes and jump types, Newton and Hodge
 polygons, the weak admissibility criterion and its brute-force subobject
 oracle, explicit admissible filtrations, Steinberg chain modules, and the
 block polygon existence criterion.
@@ -6,7 +6,9 @@ block polygon existence criterion.
 Each existence criterion is evaluated here once: ``inequality_rows`` and
 ``block_polygons`` return the evaluated rows and paths that the checker
 reports, and the boolean criteria are thin views of them.  ``Block`` and
-``SteinbergChain`` are also the two Weil-Deligne summand types.
+``SteinbergChain`` are also the two Weil-Deligne summand types.  A jump
+type is one form throughout: per embedding, the rank-many jumps sorted
+nondecreasingly, as every criterion and ``Filtration`` take it.
 
 Normalization, fixed once (see FieldData for the valuation conventions):
 
@@ -14,10 +16,10 @@ Normalization, fixed once (see FieldData for the valuation conventions):
   the normalized Newton number t_N is just sum(slope * multiplicity).
   With eigenvalues written as inverses zeta_j^{-1}, slope_j = -val_L(zeta_j);
   that sign flip happens only at the checker boundary.
-* The normalized Hodge number t_H is sum over embeddings of
-  jump * graded dimension.  Both t_N and t_H carry the same coefficient
-  field factor in the unnormalized theory, so admissibility comparisons
-  are unaffected by dividing it out.
+* The normalized Hodge number t_H is the sum of every embedding's jumps
+  (a jump of graded dimension d is listed d times).  Both t_N and t_H
+  carry the same coefficient field factor in the unnormalized theory, so
+  admissibility comparisons are unaffected by dividing it out.
 * A Steinberg chain piece twisted n times has its slope shifted by
   n*[L:Q_p] (each twist multiplies the Frobenius by p, hence its f-th
   power by q).
@@ -156,45 +158,49 @@ class PhiModule:
         return all(b.mult == 1 for b in self.blocks) and len(set(slopes)) == len(slopes)
 
 
+def _jump_lists(jumps: Sequence[Sequence], rank: Optional[int] = None,
+                embeddings: Optional[int] = None) -> tuple[tuple[Fraction, ...], ...]:
+    """A jump type as Fractions, checked: ``embeddings`` lists if given, at
+    least one, each of ``rank`` jumps (default: as many as the first) and
+    sorted nondecreasingly."""
+    js = tuple(tuple(Fraction(j) for j in sigma) for sigma in jumps)
+    if embeddings is not None and len(js) != embeddings:
+        raise ValueError(f"expected {embeddings} embeddings of jumps, got {len(js)}")
+    if not js:
+        raise ValueError("at least one embedding required")
+    n = len(js[0]) if rank is None else rank
+    for sigma in js:
+        if len(sigma) != n:
+            raise ValueError(f"each embedding needs {n} jumps, got {len(sigma)}")
+        if any(a > b for a, b in zip(sigma, sigma[1:])):
+            raise ValueError("jumps must be sorted nondecreasingly")
+    return js
+
+
 @dataclass(frozen=True)
 class Filtration:
-    """Per-embedding filtration jumps with graded dimensions, plus optional
-    explicit flag vectors realizing the filtration.
+    """A filtration type, the per-embedding jump lists, plus optional
+    explicit flag vectors realizing it.
 
-    ``levels[sigma]`` is a strictly increasing sequence of (jump, dim)
-    pairs whose dims sum to the module rank.  When flags are present,
-    ``flags[sigma]`` lists rank-many independent coordinate vectors; at
-    the t-th jump the filtration step is the span of the last
-    (dims[t] + dims[t+1] + ...) vectors, so earlier vectors leave first.
-    Flag entries are kept as given (int or Fraction), so integral flags
-    reach ``exact.rank`` as plain ints.
+    ``jumps[sigma]`` lists rank-many jumps, sorted nondecreasingly; a jump
+    repeated d times has graded dimension d.  When flags are present,
+    ``flags[sigma]`` lists rank-many independent coordinate vectors, vector
+    k carrying jump k: the filtration step at jump j is the span of the
+    vectors whose jump is >= j, so earlier vectors leave first.  Flag
+    entries are kept as given (int or Fraction), so integral flags reach
+    ``exact.rank`` as plain ints.
     """
 
-    levels: tuple[tuple[tuple[Fraction, int], ...], ...]
+    jumps: tuple[tuple[Fraction, ...], ...]
     flags: Optional[tuple[tuple[tuple[RatLike, ...], ...], ...]] = None
 
     def __post_init__(self) -> None:
-        levels = tuple(
-            tuple((Fraction(j), int(d)) for j, d in sigma) for sigma in self.levels
-        )
-        object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise ValueError("at least one embedding required")
-        ranks = set()
-        for sigma in levels:
-            jumps = [j for j, _ in sigma]
-            if any(d < 1 for _, d in sigma):
-                raise ValueError("graded dimensions must be >= 1")
-            if any(a >= b for a, b in zip(jumps, jumps[1:])):
-                raise ValueError("jumps must be strictly increasing")
-            ranks.add(sum(d for _, d in sigma))
-        if len(ranks) != 1:
-            raise ValueError("per-embedding dimensions must sum to a common rank")
+        object.__setattr__(self, "jumps", _jump_lists(self.jumps))
         if self.flags is not None:
-            n = ranks.pop()
+            n = self.rank
             flags = tuple(tuple(tuple(v) for v in sigma) for sigma in self.flags)
             object.__setattr__(self, "flags", flags)
-            if len(flags) != len(levels):
+            if len(flags) != self.embeddings:
                 raise ValueError("flags must cover every embedding")
             for sigma in flags:
                 if len(sigma) != n or any(len(v) != n for v in sigma):
@@ -202,26 +208,13 @@ class Filtration:
                 if mat_rank(sigma) != n:
                     raise ValueError("flag vectors must be linearly independent")
 
-    @classmethod
-    def of_jumps(cls, jumps_per_embedding: Sequence[Sequence], flags=None) -> "Filtration":
-        """One level per run of equal (nondecreasing) jumps, its graded
-        dimension the run length; strictly increasing jumps give dims 1."""
-        levels = tuple(
-            tuple((j, len(list(run))) for j, run in itertools.groupby(map(Fraction, sigma)))
-            for sigma in jumps_per_embedding
-        )
-        return cls(levels, flags)
-
     @property
     def embeddings(self) -> int:
-        return len(self.levels)
+        return len(self.jumps)
 
     @property
     def rank(self) -> int:
-        return sum(d for _, d in self.levels[0])
-
-    def dims_pattern(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(d for _, d in sigma) for sigma in self.levels)
+        return len(self.jumps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +228,8 @@ def t_N(module: PhiModule) -> Fraction:
 
 
 def t_H(filtration: Filtration) -> Fraction:
-    """Normalized Hodge number: sum over embeddings of jump * graded dim."""
-    return sum(
-        (j * d for sigma in filtration.levels for j, d in sigma), Fraction(0)
-    )
+    """Normalized Hodge number: the sum of all jumps of all embeddings."""
+    return sum((j for sigma in filtration.jumps for j in sigma), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -308,20 +299,10 @@ def newton_polygon(module: PhiModule) -> Polygon:
 
 
 def hodge_polygon(filtration: Filtration) -> Polygon:
-    """Polygon of the per-level jump totals across embeddings.
-
-    Requires the graded dimension pattern to agree across embeddings so
-    that level j of one embedding lines up with level j of another.
-    """
-    patterns = set(filtration.dims_pattern())
-    if len(patterns) != 1:
-        raise ValueError("graded dimension patterns differ across embeddings")
-    dims = patterns.pop()
-    slopes: list[Fraction] = []
-    for t, d in enumerate(dims):
-        total = sum(sigma[t][0] for sigma in filtration.levels)
-        slopes.extend([total] * d)
-    return Polygon.from_slopes(slopes)
+    """Lower boundary of the position-wise jump sums across embeddings
+    (slope k is the sum of every embedding's k-th jump); x counts
+    dimension and the endpoint is (rank, t_H)."""
+    return Polygon.from_slopes(sum(column) for column in zip(*filtration.jumps))
 
 
 def polygon_rows(newton: Polygon, hodge: Polygon):
@@ -347,21 +328,6 @@ def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_jumps_shape(module: PhiModule, jumps: Sequence[Sequence]) -> list[list[Fraction]]:
-    n = module.rank
-    if len(jumps) != module.field.degree:
-        raise ValueError(f"expected {module.field.degree} embeddings of jumps, got {len(jumps)}")
-    out = []
-    for sigma in jumps:
-        js = [Fraction(j) for j in sigma]
-        if len(js) != n:
-            raise ValueError(f"each embedding needs {n} jumps, got {len(js)}")
-        if any(a > b for a, b in zip(js, js[1:])):
-            raise ValueError("jumps must be sorted nondecreasingly")
-        out.append(js)
-    return out
-
-
 def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]:
     """The partial-sum inequalities deciding existence of an admissible
     filtration with the given jump type, evaluated: one (lhs, rhs, ok) row
@@ -375,7 +341,7 @@ def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]
     """
     if module.steinberg is not None:
         raise ValueError("the inequality test applies to modules without chain structure")
-    js = _check_jumps_shape(module, jumps)
+    js = _jump_lists(jumps, module.rank, module.field.degree)
     n = module.rank
     vals = sorted(-s for s in module.slopes_expanded())
     rows = []
@@ -392,22 +358,31 @@ def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> 
     return all(ok for _, _, ok in inequality_rows(module, jumps))
 
 
-def _induced_t_H_on_subspace(filtration: Filtration, coords: Sequence[int]) -> Fraction:
+def _jump_steps(filtration: Filtration) -> list[list[tuple[int, Fraction]]]:
+    """Per embedding, (index of its first flag vector, jump) for each
+    distinct jump: the places where the filtration steps down."""
+    return [
+        [(k, j) for k, j in enumerate(sigma) if k == 0 or j != sigma[k - 1]]
+        for sigma in filtration.jumps
+    ]
+
+
+def _induced_t_H_on_subspace(filtration: Filtration, steps: Sequence[Sequence[tuple]],
+                             coords: Sequence[int]) -> Fraction:
     """t_H of the filtration induced on the coordinate subspace, by exact
-    intersection of the explicit flags with that subspace."""
+    intersection of the explicit flags with that subspace; ``steps`` are
+    the filtration's ``_jump_steps``, one ``rank`` call per step."""
     total = Fraction(0)
-    n = filtration.rank
-    comp = [i for i in range(n) if i not in set(coords)]
-    for sigma_levels, sigma_flags in zip(filtration.levels, filtration.flags):
+    inside = set(coords)
+    comp = [i for i in range(filtration.rank) if i not in inside]
+    for sigma_steps, sigma_flags in zip(steps, filtration.flags):
         dims_here = []
-        start = 0
-        for _, d in sigma_levels:
+        for start, _ in sigma_steps:
             tail = sigma_flags[start:]
             restricted = [[v[c] for c in comp] for v in tail]
             dims_here.append(len(tail) - mat_rank(restricted))
-            start += d
         dims_here.append(0)
-        for (jump, _), dim_t, dim_next in zip(sigma_levels, dims_here, dims_here[1:]):
+        for (_, jump), dim_t, dim_next in zip(sigma_steps, dims_here, dims_here[1:]):
             total += jump * (dim_t - dim_next)
     return total
 
@@ -455,10 +430,10 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
         raise ValueError("filtration rank does not match the module")
     if filtration.embeddings != module.field.degree:
         raise ValueError(f"expected {module.field.degree} embeddings")
-    n = module.rank
-    full = tuple(range(n))
+    full = tuple(range(module.rank))
+    steps = _jump_steps(filtration)
     for coords, tn in _subobject_coords(module):
-        th = _induced_t_H_on_subspace(filtration, coords)
+        th = _induced_t_H_on_subspace(filtration, steps, coords)
         if coords == full:
             if th != tn:
                 return False
@@ -480,7 +455,6 @@ def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) ->
         raise UnsupportedRegimeError(
             "explicit construction needs multiplicity-one blocks with distinct slopes"
         )
-    js = _check_jumps_shape(module, jumps)
     if not admissible_by_inequalities(module, jumps):
         raise ValueError("the partial-sum inequalities fail: no admissible filtration exists")
     n = module.rank
@@ -493,8 +467,7 @@ def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) ->
         for m in range(1, j):
             coeffs[tau[n - j + m]] = j ** (j - m)
         flag.append(tuple(coeffs))
-    flags = tuple(tuple(flag) for _ in js)
-    return Filtration.of_jumps(js, flags)
+    return Filtration(jumps, (tuple(flag),) * module.field.degree)
 
 
 def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtration:
@@ -506,14 +479,13 @@ def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtra
     """
     if module.steinberg is None:
         raise ValueError("steinberg_filtration needs a chain module")
-    js = _check_jumps_shape(module, jumps)
+    js = _jump_lists(jumps, module.rank, module.field.degree)
     for sigma in js:
         if any(a >= b for a, b in zip(sigma, sigma[1:])):
             raise ValueError("chain filtration jumps must be strictly increasing")
     n = module.rank
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    flags = tuple(identity for _ in js)
-    return Filtration.of_jumps(js, flags)
+    return Filtration(js, (identity,) * len(js))
 
 
 def chain_sum_bounds(h: int, c, ivals: Sequence[int]) -> tuple[bool, bool]:
@@ -552,18 +524,7 @@ def block_polygons(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> tuple[
     data = [(Fraction(tn), int(d)) for tn, d in blocks]
     if any(d < 1 for _, d in data):
         raise ValueError("block dimensions must be >= 1")
-    total_dim = sum(d for _, d in data)
-    agg_lists = []
-    for sigma in jumps:
-        js = [Fraction(j) for j in sigma]
-        if len(js) != total_dim:
-            raise ValueError(
-                f"jump count {len(js)} does not match total block dimension {total_dim}"
-            )
-        if any(a > b for a, b in zip(js, js[1:])):
-            raise ValueError("jumps must be sorted nondecreasingly")
-        agg_lists.append(js)
-    agg = [sum(sigma[j] for sigma in agg_lists) for j in range(total_dim)]
+    agg = [sum(column) for column in zip(*_jump_lists(jumps, sum(d for _, d in data)))]
     ordered = sorted(data, key=lambda bd: (bd[0], -bd[1]))
     newton_pts = []
     hodge_pts = []

@@ -93,7 +93,7 @@ def test_criterion_1_inequalities_iff_polygons():
             jumps = [[j + delta for j in s] for s in jumps]
         lhs = admissible_by_inequalities(module, jumps)
         rhs = polygon_dominates(
-            newton_polygon(module), hodge_polygon(Filtration.of_jumps(jumps))
+            newton_polygon(module), hodge_polygon(Filtration(jumps))
         )
         assert lhs == rhs, (module, jumps)
         agreements += 1
@@ -132,7 +132,7 @@ def test_criterion_2_construction_vs_oracle():
                     ]
                     if mat_rank(flag) == n:
                         break
-                filt = Filtration.of_jumps(jumps, tuple(tuple(flag) for _ in jumps))
+                filt = Filtration(jumps, tuple(tuple(flag) for _ in jumps))
                 assert not weak_admissible(module, filt), (module, jumps, flag)
             refuted += 1
     ok = constructed > 30 and refuted > 30

@@ -100,7 +100,7 @@ def test_central_char_matches_endpoint_equality():
         vals = [Fraction(rng.randint(-8, 8)) for _ in range(n)]
         jumps = j_of_a(a)
         module = PhiModule.of_slopes(field, [-v for v in vals])
-        filt = Filtration.of_jumps(jumps)
+        filt = Filtration(jumps)
         assert central_char_integral(vals, a, field) == (t_H(filt) == t_N(module))
 
 

@@ -278,6 +278,15 @@ def test_cli_convert_weights(capsys):
     assert "sigma1.jumps: -2 0" in out
     assert main(["convert-weights", "--form", "i", "--values", "0 0"]) == 3
     capsys.readouterr()
+    # empty and ragged rows are input errors, not reports
+    for values, message in (("", "every row needs at least one entry"),
+                            ("0 1;;0 2", "every row needs at least one entry"),
+                            ("0 1; 0", "rows must have equal length")):
+        for form in ("a", "i"):
+            assert main(["convert-weights", "--form", form, "--values", values]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"convert-weights: {message}\n"
 
 
 # --- golden files ----------------------------------------------------------------
@@ -385,3 +394,14 @@ def test_sweep_deterministic(tmp_path, monkeypatch):
     out = tmp_path / "sweep.env.txt"
     assert main(["sweep", "--rank", "2", "--count", "20", "--out", str(out)]) == 0
     assert out.read_bytes() == expected
+
+
+def test_sweep_rejects_a_non_integer_env_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WADM_SEED", "abc")
+    out = tmp_path / "sweep.txt"
+    assert main(["sweep", "--count", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "sweep: WADM_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+    # an explicit --seed does not read the variable
+    assert main(["sweep", "--count", "1", "--seed", "7", "--out", str(out)]) == 0

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wadm.exact import FieldData
+from wadm.exact import FieldData, rank as mat_rank
 from wadm.isocrystal import (
     Block,
     Filtration,
@@ -26,6 +28,7 @@ from wadm.isocrystal import (
     t_N,
     weak_admissible,
     _induced_t_H_on_subspace,
+    _jump_steps,
 )
 
 QP = FieldData(p=3, e=1, f=1)
@@ -59,9 +62,10 @@ def test_t_N_chain_twist_ramified_field():
 
 
 def test_t_H_examples():
-    assert t_H(Filtration.of_jumps([[0, 1]])) == 1
-    assert t_H(Filtration.of_jumps([[0, 2], [1, 3]])) == 6
-    assert t_H(Filtration([((Fraction(0), 3),)])) == 0
+    assert t_H(Filtration([[0, 1]])) == 1
+    assert t_H(Filtration([[0, 2], [1, 3]])) == 6
+    assert t_H(Filtration([[0, 0, 0]])) == 0
+    assert t_H(Filtration([[-1, 2, 2]])) == 3
 
 
 # --- polygons -------------------------------------------------------------------
@@ -79,32 +83,25 @@ def test_newton_polygon_merges_collinear():
 
 
 def test_hodge_polygon_vertices():
-    poly = hodge_polygon(Filtration.of_jumps([[-2, 0]]))
+    poly = hodge_polygon(Filtration([[-2, 0]]))
     assert poly.vertices == ((0, 0), (1, -2), (2, -2))
 
 
 def test_hodge_polygon_with_graded_dims():
-    # two embeddings, pattern (1, 2): level totals -1 and 3 with dims 1, 2
-    filt = Filtration(
-        (
-            ((Fraction(0), 1), (Fraction(1), 2)),
-            ((Fraction(-1), 1), (Fraction(2), 2)),
-        )
-    )
+    # two embeddings, graded dims (1, 2) each: position sums -1, 3, 3
+    filt = Filtration([[0, 1, 1], [-1, 2, 2]])
     poly = hodge_polygon(filt)
     assert poly.vertices == ((0, 0), (1, -1), (3, 5))
     assert poly.endpoint[1] == t_H(filt)
 
 
 def test_hodge_polygon_pattern_mismatch():
-    filt = Filtration(
-        (
-            ((Fraction(0), 1), (Fraction(1), 1)),
-            ((Fraction(0), 2),),
-        )
-    )
-    with pytest.raises(ValueError):
-        hodge_polygon(filt)
+    # graded dims (1, 1) and (2,) differ across embeddings; the polygon is
+    # that of the position-wise sums 0 + 0 and 1 + 0
+    filt = Filtration([[0, 1], [0, 0]])
+    poly = hodge_polygon(filt)
+    assert poly.vertices == ((0, 0), (1, 0), (2, 1))
+    assert poly.endpoint[1] == t_H(filt)
 
 
 def test_polygon_dominates_examples():
@@ -144,7 +141,7 @@ def test_polygon_invariants_random():
         sigmas = rng.randint(1, 3)
         n = rng.randint(1, 5)
         jumps = [sorted(rng.sample(range(-10, 11), n)) for _ in range(sigmas)]
-        filt = Filtration.of_jumps(jumps)
+        filt = Filtration(jumps)
         poly = hodge_polygon(filt)
         assert poly.is_convex()
         assert poly.endpoint == (n, t_H(filt))
@@ -187,28 +184,51 @@ def _random_plain_module(rng, field, n, half=True, distinct=False):
     return PhiModule(field, tuple(Block(s, 1) for s in slopes))
 
 
-def _random_jumps(rng, field, n, half=True):
+def _random_jumps(rng, field, n, half=True, repeat=False):
     denom = 2 if half else 1
+    if repeat:
+        # a coarse pool drawn with replacement: runs repeat, and the graded
+        # dimensions differ across embeddings
+        return [sorted(rng.choice(range(-2, 3)) for _ in range(n)) for _ in range(field.degree)]
     pool = [Fraction(k, denom) for k in range(-10 * denom, 10 * denom + 1)]
     return [sorted(rng.sample(pool, n)) for _ in range(field.degree)]
 
 
 def test_inequalities_match_polygons_random():
     # the inequality test and the polygon test are independently coded;
-    # they must agree everywhere
-    rng = random.Random(17)
-    for _ in range(300):
-        field = FieldData(p=rng.choice((2, 3, 5)), e=rng.randint(1, 2), f=rng.randint(1, 2))
-        n = rng.randint(1, 6)
-        module = _random_plain_module(rng, field, n)
-        jumps = _random_jumps(rng, field, n)
-        # bias half the cases toward endpoint equality so both verdicts occur
-        if rng.random() < 0.5:
-            delta = (t_N(module) - sum(sum(sig) for sig in jumps)) / field.degree / n
-            jumps = [[j + delta for j in sig] for sig in jumps]
-        got = admissible_by_inequalities(module, jumps)
-        want = polygon_dominates(newton_polygon(module), hodge_polygon(Filtration.of_jumps(jumps)))
-        assert got == want
+    # they must agree everywhere, also when jumps repeat
+    for repeat in (False, True):
+        rng = random.Random(17)
+        verdicts = set()
+        patterns_differ = 0
+        for _ in range(300):
+            field = FieldData(p=rng.choice((2, 3, 5)), e=rng.randint(1, 2), f=rng.randint(1, 2))
+            n = rng.randint(1, 6)
+            module = _random_plain_module(rng, field, n)
+            jumps = _random_jumps(rng, field, n, repeat=repeat)
+            # bias half the cases toward endpoint equality so both verdicts occur
+            if rng.random() < 0.5:
+                delta = (t_N(module) - sum(sum(sig) for sig in jumps)) / field.degree / n
+                jumps = [[j + delta for j in sig] for sig in jumps]
+            got = admissible_by_inequalities(module, jumps)
+            want = polygon_dominates(newton_polygon(module), hodge_polygon(Filtration(jumps)))
+            assert got == want
+            verdicts.add(got)
+            dims = {tuple(len(list(run)) for _, run in itertools.groupby(sig)) for sig in jumps}
+            patterns_differ += len(dims) > 1
+        assert verdicts == {True, False}
+        assert (patterns_differ > 30) == repeat
+
+
+def test_repeated_jumps_with_differing_graded_dims():
+    # slopes (0, -1) over e = 2: the inequalities, the polygons and the
+    # oracle on the built witness all accept the jump type
+    field = FieldData(p=3, e=2, f=1)
+    module = PhiModule.of_slopes(field, [0, -1])
+    jumps = [[0, 0], [-1, 0]]
+    assert admissible_by_inequalities(module, jumps)
+    assert polygon_dominates(newton_polygon(module), hodge_polygon(Filtration(jumps)))
+    assert weak_admissible(module, build_admissible_filtration(module, jumps))
 
 
 # --- weak admissibility oracle ---------------------------------------------------
@@ -219,7 +239,7 @@ def _line_flag_filtration(jumps, line):
     e0 = (Fraction(1), Fraction(0))
     e1 = (Fraction(0), Fraction(1))
     other = e1 if line != e1 else e0
-    return Filtration.of_jumps([jumps], ((other, line),))
+    return Filtration([jumps], ((other, line),))
 
 
 def test_weak_admissible_generic_line():
@@ -237,20 +257,20 @@ def test_weak_admissible_eigenline_fails():
 def test_weak_admissible_rank_one():
     for slope, jump in ((0, 0), (2, 2), (1, 0)):
         module = PhiModule.of_slopes(QP, [slope])
-        filt = Filtration.of_jumps([[jump]], (((Fraction(1),),),))
+        filt = Filtration([[jump]], (((Fraction(1),),),))
         assert weak_admissible(module, filt) == (slope == jump)
 
 
 def test_weak_admissible_requires_flags():
     module = PhiModule.of_slopes(QP, [0, 2])
     with pytest.raises(ValueError):
-        weak_admissible(module, Filtration.of_jumps([F(0, 2)]))
+        weak_admissible(module, Filtration([F(0, 2)]))
 
 
 def test_weak_admissible_unsupported_regimes():
     repeated = PhiModule.of_slopes(QP, [1, 1])
     flags = (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),)
-    filt = Filtration.of_jumps([F(0, 2)], flags)
+    filt = Filtration([F(0, 2)], flags)
     with pytest.raises(UnsupportedRegimeError):
         weak_admissible(repeated, filt)
     jordan = PhiModule(QP, (Block(1, 2, (2,)),))
@@ -301,10 +321,10 @@ def test_build_oracle_roundtrip_random():
 
 
 def test_build_repeated_jumps_example():
-    # equal jumps share one level, whose graded dimension is the run length
+    # a jump repeated d times has graded dimension d
     module = PhiModule.of_slopes(QP, [1, 0, -1])
     filt = build_admissible_filtration(module, [[-1, -1, 2]])
-    assert filt.levels == (((Fraction(-1), 2), (Fraction(2), 1)),)
+    assert filt.jumps == ((Fraction(-1), Fraction(-1), Fraction(2)),)
     assert weak_admissible(module, filt)
 
 
@@ -326,18 +346,46 @@ def test_build_oracle_roundtrip_repeated_jumps_random():
         if not admissible_by_inequalities(module, jumps):
             continue
         filt = build_admissible_filtration(module, jumps)
-        assert any(d > 1 for sigma in filt.levels for _, d in sigma)
+        assert filt.jumps == tuple(tuple(sigma) for sigma in jumps)
         assert weak_admissible(module, filt), (module, jumps)
         built += 1
     assert built > 50
+
+
+@st.composite
+def _flagged_filtrations(draw):
+    """Random independent integer flags over 1-2 embeddings; the jumps come
+    from a small half-integer range, so they often repeat."""
+    n = draw(st.integers(1, 5))
+    embeddings = draw(st.integers(1, 2))
+    jump = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    jumps = [sorted(draw(st.lists(jump, min_size=n, max_size=n))) for _ in range(embeddings)]
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    flags = [draw(st.lists(row, min_size=n, max_size=n)) for _ in range(embeddings)]
+    assume(all(mat_rank(flag) == n for flag in flags))
+    return Filtration(jumps, flags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flagged_filtrations())
+def test_induced_t_H_is_supermodular(filt):
+    # dim(F ∩ V_S) is supermodular in S, and the induced t_H is a positive
+    # combination of those terms plus a modular one (Fujishige 2005), so
+    # t_H(S | T) + t_H(S & T) >= t_H(S) + t_H(T) for every pair of subsets
+    n = filt.rank
+    steps = _jump_steps(filt)
+    subsets = [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
+    th = {s: _induced_t_H_on_subspace(filt, steps, sorted(s)) for s in subsets}
+    assert th[frozenset()] == 0
+    assert th[frozenset(range(n))] == t_H(filt)
+    for s, t in itertools.combinations(subsets, 2):
+        assert th[s | t] + th[s & t] >= th[s] + th[t], (filt, sorted(s), sorted(t))
 
 
 def test_oracle_necessity_random_flags():
     # any explicit flag passing the oracle implies the inequalities; bias
     # half the instances toward endpoint equality so the implication is
     # exercised nontrivially in both directions
-    from wadm.exact import rank as mat_rank
-
     rng = random.Random(31)
     oracle_passes = 0
     for _ in range(300):
@@ -352,7 +400,7 @@ def test_oracle_necessity_random_flags():
             flags.append(tuple(Fraction(rng.randint(-4, 4)) for _ in range(n)))
         if mat_rank(flags) != n:
             continue
-        filt = Filtration.of_jumps(jumps, (tuple(flags),))
+        filt = Filtration(jumps, (tuple(flags),))
         if weak_admissible(module, filt):
             assert admissible_by_inequalities(module, jumps)
             oracle_passes += 1
@@ -367,7 +415,7 @@ def test_steinberg_filtration_shape():
     filt = steinberg_filtration(module, [F(-1, 2)])
     # deepest step is the last coordinate line (the twisted piece)
     assert filt.flags[0][1] == (Fraction(0), Fraction(1))
-    assert _induced_t_H_on_subspace(filt, (0,)) == Fraction(-1)
+    assert _induced_t_H_on_subspace(filt, _jump_steps(filt), (0,)) == Fraction(-1)
 
 
 def test_steinberg_chain_subobject_t_H():
@@ -376,7 +424,7 @@ def test_steinberg_chain_subobject_t_H():
     jumps = [F(-3, -1, 0, 2), F(-2, 0, 1, 4)]
     filt = steinberg_filtration(module, jumps)
     # chain subobject D_0 = first piece: t_H = sum over sigma of the two lowest jumps
-    assert _induced_t_H_on_subspace(filt, (0, 1)) == (-3 - 1) + (-2 + 0)
+    assert _induced_t_H_on_subspace(filt, _jump_steps(filt), (0, 1)) == (-3 - 1) + (-2 + 0)
 
 
 def test_steinberg_filtration_shape_mismatch():
