@@ -4,12 +4,23 @@ valuation domains.
 Vectors live in the rational span V of the character lattice X*(T) of a
 maximal split torus; cocharacters live in the dual lattice.  Both are
 plain tuples, paired by the standard dot product: integer vectors (roots,
-coroots, cocharacters) pair to an ``int``, and a vector with a Fraction
-entry (weights, eta, orbit points) pairs to a ``Fraction``.  Weyl group
+coroots, cocharacters, highest weights, 2*eta) pair to an ``int``, and a
+vector with a Fraction entry (eta, orbit points) pairs to a ``Fraction``.
+Integer inputs are checked, never truncated: a non-integral root,
+cocharacter or highest weight raises ``ValueError``.  Weyl group
 elements are stored as pairs of integer matrices, one acting on
 cocharacters and one (the inverse transpose) acting on weights, so that
 the pairing is preserved.  Roots, orbits and Weyl elements come from one
 closure (``_closure``), dominant representatives from one walk (``_chamber_walk``).
+
+The dominance side of membership runs on integers only.  ``in_Vxi`` scales
+its point once, by twice the lcm of its denominators, which makes eta_L
+integral as well (from the cached integer ``_two_eta``); the chamber walk
+and the one ``solve_linear`` of the dominance test (``_in_root_cone``) then
+see integer vectors.  ``dominance_leq`` scales z2 - z to integers and
+calls the same test.  Both are invariant under positive scaling, so the
+verdicts are those of the rational vectors.  ``in_hull`` stays on the
+rational orbit points.
 
 Conventions, fixed once for the whole library:
 
@@ -32,6 +43,7 @@ Conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +69,17 @@ class OrbitCapError(RuntimeError):
 
 def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
+
+
+def _int_tuple(values: Iterable) -> IntVec:
+    """The entries as an int tuple; raises ValueError naming the first
+    entry that is not an integer (where ``int`` alone would truncate it)."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if v != i)
+        raise ValueError(f"expected an integer entry, got {bad}")
+    return ints
 
 
 def dot(x: Sequence, y: Sequence) -> Union[int, Fraction]:
@@ -132,8 +155,8 @@ class RootDatum:
     cartan: IntMatrix = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        roots = tuple(tuple(int(v) for v in r) for r in self.simple_roots)
-        coroots = tuple(tuple(int(v) for v in r) for r in self.simple_coroots)
+        roots = tuple(_int_tuple(r) for r in self.simple_roots)
+        coroots = tuple(_int_tuple(r) for r in self.simple_coroots)
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
         if len(roots) != len(coroots):
@@ -199,7 +222,7 @@ class RootDatum:
         are the columns of C.
         """
         n = len(cartan)
-        rows = tuple(tuple(int(v) for v in r) for r in cartan)
+        rows = tuple(_int_tuple(r) for r in cartan)
         if any(len(r) != n for r in rows):
             raise ValueError("Cartan matrix must be square")
         ident = _identity(n)
@@ -238,7 +261,7 @@ class RootDatum:
 
     def eta_integral(self) -> bool:
         """Whether the half sum of positive roots is in the character lattice."""
-        return all(v.denominator == 1 for v in half_sum_positive_roots(self))
+        return all(v % 2 == 0 for v in _two_eta(self))
 
 
 def _reflections(datum: RootDatum) -> Callable:
@@ -275,13 +298,15 @@ def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
 
 
 @lru_cache(maxsize=None)
+def _two_eta(datum: RootDatum) -> IntVec:
+    """The sum of the positive roots (2*eta), as integers."""
+    return tuple(sum(col) for col in zip(*positive_roots(datum))) or (0,) * datum.rank
+
+
+@lru_cache(maxsize=None)
 def half_sum_positive_roots(datum: RootDatum) -> Vec:
     """Half the sum of the positive roots (eta); (-d/2,...,d/2) for GL_{d+1}."""
-    total = [0] * datum.rank
-    for r in positive_roots(datum):
-        for i, v in enumerate(r):
-            total[i] += v
-    return tuple(Fraction(v, 2) for v in total)
+    return tuple(Fraction(v, 2) for v in _two_eta(datum))
 
 
 @lru_cache(maxsize=None)
@@ -341,20 +366,26 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
     for every simple root alpha, so -lam is dominant for the dual datum.
     Raises ``InfiniteWeylGroupError`` when W is infinite."""
     positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
-    return tuple(-v for v in _chamber_walk(_dual(datum), [-int(v) for v in lam]))
+    return tuple(-v for v in _chamber_walk(_dual(datum), [-v for v in _int_tuple(lam)]))
+
+
+def _in_root_cone(datum: RootDatum, diff: IntVec) -> bool:
+    """Whether the integer vector diff is a non-negative rational
+    combination of the simple roots (one exact solve; the combination is
+    unique because simple roots are independent, and None means diff is
+    outside their span)."""
+    cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
+    coeffs = solve_linear(cols, diff)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:
     """Dominance order: z <= z2 iff z2 - z is a non-negative rational
-    combination of the simple roots (decided exactly; the combination is
-    unique because simple roots are independent)."""
-    a, b = vec(z), vec(z2)
-    if len(a) != datum.rank or len(b) != datum.rank:
+    combination of the simple roots.  Entries are rationals (``int`` or
+    ``Fraction``); z2 - z is scaled to integers first."""
+    if len(z) != datum.rank or len(z2) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    diff = tuple(y - x for x, y in zip(a, b))
-    cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
-    coeffs = solve_linear(cols, diff)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    return _in_root_cone(datum, _integer_rows([[y - x for x, y in zip(z, z2)]])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +404,11 @@ class HighestWeight:
     per_embedding: tuple[IntVec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "per_embedding", tuple(tuple(int(v) for v in w) for w in self.per_embedding)
-        )
+        object.__setattr__(self, "per_embedding", tuple(_int_tuple(w) for w in self.per_embedding))
 
     @classmethod
     def of(cls, weights: Iterable[Iterable[int]]) -> "HighestWeight":
-        return cls(tuple(tuple(int(v) for v in w) for w in weights))
+        return cls(tuple(weights))
 
     @classmethod
     def zero(cls, datum: RootDatum, field: FieldData) -> "HighestWeight":
@@ -416,13 +445,24 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
 
     Unnormalized: (z + eta_L)^dom <= eta_L + xi_L.
     Normalized:    z^dom          <= eta_L + xi_L.
+
+    z has rational entries (``int`` or ``Fraction``).  Everything is
+    scaled by s = 2 * lcm(denominators of z): s*z, s*xi_L and
+    s*eta_L = lcm * [L:Q_p] * 2*eta are integer vectors.
     """
     validate_highest_weight(datum, field, xi)
-    zv = vec(z)
-    el = eta_L(datum, field)
-    bound = tuple(a + b for a, b in zip(el, xi.xi_L()))
-    probe = zv if normalized else tuple(a + b for a, b in zip(zv, el))
-    return dominance_leq(datum, dominant_rep(datum, probe), bound)
+    if len(z) != datum.rank:
+        raise ValueError("vector length must equal the rank")
+    lcm = math.lcm(*[v.denominator for v in z])
+    scale = 2 * lcm
+    # _two_eta goes through positive_roots, which raises for an infinite W
+    el = [lcm * field.degree * v for v in _two_eta(datum)]
+    bound = [scale * sum(col) + e for col, e in zip(zip(*xi.per_embedding), el)]
+    probe = [v.numerator * (scale // v.denominator) for v in z]
+    if not normalized:
+        probe = [a + e for a, e in zip(probe, el)]
+    rep = _chamber_walk(datum, probe)
+    return _in_root_cone(datum, [b - r for b, r in zip(bound, rep)])
 
 
 @lru_cache(maxsize=None)

@@ -27,9 +27,10 @@ from .rootdata import (
     HighestWeight,
     RootDatum,
     WeylElement,
+    _int_tuple,
+    _two_eta,
     antidominant_rep_cochar,
     dot,
-    half_sum_positive_roots,
     in_Vxi,
     validate_highest_weight,
     vec,
@@ -45,9 +46,7 @@ class GroupRingElem:
     terms: tuple[tuple[Cochar, QSqrtQ], ...]
 
     def __post_init__(self) -> None:
-        pruned = tuple(
-            (tuple(int(v) for v in lam), c) for lam, c in self.terms if not c.is_zero()
-        )
+        pruned = tuple((_int_tuple(lam), c) for lam, c in self.terms if not c.is_zero())
         qs = {c.q for _, c in pruned}
         if len(qs) > 1:
             raise ValueError(f"coefficients with mismatched q: {sorted(qs)}")
@@ -60,13 +59,13 @@ class GroupRingElem:
     def from_terms(cls, terms: Iterable[tuple[Sequence[int], QSqrtQ]]) -> "GroupRingElem":
         acc: dict[Cochar, QSqrtQ] = {}
         for lam, c in terms:
-            key = tuple(int(v) for v in lam)
+            key = _int_tuple(lam)
             acc[key] = acc[key] + c if key in acc else c
         return cls(tuple(acc.items()))
 
     @classmethod
     def monomial(cls, lam: Sequence[int], coeff: QSqrtQ) -> "GroupRingElem":
-        return cls(((tuple(int(v) for v in lam), coeff),))
+        return cls(((_int_tuple(lam), coeff),))
 
     @classmethod
     def zero(cls) -> "GroupRingElem":
@@ -93,23 +92,25 @@ class GroupRingElem:
 def delta_half_val(datum: RootDatum, lam: Sequence[int]) -> Fraction:
     """q-valuation of the preferred square root of the Borel modulus at lambda.
 
-    Linear in lambda: +<eta, lambda>.  On GL_2 with lambda = (1, 0) this is
-    -1/2 (golden value; the sign is locked by the norm invariants).
+    Linear in lambda: +<eta, lambda> = <2*eta, lambda> / 2, paired on the
+    cached integer 2*eta.  On GL_2 with lambda = (1, 0) this is -1/2
+    (golden value; the sign is locked by the norm invariants).
     """
-    return Fraction(dot(half_sum_positive_roots(datum), lam))
+    return Fraction(dot(_two_eta(datum), lam), 2)
 
 
 def cocycle_gamma_val(datum: RootDatum, w: WeylElement, lam: Sequence[int]) -> Fraction:
     """q-valuation of the twisting cocycle gamma(w, lambda).
 
-    Equals delta_half_val(w lambda) - delta_half_val(lambda); always an
-    integer because lambda - w(lambda) lies in the coroot lattice and eta
-    pairs integrally with coroots.
+    Equals delta_half_val(w lambda) - delta_half_val(lambda) =
+    <2*eta, w lambda - lambda> / 2, one integer pairing; always an integer
+    because w lambda - lambda lies in the coroot lattice and eta pairs
+    integrally with coroots.
     """
-    v = delta_half_val(datum, w.on_cochar(lam)) - delta_half_val(datum, lam)
-    if v.denominator != 1:
-        raise ArithmeticError(f"cocycle valuation {v} is not an integer")
-    return v
+    v = dot(_two_eta(datum), [a - b for a, b in zip(w.on_cochar(lam), lam)])
+    if v % 2:
+        raise ArithmeticError(f"cocycle valuation {Fraction(v, 2)} is not an integer")
+    return Fraction(v // 2)
 
 
 def twisted_action(datum: RootDatum, w: WeylElement, x: GroupRingElem) -> GroupRingElem:

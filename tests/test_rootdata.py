@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import wadm.rootdata
 from wadm.exact import FieldData, QSqrtQ, solve_linear
 from wadm.rootdata import (
     HighestWeight,
@@ -466,6 +467,37 @@ def test_dominance_partial_order_random_triples():
                 assert dominance_leq(datum, x, z)
 
 
+def _reference_dominance_leq(datum, z, z2):
+    """The Fraction test ``dominance_leq`` replaced: solve for z2 - z in
+    the simple roots over Fraction."""
+    a, b = vec(z), vec(z2)
+    if len(a) != datum.rank or len(b) != datum.rank:
+        raise ValueError("vector length must equal the rank")
+    diff = tuple(y - x for x, y in zip(a, b))
+    cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
+    coeffs = solve_linear(cols, diff)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+def test_dominance_leq_takes_mixed_int_and_fraction_arguments():
+    rng = random.Random(61)
+    for datum in (RootDatum.gl(3), RootDatum.sp4(), RootDatum.from_cartan(CARTANS["G2"][0])):
+        for _ in range(60):
+            z = [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                 for _ in range(datum.rank)]
+            z2 = [rng.randint(-3, 3) for _ in range(datum.rank)]
+            for a, b in ((z, z2), (z2, z), (tuple(z), z), (z2, z2)):
+                got = dominance_leq(datum, a, b)
+                assert type(got) is bool
+                assert got == _reference_dominance_leq(datum, a, b)
+        with pytest.raises(ValueError, match="vector length must equal the rank"):
+            dominance_leq(datum, [0] * (datum.rank + 1), [0] * datum.rank)
+    # equal points, and unequal totals on gl(n): z2 - z outside the root span
+    assert dominance_leq(RootDatum.gl(2), (Fraction(1, 2), 1), (Fraction(1, 2), 1))
+    assert not dominance_leq(RootDatum.gl(2), (0, 0), (0, Fraction(1, 3)))
+    assert not dominance_leq(RootDatum.gl(2), (0, 0), (Fraction(-1, 3), 0))
+
+
 # --- membership domains ------------------------------------------------------
 
 
@@ -577,9 +609,118 @@ def test_in_vxi_matches_hull_on_other_lattices():
         assert hits > 0
 
 
+def _reference_in_Vxi(datum, field, xi, z, normalized=False):
+    """The Fraction test ``in_Vxi`` replaced (without the weight validation)."""
+    zv = vec(z)
+    el = eta_L(datum, field)
+    bound = tuple(a + b for a, b in zip(el, xi.xi_L()))
+    probe = zv if normalized else tuple(a + b for a, b in zip(zv, el))
+    return _reference_dominance_leq(datum, dominant_rep(datum, probe), bound)
+
+
+# every closure datum, plus adjoint A1, where eta = alpha/2 is half-integral
+MEMBERSHIP_DATA = [d for d, _ in CLOSURE_DATA] + [
+    RootDatum.from_cartan([[2]], kind="adjoint", name="A1-adjoint")
+]
+
+
+@pytest.mark.parametrize("datum", MEMBERSHIP_DATA, ids=lambda d: d.name)
+def test_membership_matches_fraction_reference(datum):
+    # points near the domain's boundary: a Weyl image of t * (eta_L + xi_L),
+    # t close to 1, moved along a simple root, sometimes off the root span
+    rng = random.Random(f"membership-{datum.name}")
+    verdicts = set()
+    for degree in (1, 2, 3):
+        field = FieldData(p=2, e=degree, f=1)
+        xi = HighestWeight.of(
+            [dominant_rep(datum, [rng.randint(-2, 2) for _ in range(datum.rank)])
+             for _ in range(degree)]
+        )
+        el = eta_L(datum, field)
+        bound = tuple(a + b for a, b in zip(el, xi.xi_L()))
+        for den in range(1, 7):
+            for normalized in (False, True):
+                for _ in range(3):
+                    t = Fraction(rng.randint(den - 1, den + 1), den)
+                    p = [t * b for b in bound]
+                    if datum.nsimple:
+                        c = Fraction(rng.randint(-2, 2), den)
+                        p = [v + c * r for v, r in zip(p, rng.choice(datum.simple_roots))]
+                    if rng.random() < 0.25:
+                        p[rng.randrange(datum.rank)] += Fraction(rng.choice((-1, 1)), den)
+                    for _ in range(rng.randint(0, 2 * datum.nsimple)):
+                        p = datum.reflect_weight(rng.randrange(datum.nsimple), p)
+                    z = p if normalized else [a - b for a, b in zip(p, el)]
+                    got = in_Vxi(datum, field, xi, z, normalized=normalized)
+                    assert got == _reference_in_Vxi(datum, field, xi, z, normalized), (z, normalized)
+                    assert dominance_leq(datum, z, bound) == _reference_dominance_leq(datum, z, bound)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_dominance_and_hull_share_no_kernel(monkeypatch):
+    # the pair "dominance vs. LP hull": neither side may call the other's kernels
+    datum, field = RootDatum.sp4(), FieldData(p=2, e=2, f=1)
+    xi = HighestWeight.of([(2, 1), (1, 1)])
+    points = [tuple(Fraction(a, 2) for a in z) for z in itertools.product(range(-9, 10, 3), repeat=2)]
+    expected = [in_hull(datum, field, xi, z) for z in points]
+    assert set(expected) == {True, False}
+
+    def forbidden(name):
+        return lambda *args, **kwargs: pytest.fail(f"{name} called")
+
+    with monkeypatch.context() as patch:
+        for name in ("lp_feasible", "_hull_points"):
+            patch.setattr(wadm.rootdata, name, forbidden(name))
+        assert [in_Vxi(datum, field, xi, z) for z in points] == expected
+    wadm.rootdata._hull_points.cache_clear()
+    with monkeypatch.context() as patch:
+        for name in ("_chamber_walk", "solve_linear", "_in_root_cone"):
+            patch.setattr(wadm.rootdata, name, forbidden(name))
+        assert [in_hull(datum, field, xi, z) for z in points] == expected
+
+
+def test_in_vxi_rejects_a_point_of_the_wrong_length():
+    # unnormalized, a longer point used to be cut to the rank and answered
+    datum = RootDatum.gl(2)
+    xi0 = HighestWeight.zero(datum, QP)
+    for z in ((0, 0, 5), (0,)):
+        for normalized in (False, True):
+            with pytest.raises(ValueError, match="vector length must equal the rank"):
+                in_Vxi(datum, QP, xi0, z, normalized=normalized)
+
+
 def test_highest_weight_validation():
     datum = RootDatum.gl(2)
     with pytest.raises(ValueError):
         in_Vxi(datum, QP, HighestWeight.of([(1, 0)]), frac_vec(0, 0))  # not dominant
     with pytest.raises(ValueError):
         in_Vxi(datum, QP, HighestWeight.of([(0, 1), (0, 1)]), frac_vec(0, 0))  # wrong count
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: HighestWeight.of([[HALF, Fraction(3, 2)]]), id="HighestWeight.of"),
+    pytest.param(lambda: HighestWeight(((0, HALF),)), id="HighestWeight"),
+    pytest.param(lambda: RootDatum(rank=2, simple_roots=((-1, 1),), simple_coroots=((-HALF, HALF),)),
+                 id="RootDatum"),
+    pytest.param(lambda: RootDatum.from_cartan([[2, -HALF], [-1, 2]]), id="from_cartan"),
+    pytest.param(lambda: antidominant_rep_cochar(RootDatum.gl(2), (Fraction(3, 2), 0)),
+                 id="antidominant_rep_cochar"),
+])
+def test_non_integral_entries_are_rejected_not_truncated(build):
+    # int() alone would floor these to (0, 1), ((-1, 1),), [[2, 0], ...] and (1, 0)
+    with pytest.raises(ValueError, match="expected an integer entry, got (1/2|-1/2|3/2)"):
+        build()
+
+
+def test_integral_entries_become_int():
+    xi = HighestWeight.of([[Fraction(2), 3.0]])
+    assert xi.per_embedding == ((2, 3),)
+    assert all(type(v) is int for v in xi.per_embedding[0])
+    anti = antidominant_rep_cochar(RootDatum.gl(2), (0, Fraction(4, 2)))
+    assert anti == (2, 0) and all(type(v) is int for v in anti)
+    assert RootDatum(rank=2, simple_roots=((Fraction(-1), 1),), simple_coroots=((-1, 1),)).cartan == ((2,),)
+    assert GroupRingElem.monomial((Fraction(2), 1.0), QSqrtQ.one(3)).support() == ((2, 1),)

@@ -232,6 +232,18 @@ def test_group_ring_validation():
         )
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda c: GroupRingElem((((Fraction(1, 2), 0), c),)), id="GroupRingElem"),
+    pytest.param(lambda c: GroupRingElem.from_terms([((0, 0), c), ((Fraction(1, 2), 0), c)]),
+                 id="from_terms"),
+    pytest.param(lambda c: GroupRingElem.monomial((Fraction(1, 2), 0), c), id="monomial"),
+])
+def test_group_ring_rejects_non_integral_cocharacters(build):
+    # int() alone would floor (1/2, 0) to (0, 0)
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        build(QSqrtQ.one(3))
+
+
 def test_norm_rejects_mismatched_field_q():
     xi0 = HighestWeight.zero(GL2, QP)  # QP has q = 3
     x = GroupRingElem.monomial((1, 0), QSqrtQ.one(5))
