@@ -26,9 +26,9 @@ refers to this table; the translation identity in the acceptance suite
                                   the two rows above
   ==============================  =========================================
 
-For non-GL group presets the membership test takes the spectral point
-directly (no shift, no cross-check): the parameter there already lives on
-the dual torus.
+Checker instances are GL(n) pairs, always tested in the normalized domain;
+other split groups, and the unnormalized domain, are reached through
+spectral membership queries on the dual torus (``rootdata.in_Vxi``).
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class Instance:
     ``weights_a`` is the canonical highest-weight form (nondecreasing per
     embedding); the jump form converts through jumps_from_weights.  The
     Galois side is either a tuple of arithmetic Frobenius valuations or a
-    WDRep with declared summands (see the sign table above).
+    WDRep with declared summands (see the sign table above).  The group
+    is GL(n), n the length of the weight rows.
     """
 
     ident: str
@@ -160,8 +161,6 @@ class Instance:
     weights_a: tuple[tuple[int, ...], ...]
     zeta_vals: Optional[tuple[Fraction, ...]] = None
     wd: Optional[WDRep] = None
-    group: Optional[RootDatum] = None
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if (self.zeta_vals is None) == (self.wd is None):
@@ -179,18 +178,13 @@ class Instance:
             raise ValueError("zeta valuation count must match the weight length")
         if self.wd is not None and self.wd.dimension != n:
             raise ValueError("Weil-Deligne dimension must match the weight length")
-        if self.group is not None and self.group.name.startswith("gl(") \
-                and self.group.rank != n:
-            raise ValueError(
-                f"group rank {self.group.rank} does not match the data dimension {n}"
-            )
 
     @property
     def dimension(self) -> int:
         return len(self.weights_a[0])
 
     def datum(self) -> RootDatum:
-        return self.group if self.group is not None else RootDatum.gl(self.dimension)
+        return RootDatum.gl(self.dimension)
 
     def jumps(self) -> list[list[int]]:
         return jumps_from_weights(self.weights_a)
@@ -268,7 +262,8 @@ def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
                       hodge: Polygon) -> Verdict:
     """Existence via the partial-sum inequalities, with a witness built and
     re-verified by the subobject oracle; distinct slopes required.  Past
-    the oracle's rank cap a passing witness cannot be re-verified, so the
+    the oracle's rank cap a passing witness cannot be re-verified, and a
+    witness the oracle rejects contradicts the inequalities; either way the
     verdict is undecided, with the rows and polygons kept."""
     jumps = instance.jumps()
     rows = inequality_rows(module, jumps)
@@ -286,9 +281,10 @@ def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
         except UnsupportedRegimeError as exc:
             reason = f"the inequalities hold, but the witness oracle did not run: {exc}"
             return Verdict(UNDECIDED, checks, None, newton, hodge, reason)
-        if not verified:  # pragma: no cover - internal consistency
-            raise RuntimeError("constructed witness failed the subobject oracle")
-        checks.append(CheckLine("adm.witness.oracle", True))
+        checks.append(CheckLine("adm.witness.oracle", verified))
+        if not verified:
+            reason = "the inequalities hold, but the constructed witness failed the subobject oracle"
+            return Verdict(UNDECIDED, checks, None, newton, hodge, reason)
     return Verdict(PASS if ok_all else FAIL, checks, witness, newton, hodge)
 
 
@@ -368,28 +364,16 @@ def exists_admissible(instance: Instance) -> Verdict:
 def membership_check(instance: Instance) -> Verdict:
     """Normalized spectral membership of the instance's parameter, alone
     (``check_instance`` compares it with the invariant-norm inequalities).
-
-    For general-linear data the spectral point is the zeta-valuation
-    vector shifted by the modulus (see the sign table).  For other group
-    presets the Galois-side valuations are taken as the spectral point
-    itself and tested under the instance's normalized/unnormalized option;
-    half-integral data needs no special path.
+    The spectral point is the zeta-valuation vector shifted by the modulus
+    (see the sign table).
     """
-    datum = instance.datum()
-    xi = HighestWeight.of(instance.weights_a)
-    vals = instance.arithmetic_vals()
-    if datum.name.startswith("gl("):
-        shift = Fraction(instance.field.degree * (instance.dimension - 1), 2)
-        point = tuple(sorted(Fraction(v) - shift for v in vals))
-        member = in_Vxi(datum, instance.field, xi, point, normalized=True)
-        check = CheckLine("membership.normalized", member,
-                          note="point=(" + ", ".join(format_rat(v) for v in point) + ")")
-        return Verdict(PASS if member else FAIL, [check])
-    if len(vals) != datum.rank:
-        raise ValueError("spectral point length must equal the group rank")
-    member = in_Vxi(datum, instance.field, xi, vals, normalized=instance.normalized)
-    flavor = "normalized" if instance.normalized else "unnormalized"
-    return Verdict(PASS if member else FAIL, [CheckLine(f"membership.{flavor}", member)])
+    shift = Fraction(instance.field.degree * (instance.dimension - 1), 2)
+    point = tuple(sorted(Fraction(v) - shift for v in instance.arithmetic_vals()))
+    member = in_Vxi(instance.datum(), instance.field, HighestWeight.of(instance.weights_a),
+                    point, normalized=True)
+    check = CheckLine("membership.normalized", member,
+                      note="point=(" + ", ".join(format_rat(v) for v in point) + ")")
+    return Verdict(PASS if member else FAIL, [check])
 
 
 def translation_verdicts(instance: Instance) -> tuple[bool, bool, bool]:
@@ -422,7 +406,7 @@ class InstanceResult:
     norm: Verdict
     central_ok: bool
     adm: Verdict
-    membership: Optional[Verdict]
+    membership: Verdict
     status: str
 
 
@@ -433,15 +417,11 @@ def check_instance(instance: Instance) -> InstanceResult:
     norm = invariant_norm_inequalities(vals, instance.weights_a, instance.field)
     central = central_char_integral(vals, instance.weights_a, instance.field)
     adm = exists_admissible(instance)
-    status, membership = adm.status, None
-    datum = instance.datum()
-    is_gl = datum.name.startswith("gl(")
-    if is_gl or len(vals) == datum.rank:
-        membership = membership_check(instance)
-    if is_gl:
-        agree = membership.passed == norm.passed
-        membership.checks.append(CheckLine("membership.agrees_with_norm_inequalities", agree))
-        if not agree:
-            membership.reason = "membership and the norm inequalities disagree"
-            status = UNDECIDED
+    status = adm.status
+    membership = membership_check(instance)
+    agree = membership.passed == norm.passed
+    membership.checks.append(CheckLine("membership.agrees_with_norm_inequalities", agree))
+    if not agree:
+        membership.reason = "membership and the norm inequalities disagree"
+        status = UNDECIDED
     return InstanceResult(instance, norm, central, adm, membership, status)

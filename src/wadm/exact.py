@@ -5,12 +5,12 @@ positive denominator, which is exactly the invariant we need).  ``QSqrtQ``
 adjoins a formal square root of a prime power q; zero testing is done
 coefficient-wise, so the type is safe even when q happens to be a perfect
 square.  ``FieldData`` packages the numeric invariants (p, e, f) of a
-finite extension L of Q_p and fixes the valuation normalizations used
-throughout the library:
+finite extension L of Q_p.  The valuation normalizations used throughout
+the library are:
 
-* ``val_p``: val_p(p) = 1  (absolute p-adic valuation)
-* ``val_L``: val_L(p) = e  (so a uniformizer of L has valuation 1)
-* ``val_q``: val_q(q) = 1  (q-normalized; used for Satake coefficients)
+* val_p(p) = 1  (absolute p-adic valuation; ``val_p_rat``)
+* val_L(p) = e  (so a uniformizer of L has valuation 1)
+* val_q(q) = 1  (q-normalized; used for Satake coefficients; ``val_q``)
 
 The conversion constant is val_L = e*f*val_q = degree*val_q.
 
@@ -149,17 +149,6 @@ class FieldData:
         """[L:Q_p] = e*f, also the number of embeddings."""
         return self.e * self.f
 
-    def val_p(self, x: RatLike):
-        return val_p_rat(x, self.p)
-
-    def val_L(self, x: RatLike):
-        v = self.val_p(x)
-        return INF if v == INF else self.e * v
-
-    def val_q(self, x: RatLike):
-        v = self.val_p(x)
-        return INF if v == INF else v / self.f
-
 
 def _as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -174,9 +163,8 @@ class QSqrtQ:
     """Element a + b*sqrt(q) of the formal quadratic extension by sqrt(q).
 
     sqrt(q) is treated as a formal symbol with (sqrt q)^2 = q, so equality
-    is coefficient-wise.  Division requires the rational norm a^2 - q*b^2
-    to be nonzero; for q a non-square this is automatic on nonzero
-    elements.
+    is coefficient-wise.  Sums and products are all the group ring needs;
+    there is no division.
     """
 
     a: Fraction
@@ -193,22 +181,11 @@ class QSqrtQ:
         return cls(Fraction(a), Fraction(b), q)
 
     @classmethod
-    def zero(cls, q: int) -> "QSqrtQ":
-        return cls(Fraction(0), Fraction(0), q)
-
-    @classmethod
     def one(cls, q: int) -> "QSqrtQ":
         return cls(Fraction(1), Fraction(0), q)
 
-    @classmethod
-    def sqrtq(cls, q: int) -> "QSqrtQ":
-        return cls(Fraction(0), Fraction(1), q)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def _check(self, other: "QSqrtQ") -> None:
         if self.q != other.q:
@@ -217,13 +194,6 @@ class QSqrtQ:
     def __add__(self, other: "QSqrtQ") -> "QSqrtQ":
         self._check(other)
         return QSqrtQ(self.a + other.a, self.b + other.b, self.q)
-
-    def __sub__(self, other: "QSqrtQ") -> "QSqrtQ":
-        self._check(other)
-        return QSqrtQ(self.a - other.a, self.b - other.b, self.q)
-
-    def __neg__(self) -> "QSqrtQ":
-        return QSqrtQ(-self.a, -self.b, self.q)
 
     def __mul__(self, other) -> "QSqrtQ":
         if isinstance(other, QSqrtQ):
@@ -237,42 +207,14 @@ class QSqrtQ:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QSqrtQ":
-        return QSqrtQ(self.a, -self.b, self.q)
-
-    def rat_norm(self) -> Fraction:
-        """The rational norm a^2 - q*b^2 (product with the conjugate)."""
-        return self.a * self.a - self.q * self.b * self.b
-
-    def inverse(self) -> "QSqrtQ":
-        n = self.rat_norm()
-        if n == 0:
-            raise ZeroDivisionError("element has zero norm (q is a square or element is zero)")
-        return QSqrtQ(self.a / n, -self.b / n, self.q)
-
-    def __truediv__(self, other: "QSqrtQ") -> "QSqrtQ":
-        if isinstance(other, QSqrtQ):
-            return self * other.inverse()
-        return QSqrtQ(self.a / _as_frac(other), self.b / _as_frac(other), self.q)
-
     def __str__(self) -> str:
         return format_qsqrtq(self)
-
-
-_QSQRT_RE = re.compile(r"(-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*sqrtq")
 
 
 def format_qsqrtq(x: QSqrtQ) -> str:
     """Canonical decimal-free form "a+b*sqrtq" (sign of b folded in)."""
     sign = "-" if x.b < 0 else "+"
     return f"{format_rat(x.a)}{sign}{format_rat(abs(x.b))}*sqrtq"
-
-
-def parse_qsqrtq(text: str, q: int) -> QSqrtQ:
-    m = _QSQRT_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not an a+b*sqrtq form: {text!r}")
-    return QSqrtQ(Fraction(m.group(1)), Fraction(m.group(2)), q)
 
 
 def val_q(x: QSqrtQ):

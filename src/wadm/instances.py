@@ -12,8 +12,8 @@ Keys for a checker instance:
     field.p: 3
     field.e: 1
     field.f: 1
-    group: gl(2)                       # optional; gl(n), sl(n), sp(4),
-                                       # cartan [[...]], cartan-adjoint [[...]]
+    group: gl(2)                       # optional; only gl(n), n the data
+                                       # dimension
     weights.form: a                    # a (highest weight) or i (jumps)
     weights.sigma1: 0 1                # one line per embedding
     galois.form: zeta                  # zeta or wd
@@ -21,11 +21,15 @@ Keys for a checker instance:
     galois.wd.1: unramified val=0 mult=2 jordan=1,1
     galois.wd.2: steinberg base=1/2 dim=1 len=2
     galois.wd.ramified: true           # optional, marks out-of-scope data
-    options.normalized: true           # optional, default true
 
-Spectral membership and norm inputs reuse the same field/group/weights
-keys plus ``point.vals`` (affinoid queries) or ``element.N`` lines
-(group ring elements, ``lambda=1,0 a=1 b=0``).
+Checker instances are always tested in the normalized domain;
+``options.normalized: true`` is accepted and ``false`` is an input error.
+
+Spectral membership and norm inputs reuse the same field/weights keys, with
+any group preset (gl(n), sl(n), sp(4), cartan [[...]], cartan-adjoint
+[[...]]), plus ``point.vals`` and ``options.normalized`` (affinoid queries,
+default true) or ``element.N`` lines (group ring elements,
+``lambda=1,0 a=1 b=0``).
 """
 
 from __future__ import annotations
@@ -246,8 +250,9 @@ def _parse_bool(kv: KeyValues, key: str, default: bool) -> bool:
 def parse_instance(text: str, path: str = "<string>", default_id: str = "instance") -> Instance:
     """Parse a checker instance file.
 
-    Checker instances are the general-linear dictionary; membership
-    queries for other presets go through the affinoid query format.
+    Checker instances are the general-linear dictionary, always normalized;
+    membership queries for other presets, or in the unnormalized domain, go
+    through the affinoid query format.
     """
     kv = KeyValues.parse(text, path)
     field = kv.field()
@@ -270,18 +275,21 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
         wd = WDRep(field, parts, ramified=_parse_bool(kv, "galois.wd.ramified", False))
     else:
         raise kv.error("galois.form", f"galois.form must be 'zeta' or 'wd', got {form!r}")
-    try:
-        return Instance(
-            ident=kv.get("id", default_id),
-            field=field,
-            weights_a=weights,
-            zeta_vals=zeta,
-            wd=wd,
-            group=group,
-            normalized=_parse_bool(kv, "options.normalized", True),
+    if not _parse_bool(kv, "options.normalized", True):
+        raise kv.error(
+            "options.normalized",
+            "checker instances are always normalized; use an affinoid query for "
+            "the unnormalized domain",
         )
+    try:
+        inst = Instance(kv.get("id", default_id), field, weights, zeta_vals=zeta, wd=wd)
     except ValueError as exc:
         raise InstanceError(path, None, str(exc)) from None
+    if group is not None and group.rank != inst.dimension:
+        raise InstanceError(
+            path, None, f"group rank {group.rank} does not match the data dimension {inst.dimension}"
+        )
+    return inst
 
 
 def _query_weight(kv: KeyValues, field: FieldData) -> tuple[RootDatum, HighestWeight]:
@@ -373,8 +381,6 @@ def serialize_instance(inst: Instance) -> str:
     """Canonical text of an instance (weights in highest-weight form)."""
     lines = [f"id: {inst.ident}"]
     lines += [f"field.p: {inst.field.p}", f"field.e: {inst.field.e}", f"field.f: {inst.field.f}"]
-    if inst.group is not None:
-        lines.append(f"group: {inst.group.name}")
     lines.append("weights.form: a")
     for k, row in enumerate(inst.weights_a, 1):
         lines.append(f"weights.sigma{k}: " + " ".join(str(v) for v in row))
@@ -387,7 +393,6 @@ def serialize_instance(inst: Instance) -> str:
             lines.append(f"galois.wd.{k}: {format_wd_part(part)}")
         if inst.wd.ramified:
             lines.append("galois.wd.ramified: true")
-    lines.append(f"options.normalized: {'true' if inst.normalized else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -426,8 +431,7 @@ def render_check_report(result: InstanceResult) -> str:
             lines.append(f"witness.sigma{k}.jumps: " + " ".join(format_rat(j) for j in jumps))
             for v_idx, vector in enumerate(flag, 1):
                 lines.append(f"witness.sigma{k}.vector{v_idx}: {_fmt_vals(vector)}")
-    if result.membership is not None:
-        lines += _verdict_lines("membership", result.membership)
+    lines += _verdict_lines("membership", result.membership)
     if result.adm.newton is not None:
         lines.append(f"polygon.newton: {_fmt_vertices(result.adm.newton)}")
         lines.append(f"polygon.hodge: {_fmt_vertices(result.adm.hodge)}")

@@ -270,19 +270,6 @@ class Polygon:
     def width(self) -> Fraction:
         return self.vertices[-1][0]
 
-    @property
-    def endpoint(self) -> tuple[Fraction, Fraction]:
-        return self.vertices[-1]
-
-    def slopes(self) -> list[Fraction]:
-        return [
-            (b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(self.vertices, self.vertices[1:])
-        ]
-
-    def is_convex(self) -> bool:
-        s = self.slopes()
-        return all(a <= b for a, b in zip(s, s[1:]))
-
     def value_at(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0 or x > self.width:

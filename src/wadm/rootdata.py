@@ -7,11 +7,12 @@ plain tuples, paired by the standard dot product: integer vectors (roots,
 coroots, cocharacters, highest weights, 2*eta) pair to an ``int``, and a
 vector with a Fraction entry (eta, orbit points) pairs to a ``Fraction``.
 Integer inputs are checked, never truncated: a non-integral root,
-cocharacter or highest weight raises ``ValueError``.  Weyl group
-elements are stored as pairs of integer matrices, one acting on
-cocharacters and one (the inverse transpose) acting on weights, so that
-the pairing is preserved.  Roots, orbits and Weyl elements come from one
-closure (``_closure``), dominant representatives from one walk (``_chamber_walk``).
+cocharacter or highest weight raises ``ValueError``.  A Weyl group
+element is stored as its integer matrix on cocharacters; on weights it
+acts by the inverse transpose, and weight orbits come from the simple
+reflections directly (``weyl_orbit``).  Roots, orbits and Weyl elements
+come from one closure (``_closure``), dominant representatives from one
+walk (``_chamber_walk``).
 
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
 its point once, by twice the lcm of its denominators, which makes eta_L
@@ -122,19 +123,15 @@ def _matvec(m: IntMatrix, v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element as its matrix pair (on cocharacters, on weights)."""
+    """A Weyl group element as its integer matrix on cocharacters."""
 
     cochar: IntMatrix
-    weight: IntMatrix
-
-    def on_weight(self, z: Sequence) -> Vec:
-        return tuple(Fraction(v) for v in _matvec(self.weight, z))
 
     def on_cochar(self, lam: Sequence[int]) -> IntVec:
         return _matvec(self.cochar, lam)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(_matmul(self.cochar, other.cochar), _matmul(self.weight, other.weight))
+        return WeylElement(_matmul(self.cochar, other.cochar))
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,7 @@ class RootDatum:
     ``simple_roots[i]`` has integer coordinates in the character lattice,
     ``simple_coroots[i]`` in the cocharacter lattice; the Cartan pairing
     ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
-    a non-positive integer off it.  ``eta_integral`` records whether the
-    half sum of positive roots lies in the character lattice.
+    a non-positive integer off it.
     """
 
     rank: int
@@ -248,20 +244,12 @@ class RootDatum:
     def simple_reflection(self, i: int) -> WeylElement:
         n = self.rank
         alpha, cov = self.simple_roots[i], self.simple_coroots[i]
-        coc = tuple(
+        return WeylElement(tuple(
             tuple(int(a == b) - cov[a] * alpha[b] for b in range(n)) for a in range(n)
-        )
-        wgt = tuple(
-            tuple(int(a == b) - alpha[a] * cov[b] for b in range(n)) for a in range(n)
-        )
-        return WeylElement(coc, wgt)
+        ))
 
     def is_dominant(self, z: Sequence) -> bool:
         return all(dot(z, cov) >= 0 for cov in self.simple_coroots)
-
-    def eta_integral(self) -> bool:
-        """Whether the half sum of positive roots is in the character lattice."""
-        return all(v % 2 == 0 for v in _two_eta(self))
 
 
 def _reflections(datum: RootDatum) -> Callable:
@@ -314,7 +302,7 @@ def weyl_elements(datum: RootDatum, cap: int = DEFAULT_ORBIT_CAP) -> tuple[WeylE
     """All Weyl group elements, by closure of the simple reflections;
     raises ``InfiniteWeylGroupError`` at once when W is infinite."""
     positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
-    ident = WeylElement(_identity(datum.rank), _identity(datum.rank))
+    ident = WeylElement(_identity(datum.rank))
     gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
     error = InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
     return _closure([ident], lambda w: (g * w for g in gens), cap, error)

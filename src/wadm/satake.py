@@ -67,10 +67,6 @@ class GroupRingElem:
     def monomial(cls, lam: Sequence[int], coeff: QSqrtQ) -> "GroupRingElem":
         return cls(((_int_tuple(lam), coeff),))
 
-    @classmethod
-    def zero(cls) -> "GroupRingElem":
-        return cls(())
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -84,9 +80,6 @@ class GroupRingElem:
             for mu, d in other.terms:
                 out.append((tuple(a + b for a, b in zip(lam, mu)), c * d))
         return GroupRingElem.from_terms(out)
-
-    def support(self) -> tuple[Cochar, ...]:
-        return tuple(lam for lam, _ in self.terms)
 
 
 def delta_half_val(datum: RootDatum, lam: Sequence[int]) -> Fraction:

@@ -46,7 +46,6 @@ def test_parse_serialize_round_trip_wd():
             FieldData(p=3, e=1, f=1),
             (Unramified(Fraction(1, 2), 2, (2,)), SteinbergChain(0, 1, 2)),
         ),
-        normalized=False,
     )
     assert parse_instance(serialize_instance(inst)) == inst
 
@@ -135,7 +134,7 @@ def test_parse_point_and_norm_queries():
     assert point == (0, 0)
     text = (GOLDEN / "satake_norm_gl2.inst").read_text()
     ident, datum, field, xi, elem = parse_norm_query(text)
-    assert elem.support() == ((1, 0),)
+    assert [lam for lam, _ in elem.terms] == [(1, 0)]
 
 
 # --- CLI exit codes -----------------------------------------------------------
@@ -187,6 +186,11 @@ MALFORMED = {
     "empty-lists": _HEAD + "weights.sigma1:\ngalois.form: zeta\ngalois.zeta_vals:\n",
     "cartan-int": _HEAD + "group: cartan 5\nweights.sigma1: 0 1\n"
                           "galois.form: zeta\ngalois.zeta_vals: 0 2\n",
+    # checker instances are always normalized; the unnormalized domain is an affinoid query
+    "unnormalized": _HEAD + "weights.sigma1: 0 1\ngalois.form: zeta\ngalois.zeta_vals: 0 2\n"
+                            "options.normalized: false\n",
+    "gl-rank-mismatch": _HEAD + "group: gl(3)\nweights.sigma1: 0 1\n"
+                                "galois.form: zeta\ngalois.zeta_vals: 0 2\n",
 }
 
 

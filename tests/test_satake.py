@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import wadm.rootdata
+import wadm.satake
 from wadm.exact import INF, FieldData, QSqrtQ, val_q
-from wadm.rootdata import HighestWeight, RootDatum, dominant_rep, weyl_elements
+from wadm.rootdata import (HighestWeight, RootDatum, dominant_rep, half_sum_positive_roots,
+                           weyl_elements)
 from wadm.satake import (
     GroupRingElem,
     cocycle_gamma_val,
@@ -104,7 +107,7 @@ def test_twisted_action_monomial():
     w = _swap()
     x = GroupRingElem.monomial((1, 0), QSqrtQ.one(3))
     y = twisted_action(GL2, w, x)
-    assert y.support() == ((0, 1),)
+    assert [lam for lam, _ in y.terms] == [(0, 1)]
     coeff = dict(y.terms)[(0, 1)]
     assert coeff == QSqrtQ.of(3, 0, 3)  # gamma valuation 1 -> q^1
 
@@ -138,7 +141,7 @@ def test_twisted_action_is_group_action():
 
 def test_norm_zero_is_inf():
     xi0 = HighestWeight.zero(GL2, QP)
-    assert norm_xi_val(GL2, QP, xi0, GroupRingElem.zero()) == INF
+    assert norm_xi_val(GL2, QP, xi0, GroupRingElem(())) == INF
 
 
 def test_norm_antidominant_monomial_trivial_weight():
@@ -211,6 +214,91 @@ def test_submultiplicativity_rejects_opposite_sign():
     x = GroupRingElem.monomial((1, 0), QSqrtQ.one(3))
     y = GroupRingElem.monomial((0, 1), QSqrtQ.one(3))
     assert bad_norm(x * y) < bad_norm(x) + bad_norm(y)
+
+
+# --- the norm against an independent orbit minimum -------------------------
+
+# eta and xi_L are dominant and w(lam) - lam^- is a non-negative sum of
+# positive coroots (Humphreys, Introduction to Lie Algebras and
+# Representation Theory, 13.2 Lemma A, on the dual root system), so the
+# minimum over the whole Weyl group is attained at the antidominant lam^-:
+# the reference enumerates W where ``norm_xi_val`` walks to lam^-.
+NORM_DATA = [
+    RootDatum.gl(2), GL3, RootDatum.gl(4), RootDatum.sl(3), RootDatum.sp4(),
+    RootDatum.from_cartan([[2, -1], [-3, 2]], name="G2"),
+    RootDatum.from_cartan([[2, -1], [-3, 2]], kind="adjoint", name="G2-adjoint"),
+    RootDatum.from_cartan([[2]], kind="adjoint", name="A1-adjoint"),
+    RootDatum.from_cartan([[2, -2], [-1, 2]], kind="adjoint", name="B2-adjoint"),
+]
+NORM_FIELDS = [FieldData(p=3, e=1, f=1), FieldData(p=2, e=1, f=2), FieldData(p=5, e=2, f=1),
+               FieldData(p=2, e=2, f=2), FieldData(p=3, e=4, f=1)]
+
+
+def _reference_norm_xi_val(datum, field, xi, x):
+    """min over the terms (lam, c) and w in W of
+    val_q(c) + <eta, w lam - lam> + <xi_L, w lam> / [L:Q_p]."""
+    eta = half_sum_positive_roots(datum)
+    xi_l = xi.xi_L()
+    best = INF
+    for lam, c in x.terms:
+        for w in weyl_elements(datum):
+            wlam = w.on_cochar(lam)
+            v = (val_q(c)
+                 + sum(e * (a - b) for e, a, b in zip(eta, wlam, lam))
+                 + Fraction(sum(a * b for a, b in zip(xi_l, wlam)), field.degree))
+            best = min(best, v)
+    return best
+
+
+def _norm_cases(seed, count):
+    """(datum, field, xi, element) with 0-4 terms, rational and sqrt(q) parts."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        datum, field = rng.choice(NORM_DATA), rng.choice(NORM_FIELDS)
+        xi = HighestWeight.of(
+            [dominant_rep(datum, [rng.randint(-3, 3) for _ in range(datum.rank)])
+             for _ in range(field.degree)])
+        p = field.p
+        terms = [
+            (tuple(rng.randint(-3, 3) for _ in range(datum.rank)),
+             QSqrtQ.of(Fraction(rng.randint(-9, 9), rng.choice((1, p, p * p))),
+                       Fraction(rng.randint(-9, 9) * rng.choice((1, p)), rng.choice((1, p))),
+                       field.q))
+            for _ in range(rng.randint(0, 4))
+        ]
+        cases.append((datum, field, xi, GroupRingElem.from_terms(terms)))
+    return cases
+
+
+def test_norm_matches_orbit_minimum():
+    cases = _norm_cases(23, 2000)
+    assert {datum.name for datum, *_ in cases} == {d.name for d in NORM_DATA}
+    assert {field.degree for _, field, *_ in cases} == {1, 2, 4}
+    for datum, field, xi, x in cases:
+        assert norm_xi_val(datum, field, xi, x) == _reference_norm_xi_val(datum, field, xi, x), \
+            (datum.name, field, xi, x)
+
+
+def test_norm_and_orbit_minimum_share_no_walk(monkeypatch):
+    # the pair "chamber walk vs. Weyl group enumeration": neither side may
+    # call the other's way of finding the minimum
+    cases = _norm_cases(29, 60)
+    expected = [norm_xi_val(*case) for case in cases]
+    assert len(set(expected)) > 5
+
+    def forbidden(name):
+        return lambda *args, **kwargs: pytest.fail(f"{name} called")
+
+    with monkeypatch.context() as patch:
+        for module in (wadm.rootdata, wadm.satake):
+            for name in ("_chamber_walk", "antidominant_rep_cochar"):
+                patch.setattr(module, name, forbidden(name), raising=False)
+        assert [_reference_norm_xi_val(*case) for case in cases] == expected
+    with monkeypatch.context() as patch:
+        for module in (wadm.rootdata, wadm.satake):
+            patch.setattr(module, "weyl_elements", forbidden("weyl_elements"), raising=False)
+        assert [norm_xi_val(*case) for case in cases] == expected
 
 
 # --- spectral membership -----------------------------------------------------
