@@ -18,8 +18,9 @@ No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``solve_linear`` share one fraction-free elimination (rows scaled to
 integers, then Bareiss), and ``lp_feasible`` pivots the same integer rows
-by the same rule; only ``solve_linear``'s back substitution builds
-``Fraction``.
+by the same rule.  Back substitution runs in integers too
+(``_solve_integer`` returns det * x); only ``solve_linear`` builds
+``Fraction``, one per entry of the solution.
 """
 
 from __future__ import annotations
@@ -300,12 +301,15 @@ def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
     return pivots
 
 
-def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly: fraction-free elimination on [A | b], then
-    back substitution over Fraction.
+def _solve_integer(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[tuple[int, list[int]]]:
+    """Solve A x = b exactly in integers: fraction-free elimination on
+    [A | b], then back substitution on ``_echelon``'s pivots.
 
-    Returns one exact solution (free variables set to 0), or None when the
-    system is inconsistent.  Raises ValueError on dimension mismatch.
+    Returns ``(det, det * x)`` for one solution x (free variables set to
+    0), where det, the last pivot, is up to sign the determinant of the
+    pivot rows and columns; by Cramer's rule det * x is integral, so every
+    division is exact.  det is 1 when there is no pivot.  Returns None when
+    the system is inconsistent; raises ValueError on dimension mismatch.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/rhs dimension mismatch")
@@ -313,10 +317,25 @@ def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction
     pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1][0] == n:
         return None
-    x = [Fraction(0)] * n
+    det = pivots[-1][1] if pivots else 1
+    y = [0] * n
     for c, p, w in reversed(pivots):
-        x[c] = Fraction(w[-1] - sum(v * x[j] for j, v in enumerate(w[:-1], c + 1)), p)
-    return x
+        y[c] = (det * w[-1] - sum(v * y[j] for j, v in enumerate(w[:-1], c + 1))) // p
+    return det, y
+
+
+def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction]]:
+    """Solve A x = b exactly: ``_solve_integer``, then one ``Fraction``
+    per entry.
+
+    Returns one exact solution (free variables set to 0), or None when the
+    system is inconsistent.  Raises ValueError on dimension mismatch.
+    """
+    solved = _solve_integer(rows, rhs)
+    if solved is None:
+        return None
+    det, nums = solved
+    return [Fraction(v, det) for v in nums]
 
 
 def rank(rows: Matrix) -> int:

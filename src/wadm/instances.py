@@ -286,8 +286,8 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     except ValueError as exc:
         raise InstanceError(path, None, str(exc)) from None
     if group is not None and group.rank != inst.dimension:
-        raise InstanceError(
-            path, None, f"group rank {group.rank} does not match the data dimension {inst.dimension}"
+        raise kv.error(
+            "group", f"group rank {group.rank} does not match the data dimension {inst.dimension}"
         )
     return inst
 

@@ -15,10 +15,13 @@ come from one closure (``_closure``), dominant representatives from one
 walk (``_chamber_walk``).
 
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
-its point once, by twice the lcm of its denominators, which makes eta_L
-integral as well (from the cached integer ``_two_eta``); the chamber walk
-and the one ``solve_linear`` of the dominance test (``_in_root_cone``) then
-see integer vectors.  ``dominance_leq`` scales z2 - z to integers and
+its point once, by twice the lcm of its denominators; twice eta_L and
+twice the bound eta_L + xi_L are integer vectors cached per (datum, field,
+xi) in ``_domain_bound``, next to the cached validation of xi, so a point
+only multiplies them by its lcm.  The chamber walk and the one integer
+solve of the dominance test (``_in_root_cone``, which reads each
+coefficient's sign from det * c and det) then see integer vectors and
+build no ``Fraction``.  ``dominance_leq`` scales z2 - z to integers and
 calls the same test.  Both are invariant under positive scaling, so the
 verdicts are those of the rational vectors.  ``in_hull`` stays on the
 rational orbit points.
@@ -50,7 +53,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import FieldData, _integer_rows, lp_feasible, rank as mat_rank, solve_linear
+from .exact import (FieldData, _integer_rows, _solve_integer, lp_feasible, rank as mat_rank,
+                    solve_linear)
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -359,12 +363,16 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
 
 def _in_root_cone(datum: RootDatum, diff: IntVec) -> bool:
     """Whether the integer vector diff is a non-negative rational
-    combination of the simple roots (one exact solve; the combination is
-    unique because simple roots are independent, and None means diff is
-    outside their span)."""
+    combination of the simple roots.  One integer solve gives det and
+    det * c for the combination c (unique, the simple roots being
+    independent; None means diff is outside their span), so c_i has the
+    sign of (det * c_i) * det and no ``Fraction`` is built."""
     cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
-    coeffs = solve_linear(cols, diff)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    solved = _solve_integer(cols, diff)
+    if solved is None:
+        return False
+    det, nums = solved
+    return all(v * det >= 0 for v in nums)
 
 
 def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:
@@ -412,7 +420,17 @@ class HighestWeight:
         return tuple(Fraction(sum(w[i] for w in self.per_embedding)) for i in range(n))
 
 
+# Bound for the per-(datum, field, xi) caches below: a sweep over many
+# highest weights keeps only the most recent ones.
+_XI_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_XI_CACHE_SIZE)
 def validate_highest_weight(datum: RootDatum, field: FieldData, xi: HighestWeight) -> None:
+    """Raise ValueError unless xi has [L:Q_p] dominant weights of the
+    datum's rank.  Cached: all three arguments are frozen and hash by
+    value, and a raised error is not cached, so a bad xi raises on every
+    call."""
     if xi.embeddings != field.degree:
         raise ValueError(f"expected {field.degree} embeddings, got {xi.embeddings}")
     for w in xi.per_embedding:
@@ -420,6 +438,16 @@ def validate_highest_weight(datum: RootDatum, field: FieldData, xi: HighestWeigh
             raise ValueError("weight length must equal the rank")
         if not datum.is_dominant(w):
             raise ValueError(f"weight {w} is not dominant for {datum.name or 'datum'}")
+
+
+@lru_cache(maxsize=_XI_CACHE_SIZE)
+def _domain_bound(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tuple[IntVec, IntVec]:
+    """Twice eta_L and twice the domain bound eta_L + xi_L, as integers:
+    [L:Q_p]*2*eta and that plus 2*xi_L.  Validates xi first."""
+    validate_highest_weight(datum, field, xi)
+    # _two_eta goes through positive_roots, which raises for an infinite W
+    el = tuple(field.degree * v for v in _two_eta(datum))
+    return el, tuple(2 * sum(col) + e for col, e in zip(zip(*xi.per_embedding), el))
 
 
 def eta_L(datum: RootDatum, field: FieldData) -> Vec:
@@ -435,20 +463,19 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     Normalized:    z^dom          <= eta_L + xi_L.
 
     z has rational entries (``int`` or ``Fraction``).  Everything is
-    scaled by s = 2 * lcm(denominators of z): s*z, s*xi_L and
-    s*eta_L = lcm * [L:Q_p] * 2*eta are integer vectors.
+    scaled by s = 2 * lcm(denominators of z): s*z is an integer vector,
+    and s*eta_L and s*(eta_L + xi_L) are lcm times the cached
+    ``_domain_bound``.
     """
-    validate_highest_weight(datum, field, xi)
+    two_el, two_bound = _domain_bound(datum, field, xi)
     if len(z) != datum.rank:
         raise ValueError("vector length must equal the rank")
     lcm = math.lcm(*[v.denominator for v in z])
     scale = 2 * lcm
-    # _two_eta goes through positive_roots, which raises for an infinite W
-    el = [lcm * field.degree * v for v in _two_eta(datum)]
-    bound = [scale * sum(col) + e for col, e in zip(zip(*xi.per_embedding), el)]
+    bound = [lcm * b for b in two_bound]
     probe = [v.numerator * (scale // v.denominator) for v in z]
     if not normalized:
-        probe = [a + e for a, e in zip(probe, el)]
+        probe = [a + lcm * e for a, e in zip(probe, two_el)]
     rep = _chamber_walk(datum, probe)
     return _in_root_cone(datum, [b - r for b, r in zip(bound, rep)])
 

@@ -92,6 +92,15 @@ def delta_half_val(datum: RootDatum, lam: Sequence[int]) -> Fraction:
     return Fraction(dot(_two_eta(datum), lam), 2)
 
 
+def _gamma_val(datum: RootDatum, lam: Sequence[int], wlam: Sequence[int]) -> int:
+    """<2*eta, w lambda - lambda> / 2 from lambda and its translate w lambda;
+    raises ArithmeticError when the pairing is odd."""
+    v = dot(_two_eta(datum), [a - b for a, b in zip(wlam, lam)])
+    if v % 2:
+        raise ArithmeticError(f"cocycle valuation {Fraction(v, 2)} is not an integer")
+    return v // 2
+
+
 def cocycle_gamma_val(datum: RootDatum, w: WeylElement, lam: Sequence[int]) -> Fraction:
     """q-valuation of the twisting cocycle gamma(w, lambda).
 
@@ -100,10 +109,7 @@ def cocycle_gamma_val(datum: RootDatum, w: WeylElement, lam: Sequence[int]) -> F
     because w lambda - lambda lies in the coroot lattice and eta pairs
     integrally with coroots.
     """
-    v = dot(_two_eta(datum), [a - b for a, b in zip(w.on_cochar(lam), lam)])
-    if v % 2:
-        raise ArithmeticError(f"cocycle valuation {Fraction(v, 2)} is not an integer")
-    return Fraction(v // 2)
+    return Fraction(_gamma_val(datum, lam, w.on_cochar(lam)))
 
 
 def twisted_action(datum: RootDatum, w: WeylElement, x: GroupRingElem) -> GroupRingElem:
@@ -111,9 +117,9 @@ def twisted_action(datum: RootDatum, w: WeylElement, x: GroupRingElem) -> GroupR
     c_lambda (w lambda), with gamma realized as the exact power q^val."""
     out = []
     for lam, c in x.terms:
-        n = cocycle_gamma_val(datum, w, lam)
-        scale = Fraction(c.q) ** int(n)
-        out.append((w.on_cochar(lam), c * scale))
+        wlam = w.on_cochar(lam)
+        scale = Fraction(c.q) ** _gamma_val(datum, lam, wlam)
+        out.append((wlam, c * scale))
     return GroupRingElem.from_terms(out)
 
 
@@ -123,28 +129,28 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
     Every lambda is first moved to its antidominant Weyl translate; the
     value is min over the support of
 
-        val_q(c_lambda) + [delta_half_val(lambda^-) - delta_half_val(lambda)]
-                        + <xi_L, lambda^-> / [L:Q_p]
+        val_q(c_lambda) + <eta, lambda^- - lambda> + <xi_L, lambda^-> / [L:Q_p]
 
-    and INF for the zero element.  The norm itself is q^(-value); for an
-    antidominant monomial with unit coefficient the value is the
-    q-valuation of the weight character at the corresponding torus point.
+    and INF for the zero element.  The last two terms are one Fraction,
+    (d*<2*eta, lambda^- - lambda> + 2*<xi_L, lambda^->) / (2*d) with
+    d = [L:Q_p], from integer pairings on the cached 2*eta and the integer
+    xi_L.  The norm itself is q^(-value); for an antidominant monomial with
+    unit coefficient the value is the q-valuation of the weight character
+    at the corresponding torus point.
     """
     validate_highest_weight(datum, field, xi)
     if x.is_zero():
         return INF
     if any(c.q != field.q for _, c in x.terms):
         raise ValueError(f"coefficient q does not match the field's q = {field.q}")
-    xi_l = xi.xi_L()
+    two_eta = _two_eta(datum)
+    xi_l = [sum(col) for col in zip(*xi.per_embedding)]
+    deg = field.degree
     best = None
     for lam, c in x.terms:
         anti = antidominant_rep_cochar(datum, lam)
-        v = (
-            val_q(c)
-            + delta_half_val(datum, anti)
-            - delta_half_val(datum, lam)
-            + Fraction(dot(xi_l, anti), field.degree)
-        )
+        shift = dot(two_eta, [a - b for a, b in zip(anti, lam)])
+        v = val_q(c) + Fraction(deg * shift + 2 * dot(xi_l, anti), 2 * deg)
         if best is None or v < best:
             best = v
     return best

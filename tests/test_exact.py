@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wadm.exact import (
     INF,
+    _echelon,
+    _solve_integer,
     MILLER_RABIN_BOUND,
     FieldData,
     QSqrtQ,
@@ -317,6 +319,70 @@ def test_solve_matches_gauss_jordan(rows, consistent, data):
     got = solve_linear(rows, rhs)
     assert got == _reference_solve(rows, rhs)
     assert got is None or all(type(v) is Fraction for v in got)
+
+
+def _fraction_back_substitution(rows, rhs):
+    """Back substitution over Fraction on ``_echelon``'s pivots (the form
+    ``solve_linear`` had before its integer one): one solution with the
+    free variables at 0, or None."""
+    n = len(rows[0]) if rows else 0
+    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1][0] == n:
+        return None
+    x = [Fraction(0)] * n
+    for c, p, w in reversed(pivots):
+        x[c] = Fraction(w[-1] - sum(v * x[j] for j, v in enumerate(w[:-1], c + 1)), p)
+    return x
+
+
+SHAPES = ("square", "wide", "tall", "deficient", "inconsistent")
+
+
+@st.composite
+def shaped_systems(draw):
+    """(kind, A, b): a square system, a wide or a tall one (both
+    consistent), a rank-deficient one (free variables) and an inconsistent
+    one (its last row repeats the first with another right-hand side)."""
+    kind = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(1, 6))
+    m = {"square": n, "wide": draw(st.integers(1, n)), "tall": draw(st.integers(n, 8)),
+         "deficient": draw(st.integers(1, 7)), "inconsistent": draw(st.integers(2, 7))}[kind]
+    if kind in ("deficient", "inconsistent"):
+        r = draw(st.integers(0, min(m, n) - 1))
+        left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+        rows = [[sum((x * right[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(n)]
+                for row in left]
+    else:
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    x = draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
+    if kind == "inconsistent":
+        rows[-1] = list(rows[0])
+        rhs[-1] = rhs[0] + draw(entries.filter(lambda v: v != 0))
+    return kind, rows, rhs
+
+
+@settings(max_examples=500, deadline=None)
+@given(shaped_systems())
+def test_integer_back_substitution_matches_fraction_reference(system):
+    kind, rows, rhs = system
+    expected = _fraction_back_substitution(rows, rhs)
+    assert (expected is None) == (kind == "inconsistent")
+    assert solve_linear(rows, rhs) == expected == _reference_solve(rows, rhs)
+    solved = _solve_integer(rows, rhs)
+    if expected is None:
+        assert solved is None
+        return
+    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    det, nums = solved
+    assert det == (pivots[-1][1] if pivots else 1)
+    assert all(type(v) is int for v in nums)
+    assert [Fraction(v, det) for v in nums] == expected
+    if kind == "deficient":  # free variables are 0
+        assert len(pivots) < len(rows[0])
+        pivot_cols = {c for c, _, _ in pivots}
+        assert all(v == 0 for j, v in enumerate(nums) if j not in pivot_cols)
 
 
 def test_rank_of_rank12_witness_flag():

@@ -194,6 +194,16 @@ MALFORMED = {
 }
 
 
+def test_group_rank_mismatch_is_positioned(tmp_path, capsys):
+    # the group line (line 4) is named, like every other bad key of a checker file
+    path = tmp_path / "mismatch.inst"
+    path.write_text(MALFORMED["gl-rank-mismatch"])
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}:4: group rank 3 does not match the data dimension 2\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("command", ["check", "polygon"])
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_cli_malformed_input_exits_3(name, command, tmp_path, capsys):

@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wadm.rootdata
 from wadm.exact import FieldData, QSqrtQ, solve_linear
@@ -16,6 +18,7 @@ from wadm.rootdata import (
     OrbitCapError,
     RootDatum,
     WeylElement,
+    _in_root_cone,
     all_roots,
     antidominant_rep_cochar,
     dominance_leq,
@@ -506,6 +509,58 @@ def test_dominance_leq_takes_mixed_int_and_fraction_arguments():
     assert not dominance_leq(RootDatum.gl(2), (0, 0), (Fraction(-1, 3), 0))
 
 
+CONE_DATA = [RootDatum.gl(n) for n in range(2, 6)] + [
+    RootDatum.sp4(),
+    RootDatum.sl(3),
+    RootDatum.from_cartan(CARTANS["G2"][0], kind="adjoint", name="G2-adjoint"),
+]
+
+
+def _cone_by_solve(datum, diff):
+    """The sign test on ``solve_linear``'s Fraction coefficients."""
+    return _reference_dominance_leq(datum, [0] * datum.rank, diff)
+
+
+def _combination(datum, coeffs):
+    """sum c_i alpha_i, scaled to an integer vector by a positive factor."""
+    scale = math.lcm(*[Fraction(c).denominator for c in coeffs])
+    return [sum(c * scale * r[i] for c, r in zip(coeffs, datum.simple_roots))
+            for i in range(datum.rank)]
+
+
+def test_root_cone_boundary():
+    # the cone's faces: some coefficients exactly 0, the rest of one sign
+    for datum in CONE_DATA:
+        k = datum.nsimple
+        assert _in_root_cone(datum, [0] * datum.rank)
+        for support in itertools.product((0, 1), repeat=k):
+            face = _combination(datum, support)
+            assert _in_root_cone(datum, face) and _cone_by_solve(datum, face)
+            if any(support):
+                neg = [-v for v in face]
+                assert not _in_root_cone(datum, neg) and not _cone_by_solve(datum, neg)
+        for i in range(k):  # just past a face: one coefficient -1/3
+            coeffs = [Fraction(-1, 3) if j == i else 1 for j in range(k)]
+            assert not _in_root_cone(datum, _combination(datum, coeffs))
+
+
+coefficient = st.sampled_from([0, 0, 0, 1, 2, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(CONE_DATA), st.data())
+def test_integer_root_cone_matches_fraction_signs(datum, data):
+    kind = data.draw(st.sampled_from(["combination", "off-span", "random"]))
+    if kind == "random":
+        diff = data.draw(st.lists(st.integers(-6, 6), min_size=datum.rank, max_size=datum.rank))
+    else:
+        coeffs = data.draw(st.lists(coefficient, min_size=datum.nsimple, max_size=datum.nsimple))
+        diff = _combination(datum, coeffs)
+        if kind == "off-span":  # outside the span on gl(n), where the total moves
+            diff[data.draw(st.integers(0, datum.rank - 1))] += data.draw(st.sampled_from([-1, 1]))
+    assert _in_root_cone(datum, diff) == _cone_by_solve(datum, diff)
+
+
 # --- membership domains ------------------------------------------------------
 
 
@@ -682,9 +737,70 @@ def test_dominance_and_hull_share_no_kernel(monkeypatch):
         assert [in_Vxi(datum, field, xi, z) for z in points] == expected
     wadm.rootdata._hull_points.cache_clear()
     with monkeypatch.context() as patch:
-        for name in ("_chamber_walk", "solve_linear", "_in_root_cone"):
+        for name in ("_chamber_walk", "solve_linear", "_in_root_cone", "_solve_integer",
+                     "_domain_bound"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_hull(datum, field, xi, z) for z in points] == expected
+
+
+BAD_XI = {
+    "non-dominant": (HighestWeight.of([(1, 0)]), "not dominant"),
+    "wrong length": (HighestWeight.of([(0, 1, 2)]), "weight length must equal the rank"),
+    "wrong embedding count": (HighestWeight.of([(0, 1), (0, 1)]), "expected 1 embeddings, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_XI))
+def test_bad_highest_weight_raises_on_every_call(name):
+    # validation is cached, a raised error is not
+    xi, message = BAD_XI[name]
+    datum = RootDatum.gl(2)
+    x = GroupRingElem.monomial((1, 0), QSqrtQ.one(QP.q))
+    calls = [
+        lambda: in_Vxi(datum, QP, xi, (0, 0)),
+        lambda: in_Vxi(datum, QP, xi, (0, 0), normalized=True),
+        lambda: in_hull(datum, QP, xi, (0, 0)),
+        lambda: norm_xi_val(datum, QP, xi, x),
+    ]
+    for call in calls + calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_equal_highest_weights_share_verdicts_and_cache_entries():
+    datum, field = RootDatum.sp4(), FieldData(p=2, e=2, f=1)
+    xi = HighestWeight.of([(2, 1), (1, 1)])
+    points = [tuple(Fraction(a, 2) for a in z)
+              for z in itertools.product(range(-25, 26, 5), repeat=2)]
+    elems = [GroupRingElem.monomial(lam, QSqrtQ.of(Fraction(1, 2), 1, field.q))
+             for lam in itertools.product(range(-2, 3), repeat=2)]
+
+    def verdicts(weight):
+        return ([in_Vxi(datum, field, weight, z) for z in points],
+                [in_Vxi(datum, field, weight, z, normalized=True) for z in points],
+                [in_hull(datum, field, weight, z) for z in points],
+                [norm_xi_val(datum, field, weight, x) for x in elems])
+
+    wadm.rootdata.validate_highest_weight.cache_clear()
+    wadm.rootdata._domain_bound.cache_clear()
+    expected = verdicts(xi)
+    assert {True, False} <= set(expected[0]) and {True, False} <= set(expected[1])
+    fresh = HighestWeight.of([[2, 1], [1, 1]])
+    assert fresh is not xi and fresh == xi
+    assert verdicts(fresh) == expected
+    # one validation and one domain bound for both equal weights
+    assert wadm.rootdata.validate_highest_weight.cache_info().misses == 1
+    assert wadm.rootdata._domain_bound.cache_info().misses == 1
+
+
+def test_highest_weight_caches_are_bounded():
+    datum = RootDatum.gl(2)
+    caches = (wadm.rootdata.validate_highest_weight, wadm.rootdata._domain_bound)
+    size = caches[0].cache_info().maxsize
+    assert size is not None and all(c.cache_info().maxsize == size for c in caches)
+    for k in range(size + 40):  # more distinct weights than the caches hold
+        in_Vxi(datum, QP, HighestWeight.of([(k, k + 1)]), (k, k + 1))
+    assert all(c.cache_info().currsize == size for c in caches)
 
 
 def test_in_vxi_rejects_a_point_of_the_wrong_length():

@@ -9,8 +9,8 @@ import pytest
 import wadm.rootdata
 import wadm.satake
 from wadm.exact import INF, FieldData, QSqrtQ, val_q
-from wadm.rootdata import (HighestWeight, RootDatum, dominant_rep, half_sum_positive_roots,
-                           weyl_elements)
+from wadm.rootdata import (HighestWeight, RootDatum, WeylElement, dominant_rep,
+                           half_sum_positive_roots, weyl_elements)
 from wadm.satake import (
     GroupRingElem,
     cocycle_gamma_val,
@@ -110,6 +110,17 @@ def test_twisted_action_monomial():
     assert [lam for lam, _ in y.terms] == [(0, 1)]
     coeff = dict(y.terms)[(0, 1)]
     assert coeff == QSqrtQ.of(3, 0, 3)  # gamma valuation 1 -> q^1
+
+
+def test_odd_cocycle_pairing_raises():
+    # a matrix outside W can move lambda off its coroot-lattice coset; both
+    # the cocycle and the twisted action refuse the half-integral valuation
+    not_weyl = WeylElement(((1, 0), (0, 0)))
+    with pytest.raises(ArithmeticError, match="cocycle valuation -1/2 is not an integer"):
+        cocycle_gamma_val(GL2, not_weyl, (0, 1))
+    x = GroupRingElem.monomial((0, 1), QSqrtQ.one(3))
+    with pytest.raises(ArithmeticError, match="cocycle valuation -1/2 is not an integer"):
+        twisted_action(GL2, not_weyl, x)
 
 
 def _random_elem(rng, rank, q, nterms=3, box=3):
@@ -292,7 +303,7 @@ def test_norm_and_orbit_minimum_share_no_walk(monkeypatch):
 
     with monkeypatch.context() as patch:
         for module in (wadm.rootdata, wadm.satake):
-            for name in ("_chamber_walk", "antidominant_rep_cochar"):
+            for name in ("_chamber_walk", "antidominant_rep_cochar", "_gamma_val"):
                 patch.setattr(module, name, forbidden(name), raising=False)
         assert [_reference_norm_xi_val(*case) for case in cases] == expected
     with monkeypatch.context() as patch:
