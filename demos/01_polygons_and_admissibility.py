@@ -35,14 +35,14 @@ jumps = [[-2, 0]]
 
 print("module slopes:", [str(b.slope) for b in module.blocks])
 print("t_N =", t_N(module))
-print("jumps:", jumps, "-> t_H =", t_H(Filtration(jumps)))
+print("jumps:", jumps, "-> t_H =", t_H(jumps))
 
 def fmt(poly):
     return " ".join(f"({x}, {y})" for x, y in poly.vertices)
 
 
 newton = newton_polygon(module)
-hodge = hodge_polygon(Filtration(jumps))
+hodge = hodge_polygon(jumps)
 print("newton vertices:", fmt(newton))
 print("hodge vertices:  ", fmt(hodge))
 print("hodge under newton with equal endpoints?", polygon_dominates(newton, hodge))

@@ -18,8 +18,8 @@ from wadm import (
     RootDatum,
     cocycle_gamma_val,
     delta_half_val,
+    in_Vxi,
     norm_xi_val,
-    spectrum_member,
     twisted_action,
 )
 from wadm.rootdata import weyl_elements
@@ -64,4 +64,4 @@ for _ in range(3):
 # Spectral membership through the valuation vector.
 print("\nspectral points for the trivial weight (normalized):")
 for z in [(0, 0), (Fraction(1, 2), Fraction(-1, 2)), (-1, 1)]:
-    print(f"  val(zeta) = {z}: member = {spectrum_member(gl2, field, xi0, z, normalized=True)}")
+    print(f"  val(zeta) = {z}: member = {in_Vxi(gl2, field, xi0, z, normalized=True)}")

@@ -17,7 +17,6 @@ from .isocrystal import (
     SteinbergChain,
     UnsupportedRegimeError,
     admissible_by_inequalities,
-    block_existence_criterion,
     block_polygons,
     build_admissible_filtration,
     chain_sum_bounds,
@@ -46,7 +45,6 @@ from .satake import (
     cocycle_gamma_val,
     delta_half_val,
     norm_xi_val,
-    spectrum_member,
     twisted_action,
 )
 from .weildeligne import (

@@ -295,7 +295,7 @@ def _chain_route(instance: Instance, module: PhiModule, newton: Polygon,
     decides existence; for integer jumps this is the central equality."""
     filt = steinberg_filtration(module, instance.jumps())
     ok = weak_admissible(module, filt)
-    th, tn = t_H(filt), t_N(module)
+    th, tn = t_H(filt.jumps), t_N(module)
     checks = [CheckLine("adm.chain.equality", th == tn, th, tn), CheckLine("adm.chain.oracle", ok)]
     return Verdict(PASS if ok else FAIL, checks, filt if ok else None, newton, hodge)
 
@@ -335,7 +335,7 @@ def _polygon_pair(instance: Instance, kind: str, data) -> tuple[Polygon, Polygon
     direct sum, else the Newton polygon and the jump type's Hodge polygon."""
     if kind == "block":
         return block_polygons(data, instance.jumps())
-    return newton_polygon(data), hodge_polygon(Filtration(instance.jumps()))
+    return newton_polygon(data), hodge_polygon(instance.jumps())
 
 
 def exists_admissible(instance: Instance) -> Verdict:

@@ -39,7 +39,8 @@ from .instances import (
     svg_polygons,
 )
 from .isocrystal import UnsupportedRegimeError
-from .satake import norm_xi_val, spectrum_member
+from .rootdata import in_Vxi
+from .satake import norm_xi_val
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -113,7 +114,7 @@ def _cmd_affinoid(args) -> int:
     ident, datum, field, xi, point, normalized = parse_point_query(
         _read(args.file), args.file, default_id=Path(args.file).stem
     )
-    member = spectrum_member(datum, field, xi, point, normalized=normalized)
+    member = in_Vxi(datum, field, xi, point, normalized=normalized)
     lines = [
         "report: affinoid",
         f"id: {ident}",

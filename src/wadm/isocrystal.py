@@ -1,14 +1,15 @@
 """Filtered Frobenius modules: slopes and jump types, Newton and Hodge
 polygons, the weak admissibility criterion and its brute-force subobject
 oracle, explicit admissible filtrations, Steinberg chain modules, and the
-block polygon existence criterion.
+block polygons.
 
 Each existence criterion is evaluated here once: ``inequality_rows`` and
 ``block_polygons`` return the evaluated rows and paths that the checker
-reports, and the boolean criteria are thin views of them.  ``Block`` and
-``SteinbergChain`` are also the two Weil-Deligne summand types.  A jump
-type is one form throughout: per embedding, the rank-many jumps sorted
-nondecreasingly, as every criterion and ``Filtration`` take it.
+reports.  ``Block`` and ``SteinbergChain`` are also the two Weil-Deligne
+summand types.  Each input has one form: a jump type is, per embedding,
+the rank-many jumps sorted nondecreasingly, as ``t_H``,
+``hodge_polygon`` and every criterion take it; a ``Filtration`` is a jump
+type with its explicit flag vectors, which the subobject oracle reads.
 
 Normalization, fixed once (see FieldData for the valuation conventions):
 
@@ -179,34 +180,31 @@ def _jump_lists(jumps: Sequence[Sequence], rank: Optional[int] = None,
 
 @dataclass(frozen=True)
 class Filtration:
-    """A filtration type, the per-embedding jump lists, plus optional
-    explicit flag vectors realizing it.
+    """An explicit filtration: a jump type and the flag vectors realizing it.
 
     ``jumps[sigma]`` lists rank-many jumps, sorted nondecreasingly; a jump
-    repeated d times has graded dimension d.  When flags are present,
-    ``flags[sigma]`` lists rank-many independent coordinate vectors, vector
-    k carrying jump k: the filtration step at jump j is the span of the
-    vectors whose jump is >= j, so earlier vectors leave first.  Flag
-    entries are kept as given (int or Fraction), so integral flags reach
-    ``exact.rank`` as plain ints.
+    repeated d times has graded dimension d.  ``flags[sigma]`` lists
+    rank-many independent coordinate vectors, vector k carrying jump k:
+    the filtration step at jump j is the span of the vectors whose jump is
+    >= j, so earlier vectors leave first.  Flag entries are kept as given
+    (int or Fraction), so integral flags reach ``exact.rank`` as plain ints.
     """
 
     jumps: tuple[tuple[Fraction, ...], ...]
-    flags: Optional[tuple[tuple[tuple[RatLike, ...], ...], ...]] = None
+    flags: tuple[tuple[tuple[RatLike, ...], ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jumps", _jump_lists(self.jumps))
-        if self.flags is not None:
-            n = self.rank
-            flags = tuple(tuple(tuple(v) for v in sigma) for sigma in self.flags)
-            object.__setattr__(self, "flags", flags)
-            if len(flags) != self.embeddings:
-                raise ValueError("flags must cover every embedding")
-            for sigma in flags:
-                if len(sigma) != n or any(len(v) != n for v in sigma):
-                    raise ValueError("each flag needs rank-many vectors of full length")
-                if mat_rank(sigma) != n:
-                    raise ValueError("flag vectors must be linearly independent")
+        n = self.rank
+        flags = tuple(tuple(tuple(v) for v in sigma) for sigma in self.flags)
+        object.__setattr__(self, "flags", flags)
+        if len(flags) != self.embeddings:
+            raise ValueError("flags must cover every embedding")
+        for sigma in flags:
+            if len(sigma) != n or any(len(v) != n for v in sigma):
+                raise ValueError("each flag needs rank-many vectors of full length")
+            if mat_rank(sigma) != n:
+                raise ValueError("flag vectors must be linearly independent")
 
     @property
     def embeddings(self) -> int:
@@ -227,9 +225,9 @@ def t_N(module: PhiModule) -> Fraction:
     return sum((b.slope * b.mult for b in module.blocks), Fraction(0))
 
 
-def t_H(filtration: Filtration) -> Fraction:
-    """Normalized Hodge number: the sum of all jumps of all embeddings."""
-    return sum((j for sigma in filtration.jumps for j in sigma), Fraction(0))
+def t_H(jumps: Sequence[Sequence]) -> Fraction:
+    """Normalized Hodge number: the sum of every jump of a jump type."""
+    return sum((j for sigma in _jump_lists(jumps) for j in sigma), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -285,11 +283,11 @@ def newton_polygon(module: PhiModule) -> Polygon:
     return Polygon.from_slopes(module.slopes_expanded())
 
 
-def hodge_polygon(filtration: Filtration) -> Polygon:
-    """Lower boundary of the position-wise jump sums across embeddings
-    (slope k is the sum of every embedding's k-th jump); x counts
-    dimension and the endpoint is (rank, t_H)."""
-    return Polygon.from_slopes(sum(column) for column in zip(*filtration.jumps))
+def hodge_polygon(jumps: Sequence[Sequence]) -> Polygon:
+    """Lower boundary of a jump type's position-wise jump sums across
+    embeddings (slope k is the sum of every embedding's k-th jump); x
+    counts dimension and the endpoint is (rank, t_H)."""
+    return Polygon.from_slopes(sum(column) for column in zip(*_jump_lists(jumps)))
 
 
 def polygon_rows(newton: Polygon, hodge: Polygon):
@@ -411,8 +409,6 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
     distinct slopes (subobjects are the coordinate subsets) and (b) chain
     modules (subobjects are the partial chains).
     """
-    if filtration.flags is None:
-        raise ValueError("the admissibility oracle needs explicit flags")
     if filtration.rank != module.rank:
         raise ValueError("filtration rank does not match the module")
     if filtration.embeddings != module.field.degree:
@@ -523,10 +519,3 @@ def block_polygons(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> tuple[
         newton_pts.append((Fraction(x), ysum))
         hodge_pts.append((Fraction(x), sum(agg[:x], Fraction(0))))
     return Polygon.from_path(newton_pts), Polygon.from_path(hodge_pts)
-
-
-def block_existence_criterion(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> bool:
-    """Existence criterion for declared direct sums: the block Newton path
-    of ``block_polygons`` dominates its Hodge path at the block
-    boundaries, with equal endpoints."""
-    return polygon_dominates(*block_polygons(blocks, jumps))

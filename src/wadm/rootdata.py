@@ -462,6 +462,11 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     Unnormalized: (z + eta_L)^dom <= eta_L + xi_L.
     Normalized:    z^dom          <= eta_L + xi_L.
 
+    This is spectral membership: for z the val_L-normalized valuation
+    vector of a point of the dual torus (its image under the valuation
+    map), it is the exact criterion for the character attached to the
+    point to extend to the completed Hecke algebra.
+
     z has rational entries (``int`` or ``Fraction``).  Everything is
     scaled by s = 2 * lcm(denominators of z): s*z is an integer vector,
     and s*eta_L and s*(eta_L + xi_L) are lcm times the cached
@@ -480,7 +485,7 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     return _in_root_cone(datum, [b - r for b, r in zip(bound, rep)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_XI_CACHE_SIZE)
 def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight,
                  cap: int) -> tuple[Vec, ...]:
     el = eta_L(datum, field)

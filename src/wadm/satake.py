@@ -1,5 +1,7 @@
 """Group ring of the cocharacter lattice with its twisted Weyl action and
-the highest-weight sup norm; spectral membership tests.
+the highest-weight sup norm.  Spectral membership, whether the character
+of a point of the dual torus extends to the completed Hecke algebra, is
+``rootdata.in_Vxi`` on the point's valuation vector.
 
 Elements of the group ring K[Lambda] are finitely supported sums
 sum_lambda c_lambda * lambda with lambda an integer cocharacter vector and
@@ -31,9 +33,7 @@ from .rootdata import (
     _two_eta,
     antidominant_rep_cochar,
     dot,
-    in_Vxi,
     validate_highest_weight,
-    vec,
 )
 
 Cochar = tuple[int, ...]
@@ -155,14 +155,3 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
             best = v
     return best
 
-
-def spectrum_member(datum: RootDatum, field: FieldData, xi: HighestWeight,
-                    zeta_val: Sequence, normalized: bool = False) -> bool:
-    """Whether a spectral point, given through its valuation vector in V,
-    lies in the (normalized or unnormalized) valuation domain.
-
-    This is the exact criterion for the character attached to the point to
-    extend to the completed Hecke algebra; the vector is val_L-normalized
-    (the image of the valuation map on the dual torus).
-    """
-    return in_Vxi(datum, field, xi, vec(zeta_val), normalized=normalized)

@@ -3,9 +3,10 @@ test: library code outside the name's own definition, a demo, or a
 benchmark script.  API that only the tests call is machinery that buys
 nothing; remove it, or allowlist it here with the reason it stays.
 
-A reference is matched by its bare name (a name, an attribute or an
-imported name), so the scan errs toward "reached": a local variable that
-shares a method's name counts as a use of it."""
+A function or class is reached by its bare name (a name, an attribute or
+an imported name).  A method is reached only through an attribute access
+(``x.method``), so a local variable or an import that shares its name
+does not count as a use of it."""
 
 import ast
 from pathlib import Path
@@ -15,59 +16,62 @@ LIBRARY = sorted((ROOT / "src" / "wadm").glob("*.py"))
 
 # name -> why it stays although only the tests (and the acceptance suite) call it
 ALLOWED = {
-    "block_existence_criterion": "the block criterion as one verdict; tests/test_block_oracle.py "
-                                 "holds it against an independent subobject brute force",
     "chain_sum_bounds": "the chain-sum lemma in exact arithmetic; acceptance criterion 3 "
                         "cross-validates it against its integer sweep",
+    "PhiModule.chain": "the chain module of a rank piece and s twists in one call; 11 test call "
+                       "sites build chain modules with it",
 }
 
 
 def _references(tree, skip=None):
-    """Names, attribute names and imported names used in ``tree``, leaving
-    out the subtree ``skip``."""
-    found = set()
+    """(names, attributes) used in ``tree``, leaving out the subtree
+    ``skip``: ``names`` holds every name, attribute name and imported name,
+    ``attributes`` only the attribute names."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names | attributes, attributes
 
 
 def _public_definitions(tree):
-    """(qualified name, bare name, node) of the public module-level
-    functions and classes and the public, non-dunder methods of those classes."""
+    """(qualified name, bare name, node, is a method) of the public
+    module-level functions and classes and the public, non-dunder methods
+    of those classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, defs) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item.name, item
+                        yield f"{node.name}.{item.name}", item.name, item, True
 
 
 def _unreached():
     # the package's __init__ only re-exports: an export is not a use
     library = {path: ast.parse(path.read_text()) for path in LIBRARY if path.name != "__init__.py"}
-    outside = set()
-    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        if not path.name.startswith("test_"):
-            outside |= _references(ast.parse(path.read_text()))
+    outside = [
+        _references(ast.parse(path.read_text()))
+        for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    whole = {path: _references(tree) for path, tree in library.items()}
     unreached = []
     for path, tree in library.items():
-        for qualname, name, node in _public_definitions(tree):
-            used = name in outside or any(
-                name in _references(other, skip=node if other is tree else None)
-                for other in library.values()
-            )
+        elsewhere = outside + [refs for other, refs in whole.items() if other != path]
+        for qualname, name, node, method in _public_definitions(tree):
+            kind = 1 if method else 0  # a method counts only as an attribute
+            used = any(name in refs[kind] for refs in elsewhere + [_references(tree, skip=node)])
             if not used:
                 unreached.append(f"{path.stem}.{qualname}")
     return unreached

@@ -12,7 +12,8 @@ filtration with a given integer jump type exists iff
     with equality on the whole module.
 
 That brute-force test is implemented here from scratch and held against
-block_existence_criterion on random mixed data.
+the block polygon pair (``polygon_dominates(*block_polygons(...))``) on
+random mixed data.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 
 from wadm.exact import FieldData
-from wadm.isocrystal import block_existence_criterion
+from wadm.isocrystal import block_polygons, polygon_dominates
 from wadm.weildeligne import SteinbergChain, Unramified, WDRep, block_decompose
 
 
@@ -121,7 +122,7 @@ def test_block_criterion_matches_independent_oracle():
             if len(set(vals)) != len(vals):
                 continue  # retuning collided; skip rather than bias
             rep = candidate
-        got = block_existence_criterion(block_decompose(rep), jumps)
+        got = polygon_dominates(*block_polygons(block_decompose(rep), jumps))
         want = _independent_existence(rep, jumps, field)
         assert got == want, (rep, jumps)
         agreements += 1
@@ -142,6 +143,6 @@ def test_block_criterion_tie_ordering():
     blocks = block_decompose(rep)
     assert sorted(blocks) == [(0, 1), (0, 2)]
     for jumps in ([[-2, 0, 2]], [[-1, 0, 1]], [[-3, 1, 2]]):
-        got = block_existence_criterion(blocks, jumps)
+        got = polygon_dominates(*block_polygons(blocks, jumps))
         want = _independent_existence(rep, jumps, field)
         assert got == want, jumps

@@ -91,7 +91,6 @@ def test_central_char_examples():
 def test_central_char_matches_endpoint_equality():
     rng = random.Random(7)
     from wadm.checker import jumps_from_weights as j_of_a
-    from wadm.isocrystal import Filtration
 
     for _ in range(200):
         field = FieldData(p=2, e=rng.randint(1, 2), f=rng.randint(1, 2))
@@ -100,8 +99,7 @@ def test_central_char_matches_endpoint_equality():
         vals = [Fraction(rng.randint(-8, 8)) for _ in range(n)]
         jumps = j_of_a(a)
         module = PhiModule.of_slopes(field, [-v for v in vals])
-        filt = Filtration(jumps)
-        assert central_char_integral(vals, a, field) == (t_H(filt) == t_N(module))
+        assert central_char_integral(vals, a, field) == (t_H(jumps) == t_N(module))
 
 
 def test_central_char_wd_input():
@@ -327,11 +325,9 @@ def test_membership_spectral_vs_galois_conventions():
     # domain test); the same statement through the Galois-side convention
     # shifts by [L:Q_p]*d/2, so the equivalent instance has valuations
     # (1/2, 1/2).
-    from wadm.satake import spectrum_member
-
     gl2 = RootDatum.gl(2)
     xi0 = HighestWeight.zero(gl2, QP)
-    assert spectrum_member(gl2, QP, xi0, (0, 0), normalized=True)
+    assert in_Vxi(gl2, QP, xi0, (0, 0), normalized=True)
     inst = _zeta_instance([Fraction(1, 2), Fraction(1, 2)], [[0, 0]])
     assert membership_check(inst).passed
     # at vals (0, 0) the Galois-side instance sits outside the domain

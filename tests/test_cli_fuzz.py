@@ -16,16 +16,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # command -> the golden inputs of the kind it reads
 RUNS = {
-    "check": ["gl2_pass", "gl2_fail", "gl2_steinberg"],
-    "polygon": ["gl2_pass", "gl2_fail", "gl2_steinberg"],
-    "affinoid": ["affinoid_gl2"],
-    "satake-norm": ["satake_norm_gl2"],
+    "check": ["gl2_pass", "gl2_fail", "gl2_steinberg", "gl4_block"],
+    "polygon": ["gl2_pass", "gl2_fail", "gl2_steinberg", "gl4_block"],
+    "affinoid": ["affinoid_gl2", "affinoid_g2"],
+    "satake-norm": ["satake_norm_gl2", "satake_norm_pgl2"],
 }
 
 KEYS = [
     "id", "field.p", "field.e", "field.f", "group", "weights.form", "weights.sigma1",
     "weights.sigma2", "galois.form", "galois.zeta_vals", "galois.wd.1", "galois.wd.2",
-    "galois.wd.ramified", "options.normalized", "point.vals", "element.1", "element.2",
+    "galois.wd.3", "galois.wd.4", "galois.wd.ramified", "options.normalized", "point.vals",
+    "element.1", "element.2",
 ]
 
 GROUPS = [

@@ -16,7 +16,7 @@ from wadm.isocrystal import (
     Polygon,
     UnsupportedRegimeError,
     admissible_by_inequalities,
-    block_existence_criterion,
+    block_polygons,
     build_admissible_filtration,
     chain_sum_bounds,
     hodge_polygon,
@@ -62,10 +62,26 @@ def test_t_N_chain_twist_ramified_field():
 
 
 def test_t_H_examples():
-    assert t_H(Filtration([[0, 1]])) == 1
-    assert t_H(Filtration([[0, 2], [1, 3]])) == 6
-    assert t_H(Filtration([[0, 0, 0]])) == 0
-    assert t_H(Filtration([[-1, 2, 2]])) == 3
+    assert t_H([[0, 1]]) == 1
+    assert t_H([[0, 2], [1, 3]]) == 6
+    assert t_H([[0, 0, 0]]) == 0
+    assert t_H([[-1, 2, 2]]) == 3
+
+
+@pytest.mark.parametrize("entry", [
+    t_H,
+    hodge_polygon,
+    lambda jumps: block_polygons([(Fraction(1), 2)], jumps),
+    lambda jumps: Filtration(jumps, (((1, 0), (0, 1)),)),
+], ids=["t_H", "hodge_polygon", "block_polygons", "Filtration"])
+@pytest.mark.parametrize("jumps, message", [
+    ([], "at least one embedding"),
+    ([[0, 1], [0]], "needs 2 jumps, got 1"),
+    ([[1, 0]], "sorted nondecreasingly"),
+], ids=["empty", "ragged", "unsorted"])
+def test_jump_type_is_checked_at_every_entry(entry, jumps, message):
+    with pytest.raises(ValueError, match=message):
+        entry(jumps)
 
 
 # --- polygons -------------------------------------------------------------------
@@ -83,25 +99,25 @@ def test_newton_polygon_merges_collinear():
 
 
 def test_hodge_polygon_vertices():
-    poly = hodge_polygon(Filtration([[-2, 0]]))
+    poly = hodge_polygon([[-2, 0]])
     assert poly.vertices == ((0, 0), (1, -2), (2, -2))
 
 
 def test_hodge_polygon_with_graded_dims():
     # two embeddings, graded dims (1, 2) each: position sums -1, 3, 3
-    filt = Filtration([[0, 1, 1], [-1, 2, 2]])
-    poly = hodge_polygon(filt)
+    jumps = [[0, 1, 1], [-1, 2, 2]]
+    poly = hodge_polygon(jumps)
     assert poly.vertices == ((0, 0), (1, -1), (3, 5))
-    assert poly.vertices[-1][1] == t_H(filt)
+    assert poly.vertices[-1][1] == t_H(jumps)
 
 
 def test_hodge_polygon_pattern_mismatch():
     # graded dims (1, 1) and (2,) differ across embeddings; the polygon is
     # that of the position-wise sums 0 + 0 and 1 + 0
-    filt = Filtration([[0, 1], [0, 0]])
-    poly = hodge_polygon(filt)
+    jumps = [[0, 1], [0, 0]]
+    poly = hodge_polygon(jumps)
     assert poly.vertices == ((0, 0), (1, 0), (2, 1))
-    assert poly.vertices[-1][1] == t_H(filt)
+    assert poly.vertices[-1][1] == t_H(jumps)
 
 
 def test_polygon_dominates_examples():
@@ -148,10 +164,9 @@ def test_polygon_invariants_random():
         sigmas = rng.randint(1, 3)
         n = rng.randint(1, 5)
         jumps = [sorted(rng.sample(range(-10, 11), n)) for _ in range(sigmas)]
-        filt = Filtration(jumps)
-        poly = hodge_polygon(filt)
+        poly = hodge_polygon(jumps)
         assert _slopes_nondecreasing(poly)
-        assert poly.vertices[-1] == (n, t_H(filt))
+        assert poly.vertices[-1] == (n, t_H(jumps))
 
 
 # --- partial-sum inequalities ----------------------------------------------------
@@ -218,7 +233,7 @@ def test_inequalities_match_polygons_random():
                 delta = (t_N(module) - sum(sum(sig) for sig in jumps)) / field.degree / n
                 jumps = [[j + delta for j in sig] for sig in jumps]
             got = admissible_by_inequalities(module, jumps)
-            want = polygon_dominates(newton_polygon(module), hodge_polygon(Filtration(jumps)))
+            want = polygon_dominates(newton_polygon(module), hodge_polygon(jumps))
             assert got == want
             verdicts.add(got)
             dims = {tuple(len(list(run)) for _, run in itertools.groupby(sig)) for sig in jumps}
@@ -234,7 +249,7 @@ def test_repeated_jumps_with_differing_graded_dims():
     module = PhiModule.of_slopes(field, [0, -1])
     jumps = [[0, 0], [-1, 0]]
     assert admissible_by_inequalities(module, jumps)
-    assert polygon_dominates(newton_polygon(module), hodge_polygon(Filtration(jumps)))
+    assert polygon_dominates(newton_polygon(module), hodge_polygon(jumps))
     assert weak_admissible(module, build_admissible_filtration(module, jumps))
 
 
@@ -266,12 +281,6 @@ def test_weak_admissible_rank_one():
         module = PhiModule.of_slopes(QP, [slope])
         filt = Filtration([[jump]], (((Fraction(1),),),))
         assert weak_admissible(module, filt) == (slope == jump)
-
-
-def test_weak_admissible_requires_flags():
-    module = PhiModule.of_slopes(QP, [0, 2])
-    with pytest.raises(ValueError):
-        weak_admissible(module, Filtration([F(0, 2)]))
 
 
 def test_weak_admissible_unsupported_regimes():
@@ -384,7 +393,7 @@ def test_induced_t_H_is_supermodular(filt):
     subsets = [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
     th = {s: _induced_t_H_on_subspace(filt, steps, sorted(s)) for s in subsets}
     assert th[frozenset()] == 0
-    assert th[frozenset(range(n))] == t_H(filt)
+    assert th[frozenset(range(n))] == t_H(filt.jumps)
     for s, t in itertools.combinations(subsets, 2):
         assert th[s | t] + th[s & t] >= th[s] + th[t], (filt, sorted(s), sorted(t))
 
@@ -459,7 +468,7 @@ def test_steinberg_admissible_iff_central_equality():
             base = Fraction(total - twist, (s + 1) * p_rank) + Fraction(rng.randint(1, 3))
         module = PhiModule.chain(field, p_rank, s, base)
         filt = steinberg_filtration(module, jumps)
-        equality = t_H(filt) == t_N(module)
+        equality = t_H(filt.jumps) == t_N(module)
         assert weak_admissible(module, filt) == equality
         hits += equality
     assert hits > 50
@@ -472,7 +481,7 @@ def test_halfinteger_chain_counterexample():
     module = PhiModule.chain(QP, 1, 1, Fraction(-1, 4))
     jumps = [[Fraction(0), Fraction(1, 2)]]
     filt = steinberg_filtration(module, jumps)
-    assert t_H(filt) == t_N(module)
+    assert t_H(filt.jumps) == t_N(module)
     assert not weak_admissible(module, filt)
 
 
@@ -505,8 +514,8 @@ def test_chain_sum_bounds_small_exhaustive():
 
 
 def test_block_single_reduces_to_endpoint():
-    assert block_existence_criterion([(Fraction(3), 2)], [F(1, 2)])
-    assert not block_existence_criterion([(Fraction(4), 2)], [F(1, 2)])
+    assert polygon_dominates(*block_polygons([(Fraction(3), 2)], [F(1, 2)]))
+    assert not polygon_dominates(*block_polygons([(Fraction(4), 2)], [F(1, 2)]))
 
 
 def test_block_matches_inequalities_on_unit_blocks():
@@ -520,7 +529,7 @@ def test_block_matches_inequalities_on_unit_blocks():
             delta = (t_N(module) - sum(sum(sig) for sig in jumps)) / field.degree / n
             jumps = [[j + delta for j in sig] for sig in jumps]
         blocks = [(b.slope, 1) for b in module.blocks]
-        assert block_existence_criterion(blocks, jumps) == admissible_by_inequalities(
+        assert polygon_dominates(*block_polygons(blocks, jumps)) == admissible_by_inequalities(
             module, jumps
         )
 
@@ -528,17 +537,17 @@ def test_block_matches_inequalities_on_unit_blocks():
 def test_block_input_order_irrelevant():
     blocks = [(Fraction(0), 1), (Fraction(2), 1)]
     jumps = [F(-2, 4)]
-    base = block_existence_criterion(blocks, jumps)
-    assert block_existence_criterion(list(reversed(blocks)), jumps) == base
+    base = polygon_dominates(*block_polygons(blocks, jumps))
+    assert polygon_dominates(*block_polygons(list(reversed(blocks)), jumps)) == base
 
 
 def test_block_dimension_mismatch():
     with pytest.raises(ValueError):
-        block_existence_criterion([(Fraction(0), 2)], [F(0)])
+        block_polygons([(Fraction(0), 2)], [F(0)])
 
 
 def test_block_interior_vertex_failure():
     # Newton strictly below Hodge at an interior boundary
     blocks = [(Fraction(-2), 1), (Fraction(2), 1)]
     jumps = [F(0, 0)]
-    assert not block_existence_criterion(blocks, jumps)
+    assert not polygon_dominates(*block_polygons(blocks, jumps))

@@ -795,11 +795,14 @@ def test_equal_highest_weights_share_verdicts_and_cache_entries():
 
 def test_highest_weight_caches_are_bounded():
     datum = RootDatum.gl(2)
-    caches = (wadm.rootdata.validate_highest_weight, wadm.rootdata._domain_bound)
+    caches = (wadm.rootdata.validate_highest_weight, wadm.rootdata._domain_bound,
+              wadm.rootdata._hull_points)
     size = caches[0].cache_info().maxsize
     assert size is not None and all(c.cache_info().maxsize == size for c in caches)
     for k in range(size + 40):  # more distinct weights than the caches hold
-        in_Vxi(datum, QP, HighestWeight.of([(k, k + 1)]), (k, k + 1))
+        xi = HighestWeight.of([(k, k + 1)])
+        in_Vxi(datum, QP, xi, (k, k + 1))
+        in_hull(datum, QP, xi, (k, k + 1))
     assert all(c.cache_info().currsize == size for c in caches)
 
 

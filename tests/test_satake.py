@@ -10,13 +10,12 @@ import wadm.rootdata
 import wadm.satake
 from wadm.exact import INF, FieldData, QSqrtQ, val_q
 from wadm.rootdata import (HighestWeight, RootDatum, WeylElement, dominant_rep,
-                           half_sum_positive_roots, weyl_elements)
+                           half_sum_positive_roots, in_Vxi, weyl_elements)
 from wadm.satake import (
     GroupRingElem,
     cocycle_gamma_val,
     delta_half_val,
     norm_xi_val,
-    spectrum_member,
     twisted_action,
 )
 
@@ -317,11 +316,11 @@ def test_norm_and_orbit_minimum_share_no_walk(monkeypatch):
 
 def test_spectrum_member_examples():
     xi0 = HighestWeight.zero(GL2, QP)
-    assert spectrum_member(GL2, QP, xi0, (0, 0), normalized=True)
-    assert not spectrum_member(GL2, QP, xi0, (-1, 1), normalized=True)
+    assert in_Vxi(GL2, QP, xi0, (0, 0), normalized=True)
+    assert not in_Vxi(GL2, QP, xi0, (-1, 1), normalized=True)
     # xi_L itself is a hull vertex of the unnormalized domain
     xi = HighestWeight.of([(0, 2)])
-    assert spectrum_member(GL2, QP, xi, xi.xi_L(), normalized=False)
+    assert in_Vxi(GL2, QP, xi, xi.xi_L(), normalized=False)
 
 
 def test_group_ring_validation():
