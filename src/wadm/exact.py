@@ -18,7 +18,9 @@ No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``solve_linear`` share one fraction-free elimination (rows scaled to
 integers, then Bareiss), and ``lp_feasible`` pivots the same integer rows
-by the same rule.  Back substitution runs in integers too
+by the same rule.  ``_integer_rows`` copies an all-``int`` row (such as
+the oracle's flags) in one pass; only a row with a ``Fraction`` in it is
+scaled by the lcm of its denominators.  Back substitution runs in integers too
 (``_solve_integer`` returns det * x); only ``solve_linear`` builds
 ``Fraction``, one per entry of the solution.
 """
@@ -26,6 +28,7 @@ by the same rule.  Back substitution runs in integers too
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,14 +251,20 @@ Matrix = Sequence[Sequence[RatLike]]
 
 def _integer_rows(rows: Matrix) -> list[list[int]]:
     """Each row times the lcm of its denominators, as integers; raises
-    ValueError on a ragged matrix."""
+    ValueError on a ragged matrix.  A row of ``int`` (or ``bool``) entries
+    is copied as it is, with no denominator read."""
     a: list[list[int]] = []
     for row in rows:
+        try:
+            a.append(list(map(operator.index, row)))
+            continue
+        except TypeError:  # a Fraction (or a non-rational) entry: scale below
+            pass
         # A list, not a generator: ``*`` unpacks a generator into a tuple
         # sized by its length hint and then shrinks it, which leaves tuples
         # on CPython's per-size free lists and raises peak RSS.
         scale = math.lcm(*[v.denominator for v in row])
-        if scale == 1:  # integral rows, such as the oracle's flags: no division
+        if scale == 1:  # integral Fraction rows: no division
             a.append([v.numerator for v in row])
         else:
             a.append([v.numerator * (scale // v.denominator) for v in row])
@@ -294,7 +303,7 @@ def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
         w = a.pop(pr)
         p = w[0]
         w = w[1:]
-        a = [[(p * x - v[0] * y) // prev for x, y in zip(v[1:], w)] for v in a]
+        a = [[(p * x - f * y) // prev for x, y in zip(v[1:], w)] for v in a for f in (v[0],)]
         pivots.append((col, p, w))
         prev = p
         col += 1

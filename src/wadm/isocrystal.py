@@ -34,6 +34,7 @@ lemma can fail at half-integer gaps), which the tests document.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -343,46 +344,50 @@ def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> 
     return all(ok for _, _, ok in inequality_rows(module, jumps))
 
 
-def _jump_steps(filtration: Filtration) -> list[list[tuple[int, Fraction]]]:
-    """Per embedding, (index of its first flag vector, jump) for each
-    distinct jump: the places where the filtration steps down."""
+def _jump_steps(filtration: Filtration, den: int) -> list[list[tuple[int, int]]]:
+    """Per embedding, (index of its first flag vector, den * (jump - the
+    previous distinct jump)) for each distinct jump, the first one counted
+    from 0: the places where the filtration steps down, and by how much.
+    ``den`` must clear every jump's denominator, so the steps are integers."""
     return [
-        [(k, j) for k, j in enumerate(sigma) if k == 0 or j != sigma[k - 1]]
+        [(k, int((j - prev) * den)) for k, (prev, j) in enumerate(zip((0,) + sigma, sigma))
+         if k == 0 or j != prev]
         for sigma in filtration.jumps
     ]
 
 
 def _induced_t_H_on_subspace(filtration: Filtration, steps: Sequence[Sequence[tuple]],
-                             coords: Sequence[int]) -> Fraction:
-    """t_H of the filtration induced on the coordinate subspace, by exact
-    intersection of the explicit flags with that subspace; ``steps`` are
-    the filtration's ``_jump_steps``, one ``rank`` call per step."""
-    total = Fraction(0)
+                             coords: Sequence[int]) -> int:
+    """``den`` times the t_H of the filtration induced on the coordinate
+    subspace, by exact intersection of the explicit flags with that
+    subspace; ``steps`` are the filtration's ``_jump_steps`` at scale
+    ``den``.
+
+    The step at flag index k meets the subspace in dimension
+    (n - k) - rank(flags[k:] restricted to the other coordinates), so the
+    scaled t_H is the integer sum of each scaled step times that
+    dimension.  The flags are restricted once per embedding, and each step
+    makes one ``rank`` call on its tail of the restriction."""
+    n = filtration.rank
     inside = set(coords)
-    comp = [i for i in range(filtration.rank) if i not in inside]
+    comp = [i for i in range(n) if i not in inside]
+    total = 0
     for sigma_steps, sigma_flags in zip(steps, filtration.flags):
-        dims_here = []
-        for start, _ in sigma_steps:
-            tail = sigma_flags[start:]
-            restricted = [[v[c] for c in comp] for v in tail]
-            dims_here.append(len(tail) - mat_rank(restricted))
-        dims_here.append(0)
-        for (_, jump), dim_t, dim_next in zip(sigma_steps, dims_here, dims_here[1:]):
-            total += jump * (dim_t - dim_next)
+        restricted = [[v[c] for c in comp] for v in sigma_flags]
+        for start, step in sigma_steps:
+            total += step * (n - start - mat_rank(restricted[start:]))
     return total
 
 
-def _subobject_coords(module: PhiModule):
+def _subobject_coords(module: PhiModule, den: int):
     """Enumerate the stable subobjects as coordinate index tuples, paired
-    with their Newton numbers.  The full module comes last."""
+    with ``den`` times their Newton numbers, as integers (``den`` must
+    clear every slope's denominator).  The full module comes last."""
+    scaled = [int(b.slope * b.mult * den) for b in module.blocks]
     if module.steinberg is not None:
         p = module.steinberg.piece_dim
         for nchain in range(module.steinberg.length):
-            coords = tuple(range((nchain + 1) * p))
-            tn = sum(
-                (b.slope * b.mult for b in module.blocks[: nchain + 1]), Fraction(0)
-            )
-            yield coords, tn
+            yield tuple(range((nchain + 1) * p)), sum(scaled[: nchain + 1])
         return
     if not module.has_distinct_unit_blocks():
         raise UnsupportedRegimeError(
@@ -392,11 +397,10 @@ def _subobject_coords(module: PhiModule):
     n = module.rank
     if n > SUBOBJECT_ENUM_CAP:
         raise UnsupportedRegimeError(f"subobject enumeration capped at rank {SUBOBJECT_ENUM_CAP}")
-    slopes = module.slopes_expanded()
     for size in range(1, n):
         for coords in itertools.combinations(range(n), size):
-            yield coords, sum((slopes[i] for i in coords), Fraction(0))
-    yield tuple(range(n)), t_N(module)
+            yield coords, sum(map(scaled.__getitem__, coords))
+    yield tuple(range(n)), sum(scaled)
 
 
 def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
@@ -408,14 +412,20 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
     supported regimes are (a) multiplicity-one blocks with pairwise
     distinct slopes (subobjects are the coordinate subsets) and (b) chain
     modules (subobjects are the partial chains).
+
+    Both sides are compared as integers: once per call, ``den`` is the lcm
+    of the denominators of every jump and every slope, and each
+    subobject's t_H and t_N are computed times ``den``.
     """
     if filtration.rank != module.rank:
         raise ValueError("filtration rank does not match the module")
     if filtration.embeddings != module.field.degree:
         raise ValueError(f"expected {module.field.degree} embeddings")
+    den = math.lcm(*[j.denominator for sigma in filtration.jumps for j in sigma],
+                   *[b.slope.denominator for b in module.blocks])
     full = tuple(range(module.rank))
-    steps = _jump_steps(filtration)
-    for coords, tn in _subobject_coords(module):
+    steps = _jump_steps(filtration, den)
+    for coords, tn in _subobject_coords(module, den):
         th = _induced_t_H_on_subspace(filtration, steps, coords)
         if coords == full:
             if th != tn:

@@ -174,6 +174,13 @@ class RootDatum:
                     raise ValueError(f"<alpha_{i}, alpha_{j}^vee> = {c} > 0 off the diagonal")
         if roots and mat_rank(list(zip(*roots))) != len(roots):
             raise ValueError("simple roots must be linearly independent")
+        # Hashed once, not on every cache lookup keyed by a datum.  The name
+        # is left out: equal data still hash equal, and a hash of ints
+        # alone does not depend on the process's string hash seed.
+        object.__setattr__(self, "_hash", hash((self.rank, roots, coroots)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors -------------------------------------------------------
 
@@ -467,15 +474,20 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     map), it is the exact criterion for the character attached to the
     point to extend to the completed Hecke algebra.
 
-    z has rational entries (``int`` or ``Fraction``).  Everything is
-    scaled by s = 2 * lcm(denominators of z): s*z is an integer vector,
-    and s*eta_L and s*(eta_L + xi_L) are lcm times the cached
-    ``_domain_bound``.
+    z has rational entries: ``int`` and ``Fraction`` are read as they
+    are, anything else (``"1/2"``, ``0.5``) through ``vec``, as ``in_hull``
+    reads it.  Everything is scaled by s = 2 * lcm(denominators of z): s*z
+    is an integer vector, and s*eta_L and s*(eta_L + xi_L) are lcm times
+    the cached ``_domain_bound``.
     """
     two_el, two_bound = _domain_bound(datum, field, xi)
     if len(z) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    lcm = math.lcm(*[v.denominator for v in z])
+    try:
+        lcm = math.lcm(*[v.denominator for v in z])
+    except AttributeError:  # an entry with no denominator, such as a str or a float
+        z = vec(z)
+        lcm = math.lcm(*[v.denominator for v in z])
     scale = 2 * lcm
     bound = [lcm * b for b in two_bound]
     probe = [v.numerator * (scale // v.denominator) for v in z]

@@ -400,6 +400,33 @@ def test_rank_of_rank12_witness_flag():
         assert rank(restricted) == _reference_rank(restricted)
 
 
+def test_integer_rows_take_the_same_answers_in_every_entry_form():
+    # all-int rows are copied as they are; bool entries, and rows with a
+    # Fraction in them, take the lcm path; both agree with the references
+    rng = random.Random(47)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(0, 3) for _ in range(m)]
+        halves = [[Fraction(v, 2) if (i + j) % 2 else v for j, v in enumerate(row)]
+                  for i, row in enumerate(ints)]
+        for rows in (ints, halves, [[Fraction(v) for v in row] for row in ints]):
+            assert rank(rows) == _reference_rank(rows)
+            assert solve_linear(rows, rhs) == _reference_solve(rows, rhs)
+            assert lp_feasible(rows, rhs) == _reference_lp(rows, rhs)
+    bools = [[True, False, True], [False, True, True]]
+    assert rank(bools) == 2
+    assert solve_linear(bools, [True, False]) == [1, 0, 0]
+    assert lp_feasible(bools, [True, True]) and not lp_feasible(bools, [True, -1])
+    for rows, rhs in (([[1, 2], [3, 4.5]], [1, 2]), ([[1, 2], [3, 4]], [1, 0.5])):
+        with pytest.raises(AttributeError):
+            rank(rows + [rhs])
+        with pytest.raises(AttributeError):
+            solve_linear(rows, rhs)
+        with pytest.raises(AttributeError):
+            lp_feasible(rows, rhs)
+
+
 def _reference_lp(rows, rhs) -> bool:
     """Phase-1 simplex over Fraction with Bland's rule, independent of
     ``lp_feasible``: whether {x >= 0 : A x = b} is nonempty."""

@@ -370,11 +370,12 @@ def test_build_oracle_roundtrip_repeated_jumps_random():
 
 @st.composite
 def _flagged_filtrations(draw):
-    """Random independent integer flags over 1-2 embeddings; the jumps come
-    from a small half-integer range, so they often repeat."""
+    """Random independent integer flags over 1-3 embeddings; the jumps come
+    from a small range of integers, halves and thirds (all multiples of
+    1/6), so they often repeat and their denominators mix in one type."""
     n = draw(st.integers(1, 5))
-    embeddings = draw(st.integers(1, 2))
-    jump = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    embeddings = draw(st.integers(1, 3))
+    jump = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
     jumps = [sorted(draw(st.lists(jump, min_size=n, max_size=n))) for _ in range(embeddings)]
     row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     flags = [draw(st.lists(row, min_size=n, max_size=n)) for _ in range(embeddings)]
@@ -389,13 +390,104 @@ def test_induced_t_H_is_supermodular(filt):
     # combination of those terms plus a modular one (Fujishige 2005), so
     # t_H(S | T) + t_H(S & T) >= t_H(S) + t_H(T) for every pair of subsets
     n = filt.rank
-    steps = _jump_steps(filt)
+    steps = _jump_steps(filt, 6)  # the jumps are multiples of 1/6
     subsets = [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
-    th = {s: _induced_t_H_on_subspace(filt, steps, sorted(s)) for s in subsets}
+    th = {s: Fraction(_induced_t_H_on_subspace(filt, steps, sorted(s)), 6) for s in subsets}
     assert th[frozenset()] == 0
     assert th[frozenset(range(n))] == t_H(filt.jumps)
     for s, t in itertools.combinations(subsets, 2):
         assert th[s | t] + th[s & t] >= th[s] + th[t], (filt, sorted(s), sorted(t))
+
+
+def _reference_induced_t_H(filt, coords) -> Fraction:
+    """The induced t_H over Fraction, one restriction and one ``rank`` per
+    step and jump * (graded dimension) per step (the oracle's form before
+    its common integer scale)."""
+    total = Fraction(0)
+    comp = [i for i in range(filt.rank) if i not in set(coords)]
+    for jumps, flags in zip(filt.jumps, filt.flags):
+        steps = [(k, j) for k, j in enumerate(jumps) if k == 0 or j != jumps[k - 1]]
+        dims = []
+        for start, _ in steps:
+            tail = flags[start:]
+            dims.append(len(tail) - mat_rank([[v[c] for c in comp] for v in tail]))
+        dims.append(0)
+        for (_, jump), dim, dim_next in zip(steps, dims, dims[1:]):
+            total += jump * (dim - dim_next)
+    return total
+
+
+def _reference_weak_admissible(module, filt) -> bool:
+    """The oracle's verdict over Fraction on ``_reference_induced_t_H``: the
+    partial chains of a chain module, every coordinate subset otherwise."""
+    n = module.rank
+    if module.steinberg is not None:
+        p = module.steinberg.piece_dim
+        subobjects = [(range((k + 1) * p), sum(b.slope * b.mult for b in module.blocks[:k + 1]))
+                      for k in range(module.steinberg.length)]
+    else:
+        slopes = module.slopes_expanded()
+        subobjects = [(c, sum(slopes[i] for i in c)) for size in range(1, n + 1)
+                      for c in itertools.combinations(range(n), size)]
+    for coords, tn in subobjects:
+        th = _reference_induced_t_H(filt, coords)
+        if th > tn or (len(coords) == n and th != tn):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flagged_filtrations(), st.sampled_from([6, 12]))
+def test_induced_t_H_matches_fraction_reference(filt, den):
+    steps = _jump_steps(filt, den)
+    for size in range(filt.rank + 1):
+        for coords in itertools.combinations(range(filt.rank), size):
+            got = _induced_t_H_on_subspace(filt, steps, coords)
+            assert type(got) is int
+            assert got == den * _reference_induced_t_H(filt, coords), (filt, coords)
+
+
+def test_weak_admissible_matches_fraction_reference():
+    # jumps in integers, halves and thirds against slopes in fifths (zeta
+    # modules) or a chain base (t_H - twist) / n shifted by thirds, so that
+    # a scale clearing only the jumps' denominators breaks the total; half
+    # the zeta cases are the admissible construction, the rest random flags
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(150):
+        field = FieldData(p=3, e=rng.randint(1, 3), f=1)
+        n = rng.randint(2, 4)
+        jumps = [sorted(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n))
+                 for _ in range(field.degree)]
+        slopes = [Fraction(rng.randint(-20, 20), 5) for _ in range(n - 1)]
+        slopes.append(t_H(jumps) - sum(slopes))  # the totals agree
+        if len(set(slopes)) < n:
+            continue
+        module = PhiModule.of_slopes(field, slopes)
+        if rng.random() < 0.5 and admissible_by_inequalities(module, jumps):
+            filt = build_admissible_filtration(module, jumps)
+        else:
+            flags = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if mat_rank(flags) != n:
+                continue
+            filt = Filtration(jumps, [flags] * field.degree)
+        verdicts.append(weak_admissible(module, filt))
+        assert verdicts[-1] == _reference_weak_admissible(module, filt), (slopes, jumps, filt)
+    for _ in range(100):
+        field = FieldData(p=2, e=rng.randint(1, 2), f=rng.randint(1, 2))
+        p_rank, s = rng.randint(1, 2), rng.randint(1, 2)
+        n = (s + 1) * p_rank
+        jumps = [sorted(Fraction(k, rng.choice((1, 2))) for k in rng.sample(range(-9, 10), n))
+                 for _ in range(field.degree)]
+        if any(a == b for sigma in jumps for a, b in zip(sigma, sigma[1:])):
+            continue
+        twist = field.degree * p_rank * s * (s + 1) // 2
+        base = (t_H(jumps) - twist) / n + Fraction(rng.randint(-1, 1), 3)
+        module = PhiModule.chain(field, p_rank, s, base)
+        filt = steinberg_filtration(module, jumps)
+        verdicts.append(weak_admissible(module, filt))
+        assert verdicts[-1] == _reference_weak_admissible(module, filt), (base, jumps)
+    assert 30 < sum(verdicts) < len(verdicts) - 30
 
 
 def test_oracle_necessity_random_flags():
@@ -431,7 +523,7 @@ def test_steinberg_filtration_shape():
     filt = steinberg_filtration(module, [F(-1, 2)])
     # deepest step is the last coordinate line (the twisted piece)
     assert filt.flags[0][1] == (Fraction(0), Fraction(1))
-    assert _induced_t_H_on_subspace(filt, _jump_steps(filt), (0,)) == Fraction(-1)
+    assert Fraction(_induced_t_H_on_subspace(filt, _jump_steps(filt, 2), (0,)), 2) == Fraction(-1)
 
 
 def test_steinberg_chain_subobject_t_H():
@@ -440,7 +532,7 @@ def test_steinberg_chain_subobject_t_H():
     jumps = [F(-3, -1, 0, 2), F(-2, 0, 1, 4)]
     filt = steinberg_filtration(module, jumps)
     # chain subobject D_0 = first piece: t_H = sum over sigma of the two lowest jumps
-    assert _induced_t_H_on_subspace(filt, _jump_steps(filt), (0, 1)) == (-3 - 1) + (-2 + 0)
+    assert _induced_t_H_on_subspace(filt, _jump_steps(filt, 1), (0, 1)) == (-3 - 1) + (-2 + 0)
 
 
 def test_steinberg_filtration_shape_mismatch():

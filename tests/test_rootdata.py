@@ -793,6 +793,36 @@ def test_equal_highest_weights_share_verdicts_and_cache_entries():
     assert wadm.rootdata._domain_bound.cache_info().misses == 1
 
 
+def test_equal_data_share_a_hash_and_cache_entries():
+    data = (3, ((-1, 1, 0), (0, -1, 1)), ((-1, 1, 0), (0, -1, 1)), "gl(3)")
+    first, second = RootDatum(*data), RootDatum(*data)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert repr(first) == repr(RootDatum.gl(3)) and first == RootDatum.gl(3)
+    assert RootDatum(*data[:3]) != first  # the name still counts for equality
+    field, xi = FieldData(p=3, e=1, f=1), HighestWeight.of([(0, 1, 2)])
+    wadm.rootdata._domain_bound.cache_clear()
+    wadm.rootdata._domain_bound(first, field, xi)
+    wadm.rootdata._domain_bound(second, field, xi)
+    assert wadm.rootdata._domain_bound.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_in_vxi_and_in_hull_read_the_same_point_forms():
+    datum = RootDatum.gl(2)
+    for xi in (HighestWeight.zero(datum, QP), HighestWeight.of([(0, 2)])):
+        for a, b in (("1/2", "-1/2"), ("1/3", "-1/3"), ("-1/2", "1/2"), ("3/2", "-1/2")):
+            exact = (Fraction(a), Fraction(b))
+            forms = [(a, b), exact]
+            if exact[0].denominator == exact[1].denominator == 2:
+                forms.append((float(exact[0]), float(exact[1])))
+            for z in forms:
+                for normalized in (False, True):
+                    assert in_Vxi(datum, QP, xi, z, normalized=normalized) == \
+                        in_Vxi(datum, QP, xi, exact, normalized=normalized), z
+                assert in_Vxi(datum, QP, xi, z) == in_hull(datum, QP, xi, z), (xi, z)
+        for z in ((0, 0), (1, -1), (-1, 1), (0.0, 0.0), ("1", "-1"), (True, False)):
+            assert in_Vxi(datum, QP, xi, z) == in_hull(datum, QP, xi, z), (xi, z)
+
+
 def test_highest_weight_caches_are_bounded():
     datum = RootDatum.gl(2)
     caches = (wadm.rootdata.validate_highest_weight, wadm.rootdata._domain_bound,
