@@ -204,8 +204,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_PASS if agreements == args.count else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 3 (input error) instead of 2,
+    which would read as "undecided"; the message stays argparse's, and
+    the subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wadm",
         description="Exact checks for filtered Frobenius module instances: "
         "admissibility verdicts, polygons, spectral membership, and norms.",

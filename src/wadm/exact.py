@@ -22,7 +22,8 @@ by the same rule.  ``_integer_rows`` copies an all-``int`` row (such as
 the oracle's flags) in one pass; only a row with a ``Fraction`` in it is
 scaled by the lcm of its denominators.  Back substitution runs in integers too
 (``_solve_integer`` returns det * x); only ``solve_linear`` builds
-``Fraction``, one per entry of the solution.
+``Fraction``, one per entry of the solution.  ``_reduced_echelon``
+back-eliminates ``_echelon``'s rows in integers, for the subobject oracle.
 """
 
 from __future__ import annotations
@@ -308,6 +309,31 @@ def _echelon(rows: Matrix) -> list[tuple[int, int, list[int]]]:
         prev = p
         col += 1
     return pivots
+
+
+def _reduced_echelon(rows: Matrix) -> list[tuple[int, list[int]]]:
+    """Reduced row echelon form of a matrix of rationals, in integers.
+
+    ``_echelon``'s pivot rows, back-eliminated from the last pivot up:
+    each later pivot column is cleared from a row by an integer combination
+    with that pivot's (already reduced) row, and the row is then divided by
+    the gcd of its entries, signed so that its pivot is positive.
+
+    Returns one ``(column, row)`` pair per pivot, in column order, each row
+    full length; a pivot column is zero outside its own pivot row, and
+    together the rows span the input's row space.
+    """
+    reduced: list[tuple[int, list[int]]] = []
+    for c, p, w in reversed(_echelon(rows)):
+        v = [0] * c + [p] + w
+        for d, u in reduced:
+            f = v[d]
+            if f:
+                v = [u[d] * x - f * y for x, y in zip(v, u)]
+        g = math.gcd(*v)
+        reduced.append((c, [x // g for x in v] if v[c] > 0 else [-x // g for x in v]))
+    reduced.reverse()
+    return reduced
 
 
 def _solve_integer(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[tuple[int, list[int]]]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FieldData, RatLike, rank as mat_rank
+from .exact import FieldData, RatLike, _reduced_echelon, rank as mat_rank
 
 SUBOBJECT_ENUM_CAP = 12
 
@@ -344,38 +344,57 @@ def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> 
     return all(ok for _, _, ok in inequality_rows(module, jumps))
 
 
-def _jump_steps(filtration: Filtration, den: int) -> list[list[tuple[int, int]]]:
-    """Per embedding, (index of its first flag vector, den * (jump - the
-    previous distinct jump)) for each distinct jump, the first one counted
-    from 0: the places where the filtration steps down, and by how much.
-    ``den`` must clear every jump's denominator, so the steps are integers."""
-    return [
-        [(k, int((j - prev) * den)) for k, (prev, j) in enumerate(zip((0,) + sigma, sigma))
-         if k == 0 or j != prev]
-        for sigma in filtration.jumps
-    ]
+def _tail_forms(filtration: Filtration, den: int) -> list[list[tuple]]:
+    """Per embedding, one ``(step, pivots, form)`` triple for each distinct
+    jump, where the filtration steps down:
+
+    * ``step`` is ``den`` times (jump - the previous distinct jump), the
+      first one counted from 0 (``den`` must clear every jump's
+      denominator, so the steps are integers);
+    * ``form`` is ``exact._reduced_echelon`` of the flag tail from the
+      jump's first vector on, which spans that filtration step, and
+      ``pivots`` is the set of its pivot columns.
+
+    The forms are keyed by (flags, start), so embeddings with equal flags
+    share them whatever their jumps."""
+    forms: dict = {}
+    tails = []
+    for sigma, flags in zip(filtration.jumps, filtration.flags):
+        tail = []
+        for k, (prev, j) in enumerate(zip((0,) + sigma, sigma)):
+            if k and j == prev:
+                continue
+            if (flags, k) not in forms:
+                form = _reduced_echelon(flags[k:])
+                forms[flags, k] = (frozenset(c for c, _ in form), form)
+            tail.append((int((j - prev) * den), *forms[flags, k]))
+        tails.append(tail)
+    return tails
 
 
-def _induced_t_H_on_subspace(filtration: Filtration, steps: Sequence[Sequence[tuple]],
+def _induced_t_H_on_subspace(filtration: Filtration, tails: Sequence[Sequence[tuple]],
                              coords: Sequence[int]) -> int:
     """``den`` times the t_H of the filtration induced on the coordinate
-    subspace, by exact intersection of the explicit flags with that
-    subspace; ``steps`` are the filtration's ``_jump_steps`` at scale
-    ``den``.
+    subspace V_S (S = ``coords``), by exact intersection of the explicit
+    flags with that subspace; ``tails`` are the filtration's
+    ``_tail_forms`` at scale ``den``.
 
-    The step at flag index k meets the subspace in dimension
-    (n - k) - rank(flags[k:] restricted to the other coordinates), so the
+    A step F meets V_S in dimension dim F - rank(F restricted to the
+    columns outside S).  With F in reduced echelon form with pivot columns
+    P, the rows whose pivot is outside S are the only rows nonzero on
+    those pivot columns, where they form a diagonal block, so that rank is
+    |P - S| + rank(Y) and dim(F & V_S) = |P & S| - rank(Y), with Y the rows
+    whose pivot is in S restricted to the columns outside S | P.  The
     scaled t_H is the integer sum of each scaled step times that
-    dimension.  The flags are restricted once per embedding, and each step
-    makes one ``rank`` call on its tail of the restriction."""
-    n = filtration.rank
+    dimension, with one ``rank`` call per step, on Y (which may be empty)."""
     inside = set(coords)
-    comp = [i for i in range(n) if i not in inside]
+    comp = [i for i in range(filtration.rank) if i not in inside]
     total = 0
-    for sigma_steps, sigma_flags in zip(steps, filtration.flags):
-        restricted = [[v[c] for c in comp] for v in sigma_flags]
-        for start, step in sigma_steps:
-            total += step * (n - start - mat_rank(restricted[start:]))
+    for tail in tails:
+        for step, pivots, form in tail:
+            cols = [c for c in comp if c not in pivots]
+            y = [[row[c] for c in cols] for pivot, row in form if pivot in inside]
+            total += step * (len(y) - mat_rank(y))
     return total
 
 
@@ -415,7 +434,10 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
 
     Both sides are compared as integers: once per call, ``den`` is the lcm
     of the denominators of every jump and every slope, and each
-    subobject's t_H and t_N are computed times ``den``.
+    subobject's t_H and t_N are computed times ``den``.  Each flag tail
+    where the filtration steps down is brought to reduced echelon form
+    once per call (``_tail_forms``), so a subset ranks only the small
+    block of that form its step leaves over.
     """
     if filtration.rank != module.rank:
         raise ValueError("filtration rank does not match the module")
@@ -424,9 +446,9 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
     den = math.lcm(*[j.denominator for sigma in filtration.jumps for j in sigma],
                    *[b.slope.denominator for b in module.blocks])
     full = tuple(range(module.rank))
-    steps = _jump_steps(filtration, den)
+    tails = _tail_forms(filtration, den)
     for coords, tn in _subobject_coords(module, den):
-        th = _induced_t_H_on_subspace(filtration, steps, coords)
+        th = _induced_t_H_on_subspace(filtration, tails, coords)
         if coords == full:
             if th != tn:
                 return False

@@ -264,8 +264,14 @@ class RootDatum:
 
 
 def _reflections(datum: RootDatum) -> Callable:
-    """The images of a weight under the simple reflections."""
-    return lambda z: (datum.reflect_weight(i, z) for i in range(datum.nsimple))
+    """The images of a weight under the simple reflections that move it.
+
+    Each simple coroot's nonzero entries are read once; a reflection whose
+    pairing with the weight is 0 fixes it, and the closure has already
+    seen the weight itself, so that image is skipped."""
+    coroots = [[(j, v) for j, v in enumerate(cov) if v] for cov in datum.simple_coroots]
+    return lambda z: (datum.reflect_weight(i, z) for i, cov in enumerate(coroots)
+                      if sum(z[j] * v for j, v in cov))
 
 
 @lru_cache(maxsize=None)

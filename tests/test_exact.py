@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wadm.exact import (
     INF,
     _echelon,
+    _reduced_echelon,
     _solve_integer,
     MILLER_RABIN_BOUND,
     FieldData,
@@ -319,6 +320,33 @@ def test_solve_matches_gauss_jordan(rows, consistent, data):
     got = solve_linear(rows, rhs)
     assert got == _reference_solve(rows, rhs)
     assert got is None or all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(designed_rank_matrices(), st.data())
+def test_reduced_echelon_clears_pivot_columns_and_keeps_restricted_ranks(rows, data):
+    # the oracle reads a flag tail's reduced form in place of the tail, so
+    # each pivot column must be zero off its pivot row, and the form must
+    # keep the rank of the rows restricted to any column subset
+    n = len(rows[0]) if rows else 0
+    form = _reduced_echelon(rows)
+    assert [c for c, _ in form] == sorted({c for c, _ in form})
+    for c, row in form:
+        assert len(row) == n and all(type(v) is int for v in row)
+        assert not any(row[:c]) and row[c] > 0
+        assert all(other[c] == 0 for d, other in form if d != c), (rows, form)
+    subsets = data.draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=6)) if n else []
+    for cols in [range(n), *map(sorted, subsets)]:
+        got = [[row[c] for c in cols] for _, row in form]
+        assert _reference_rank(got) == _reference_rank([[row[c] for c in cols] for row in rows])
+
+
+def test_reduced_echelon_edge_shapes():
+    assert _reduced_echelon([]) == []
+    assert _reduced_echelon([[], []]) == []
+    assert _reduced_echelon([[0, 0], [0, 0]]) == []
+    assert _reduced_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]]) == [(0, [1, 2])]
+    assert _reduced_echelon([[0, -2, 4], [3, 1, 0]]) == [(0, [3, 0, 2]), (1, [0, 1, -2])]
 
 
 def _fraction_back_substitution(rows, rhs):

@@ -286,6 +286,30 @@ def test_cli_sweep_rejects_bad_sizes(flag, value, capsys):
     assert captured.err.startswith(f"sweep: {flag} must be >= ") and not captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "wadm: error: the following arguments are required: command\n"),
+    (["bogus"], "wadm: error: argument command: invalid choice: 'bogus' "),
+    (["check"], "wadm check: error: the following arguments are required: files\n"),
+    (["sweep", "--rank", "abc"], "wadm sweep: error: argument --rank: invalid int value: 'abc'\n"),
+], ids=["no-command", "bogus", "check-no-files", "sweep-rank-abc"])
+def test_cli_usage_errors_exit_3(argv, message, capsys):
+    # argparse's own code 2 would read as "undecided"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: wadm") and message in captured.err
+    assert not captured.out
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wadm")
+
+
 def test_cli_convert_weights(capsys):
     assert main(["convert-weights", "--form", "a", "--values", "0 1"]) == 0
     out = capsys.readouterr().out

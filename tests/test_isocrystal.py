@@ -28,7 +28,7 @@ from wadm.isocrystal import (
     t_N,
     weak_admissible,
     _induced_t_H_on_subspace,
-    _jump_steps,
+    _tail_forms,
 )
 
 QP = FieldData(p=3, e=1, f=1)
@@ -390,9 +390,9 @@ def test_induced_t_H_is_supermodular(filt):
     # combination of those terms plus a modular one (Fujishige 2005), so
     # t_H(S | T) + t_H(S & T) >= t_H(S) + t_H(T) for every pair of subsets
     n = filt.rank
-    steps = _jump_steps(filt, 6)  # the jumps are multiples of 1/6
+    tails = _tail_forms(filt, 6)  # the jumps are multiples of 1/6
     subsets = [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
-    th = {s: Fraction(_induced_t_H_on_subspace(filt, steps, sorted(s)), 6) for s in subsets}
+    th = {s: Fraction(_induced_t_H_on_subspace(filt, tails, sorted(s)), 6) for s in subsets}
     assert th[frozenset()] == 0
     assert th[frozenset(range(n))] == t_H(filt.jumps)
     for s, t in itertools.combinations(subsets, 2):
@@ -439,10 +439,10 @@ def _reference_weak_admissible(module, filt) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(_flagged_filtrations(), st.sampled_from([6, 12]))
 def test_induced_t_H_matches_fraction_reference(filt, den):
-    steps = _jump_steps(filt, den)
+    tails = _tail_forms(filt, den)
     for size in range(filt.rank + 1):
         for coords in itertools.combinations(range(filt.rank), size):
-            got = _induced_t_H_on_subspace(filt, steps, coords)
+            got = _induced_t_H_on_subspace(filt, tails, coords)
             assert type(got) is int
             assert got == den * _reference_induced_t_H(filt, coords), (filt, coords)
 
@@ -490,6 +490,45 @@ def test_weak_admissible_matches_fraction_reference():
     assert 30 < sum(verdicts) < len(verdicts) - 30
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["equal-flags", "distinct-flags"])
+def test_tail_forms_are_shared_by_equal_flags_only(shared):
+    # two embeddings with different jumps, so their distinct jumps start at
+    # different flag indices; the forms are keyed by (flags, start), so
+    # equal flags share them and distinct flags must not
+    rng = random.Random(15)
+    field = FieldData(p=3, e=2, f=1)
+    verdicts = []
+    while len(verdicts) < 60:
+        n = rng.randint(2, 5)
+        jumps = [sorted(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                 for _ in range(2)]
+        slopes = [Fraction(rng.randint(-20, 20), 5) for _ in range(n - 1)]
+        slopes.append(t_H(jumps) - sum(slopes))
+        if len(set(slopes)) < n:
+            continue
+        module = PhiModule.of_slopes(field, slopes)
+        if shared and rng.random() < 0.5 and admissible_by_inequalities(module, jumps):
+            filt = build_admissible_filtration(module, jumps)
+        else:
+            flags = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                     for _ in range(1 if shared else 2)]
+            if any(mat_rank(flag) != n for flag in flags):
+                continue
+            filt = Filtration(jumps, flags * 2 if shared else flags)
+        tails = _tail_forms(filt, 2)
+        starts = [{k for k, j in enumerate(sigma) if k == 0 or j != sigma[k - 1]}
+                  for sigma in filt.jumps]
+        forms = {id(form) for tail in tails for _, _, form in tail}
+        assert len(forms) == (len(starts[0] | starts[1]) if shared else sum(map(len, starts)))
+        for size in range(n + 1):
+            for coords in itertools.combinations(range(n), size):
+                got = _induced_t_H_on_subspace(filt, tails, coords)
+                assert got == 2 * _reference_induced_t_H(filt, coords), (filt, coords)
+        verdicts.append(weak_admissible(module, filt))
+        assert verdicts[-1] == _reference_weak_admissible(module, filt), (slopes, filt)
+    assert 5 < sum(verdicts) < len(verdicts) - 5
+
+
 def test_oracle_necessity_random_flags():
     # any explicit flag passing the oracle implies the inequalities; bias
     # half the instances toward endpoint equality so the implication is
@@ -523,7 +562,7 @@ def test_steinberg_filtration_shape():
     filt = steinberg_filtration(module, [F(-1, 2)])
     # deepest step is the last coordinate line (the twisted piece)
     assert filt.flags[0][1] == (Fraction(0), Fraction(1))
-    assert Fraction(_induced_t_H_on_subspace(filt, _jump_steps(filt, 2), (0,)), 2) == Fraction(-1)
+    assert Fraction(_induced_t_H_on_subspace(filt, _tail_forms(filt, 2), (0,)), 2) == Fraction(-1)
 
 
 def test_steinberg_chain_subobject_t_H():
@@ -532,7 +571,7 @@ def test_steinberg_chain_subobject_t_H():
     jumps = [F(-3, -1, 0, 2), F(-2, 0, 1, 4)]
     filt = steinberg_filtration(module, jumps)
     # chain subobject D_0 = first piece: t_H = sum over sigma of the two lowest jumps
-    assert _induced_t_H_on_subspace(filt, _jump_steps(filt, 1), (0, 1)) == (-3 - 1) + (-2 + 0)
+    assert _induced_t_H_on_subspace(filt, _tail_forms(filt, 1), (0, 1)) == (-3 - 1) + (-2 + 0)
 
 
 def test_steinberg_filtration_shape_mismatch():

@@ -203,11 +203,11 @@ CLOSURE_DATA = (
     [(RootDatum.from_cartan(cartan, kind=kind, name=f"{name}-{kind}"), WEYL_ORDERS[name])
      for name, (cartan, _) in sorted(CARTANS.items())
      for kind in ("simply_connected", "adjoint")]
-    + [(RootDatum.gl(n), math.factorial(n)) for n in range(1, 9)]
+    + [(RootDatum.gl(n), math.factorial(n)) for n in (*range(1, 9), 12, 20)]
     + [(RootDatum.sl(3), 6), (RootDatum.sp4(), 8)]
 )
 # Weyl groups up to |W(F4)| are enumerated in full; on the larger ones
-# (gl(7), gl(8), E8) both closures must stop at a cap of 100
+# (gl(7), gl(8), gl(12), gl(20), E8) both closures must stop at a cap of 100
 SMALL_ORDER = 1152
 
 
