@@ -7,6 +7,12 @@ rows, the polygon rows, the chain oracle); this module picks the regime
 once per instance and renders what those functions return.  Only
 ``check_instance`` compares membership with the norm inequalities.
 
+Every row is evaluated in integers, one side at a time: each side takes
+one scale per instance (the lcm of its value denominators) and running
+tail or prefix sums, and a ``Fraction`` is built only for each lhs and
+rhs a ``CheckLine`` reports.  The polygon rows come from one merge walk
+over both vertex lists (``isocrystal.polygon_rows``).
+
 Sign and inversion table -- the single reconciliation point between the
 Galois-side and spectral-side conventions.  Every module boundary below
 refers to this table; the translation identity in the acceptance suite
@@ -33,6 +39,7 @@ spectral membership queries on the dual torus (``rootdata.in_Vxi``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -208,30 +215,41 @@ def invariant_norm_inequalities(zeta_vals: Sequence, a_rows: Sequence[Sequence[i
     algebraic representation: sorted tail sums of the zeta valuations
     against weight tail sums plus the modulus constant, with equality of
     the totals.
+
+    The modulus constant of the tail from 1-based i on,
+    [L:Q_p] * (d(d+1) - (i-2)(i-1)) / 2, is [L:Q_p] * ((i-1) + ... + d),
+    so each right side is a running tail sum of the integers agg_j +
+    [L:Q_p] * j (0-based j).  The left sides are running tail sums of the
+    valuations times ``scale``, the lcm of their denominators, sorted as
+    integers; a row compares lhs with rhs * scale and builds its two
+    ``Fraction`` sides only for the report.
     """
-    vals = sorted(Fraction(v) for v in zeta_vals)
+    vals = [v if type(v) is Fraction else Fraction(v) for v in zeta_vals]
     n = len(vals)
-    d = n - 1
     if len(a_rows) != field.degree:
         raise ValueError(f"expected {field.degree} embeddings, got {len(a_rows)}")
     if any(len(row) != n for row in a_rows):
         raise ValueError("weight rows must match the valuation count")
-    agg = [sum(row[j] for row in a_rows) for j in range(n)]
+    degree = field.degree
+    scale = math.lcm(*[v.denominator for v in vals])
+    scaled = sorted(v.numerator * (scale // v.denominator) for v in vals)
+    tails = []  # (lhs, rhs) of the tails from 0-based n-1, n-2, ..., 0 on
+    lhs = rhs = 0
+    for j in range(n - 1, -1, -1):
+        lhs += scaled[j]
+        rhs += sum(row[j] for row in a_rows) + degree * j
+        tails.append((lhs, rhs))
     checks = []
     ok_all = True
     for i in range(2, n + 1):  # 1-based tail start
-        lhs = sum(vals[i - 1:], Fraction(0))
-        rhs = sum(agg[i - 1:], Fraction(0)) + Fraction(
-            field.degree * (d * (d + 1) - (i - 2) * (i - 1)), 2
-        )
-        ok = lhs <= rhs
+        tail_lhs, tail_rhs = tails[n - i]
+        ok = tail_lhs <= tail_rhs * scale
         ok_all &= ok
-        checks.append(CheckLine(f"norm.ineq.i={i}", ok, lhs, rhs))
-    lhs = sum(vals, Fraction(0))
-    rhs = sum(agg, Fraction(0)) + Fraction(field.degree * d * (d + 1), 2)
-    ok = lhs == rhs
+        checks.append(CheckLine(f"norm.ineq.i={i}", ok, Fraction(tail_lhs, scale),
+                                Fraction(tail_rhs)))
+    ok = lhs == rhs * scale  # the whole tail
     ok_all &= ok
-    checks.append(CheckLine("norm.eq.total", ok, lhs, rhs))
+    checks.append(CheckLine("norm.eq.total", ok, Fraction(lhs, scale), Fraction(rhs)))
     return Verdict(PASS if ok_all else FAIL, checks)
 
 
@@ -241,21 +259,25 @@ def central_char_integral(galois: Union[Sequence, WDRep], a_rows: Sequence[Seque
     valuation plus the smooth-side central valuation must vanish.
 
     Equivalent to the endpoint equality t_H = t_N of every polygon
-    verdict, which the acceptance suite checks.
+    verdict, which the acceptance suite checks.  Evaluated in integers:
+    the smooth side's modulus [L:Q_p] * d(d+1) / 2 is an integer, so the
+    determinant's valuation times ``scale``, the lcm of its terms'
+    denominators, is compared with ``scale`` times the weight-character
+    valuation plus that modulus.
     """
     if isinstance(galois, WDRep):
-        det_arith = -sum((tn for tn, _ in block_decompose(galois)), Fraction(0))
+        terms = [-tn for tn, _ in block_decompose(galois)]
         n = galois.dimension
     else:
-        vals = [Fraction(v) for v in galois]
-        det_arith = sum(vals, Fraction(0))
-        n = len(vals)
+        terms = [v if type(v) is Fraction else Fraction(v) for v in galois]
+        n = len(terms)
     if any(len(row) != n for row in a_rows) or len(a_rows) != field.degree:
         raise ValueError("weight shape mismatch")
     d = n - 1
+    scale = math.lcm(*[v.denominator for v in terms])
+    det_arith = sum(v.numerator * (scale // v.denominator) for v in terms)
     chi_rho = sum(sum(row) for row in a_rows)
-    chi_pi = -det_arith + Fraction(field.degree * d * (d + 1), 2)
-    return chi_rho + chi_pi == 0
+    return det_arith == scale * (chi_rho + field.degree * d * (d + 1) // 2)
 
 
 def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,

@@ -50,7 +50,12 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(x: RatLike) -> str:
-    """Render a rational as "n/d" ("n" when the denominator is 1)."""
+    """Render a rational as "n/d" ("n" when the denominator is 1).  An
+    ``int`` or a ``Fraction`` already prints that way; anything else
+    (``bool`` included, which would print as "True") goes through
+    ``Fraction`` first."""
+    if type(x) is int or type(x) is Fraction:
+        return str(x)
     return str(Fraction(x))
 
 
@@ -252,25 +257,25 @@ Matrix = Sequence[Sequence[RatLike]]
 
 def _integer_rows(rows: Matrix) -> list[list[int]]:
     """Each row times the lcm of its denominators, as integers; raises
-    ValueError on a ragged matrix.  A row of ``int`` (or ``bool``) entries
+    ValueError on a ragged matrix, comparing each row's length with the
+    first row's as it is appended.  A row of ``int`` (or ``bool``) entries
     is copied as it is, with no denominator read."""
     a: list[list[int]] = []
     for row in rows:
         try:
-            a.append(list(map(operator.index, row)))
-            continue
+            v = list(map(operator.index, row))
         except TypeError:  # a Fraction (or a non-rational) entry: scale below
-            pass
-        # A list, not a generator: ``*`` unpacks a generator into a tuple
-        # sized by its length hint and then shrinks it, which leaves tuples
-        # on CPython's per-size free lists and raises peak RSS.
-        scale = math.lcm(*[v.denominator for v in row])
-        if scale == 1:  # integral Fraction rows: no division
-            a.append([v.numerator for v in row])
-        else:
-            a.append([v.numerator * (scale // v.denominator) for v in row])
-    if len({len(v) for v in a}) > 1:
-        raise ValueError("ragged matrix")
+            # A list, not a generator: ``*`` unpacks a generator into a tuple
+            # sized by its length hint and then shrinks it, which leaves tuples
+            # on CPython's per-size free lists and raises peak RSS.
+            scale = math.lcm(*[x.denominator for x in row])
+            if scale == 1:  # integral Fraction rows: no division
+                v = [x.numerator for x in row]
+            else:
+                v = [x.numerator * (scale // x.denominator) for x in row]
+        if a and len(v) != len(a[0]):
+            raise ValueError("ragged matrix")
+        a.append(v)
     return a
 
 

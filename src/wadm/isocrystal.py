@@ -240,7 +240,8 @@ class Polygon:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
+        verts = tuple((x if type(x) is Fraction else Fraction(x),
+                       y if type(y) is Fraction else Fraction(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if not verts or verts[0] != (0, 0):
             raise ValueError("polygon must start at (0, 0)")
@@ -251,14 +252,9 @@ class Polygon:
     def from_slopes(cls, slopes: Sequence) -> "Polygon":
         """Lower boundary with the given slope multiset, one unit of x each;
         collinear segments are merged."""
-        ordered = sorted(Fraction(s) for s in slopes)
-        pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-        x, y = Fraction(0), Fraction(0)
-        for s, group in itertools.groupby(ordered):
-            run = len(list(group))
-            x, y = x + run, y + s * run
-            pts.append((x, y))
-        return cls(tuple(pts))
+        slopes = [s if type(s) is Fraction else Fraction(s) for s in slopes]
+        scale = math.lcm(*[s.denominator for s in slopes])
+        return _lower_boundary([s.numerator * (scale // s.denominator) for s in slopes], scale)
 
     @classmethod
     def from_path(cls, points: Sequence[tuple]) -> "Polygon":
@@ -269,43 +265,84 @@ class Polygon:
     def width(self) -> Fraction:
         return self.vertices[-1][0]
 
-    def value_at(self, x) -> Fraction:
-        x = Fraction(x)
-        if x < 0 or x > self.width:
-            raise ValueError(f"x = {x} outside [0, {self.width}]")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a[0] <= x <= b[0]:
-                return a[1] + (b[1] - a[1]) * (x - a[0]) / (b[0] - a[0])
-        return self.vertices[-1][1]  # pragma: no cover
-
 
 def newton_polygon(module: PhiModule) -> Polygon:
     """Lower boundary of the sorted slope multiset; x counts dimension."""
     return Polygon.from_slopes(module.slopes_expanded())
 
 
+def _lower_boundary(scaled: Sequence[int], scale: int) -> Polygon:
+    """``Polygon.from_slopes`` of the slopes s / scale, s in ``scaled``:
+    the integer slopes are sorted and summed, and each vertex, where the
+    next slope differs, gets one ``Fraction`` y."""
+    ordered = sorted(scaled)
+    pts = [(Fraction(0), Fraction(0))]
+    y = 0
+    for x, s in enumerate(ordered, 1):
+        y += s
+        if x == len(ordered) or ordered[x] != s:
+            pts.append((Fraction(x), Fraction(y, scale)))
+    return Polygon(tuple(pts))
+
+
+def _scaled_position_sums(jumps: Sequence[Sequence],
+                          rank: Optional[int] = None) -> tuple[list[int], int]:
+    """(sums, scale): a checked jump type's position-wise sums across
+    embeddings, each times ``scale``, the lcm of the jump denominators, as
+    integers.  The Hodge side's reading of a jump type."""
+    js = _jump_lists(jumps, rank)
+    scale = math.lcm(*[j.denominator for sigma in js for j in sigma])
+    return [sum(j.numerator * (scale // j.denominator) for j in column)
+            for column in zip(*js)], scale
+
+
 def hodge_polygon(jumps: Sequence[Sequence]) -> Polygon:
     """Lower boundary of a jump type's position-wise jump sums across
     embeddings (slope k is the sum of every embedding's k-th jump); x
     counts dimension and the endpoint is (rank, t_H)."""
-    return Polygon.from_slopes(sum(column) for column in zip(*_jump_lists(jumps)))
+    return _lower_boundary(*_scaled_position_sums(jumps))
 
 
 def polygon_rows(newton: Polygon, hodge: Polygon):
     """(x, newton value, hodge value, ok) at every breakpoint of either
     path, x ascending; ``ok`` is hodge <= newton, with equality at the
-    last x."""
-    xs = sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices})
-    for x in xs:
-        ny, hy = newton.value_at(x), hodge.value_at(x)
-        yield x, ny, hy, hy <= ny if x < xs[-1] else hy == ny
+    last x.  Raises ValueError when the widths differ.
+
+    One merge walk over both vertex lists: a vertex's value is its own y,
+    and only an x where the other path has no vertex interpolates on that
+    path's segment across it."""
+    if newton.width != hodge.width:
+        raise ValueError(f"unequal widths: {newton.width} vs {hodge.width}")
+    nv, hv = newton.vertices, hodge.vertices
+    last = newton.width
+
+    def across(verts, k, x):  # the value at x on the segment ending at vertex k
+        (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    a = b = 0
+    while True:
+        xa, xb = nv[a][0], hv[b][0]
+        if xa == xb:
+            x, ny, hy = xa, nv[a][1], hv[b][1]
+            a += 1
+            b += 1
+        elif xa < xb:
+            x, ny, hy = xa, nv[a][1], across(hv, b, xa)
+            a += 1
+        else:
+            x, ny, hy = xb, across(nv, a, xb), hv[b][1]
+            b += 1
+        if x == last:
+            yield x, ny, hy, hy == ny
+            return
+        yield x, ny, hy, hy <= ny
 
 
 def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
     """True iff the hodge path lies on or below the newton path at every
-    breakpoint and both endpoints coincide exactly."""
-    if newton.width != hodge.width:
-        raise ValueError(f"unequal widths: {newton.width} vs {hodge.width}")
+    breakpoint and both endpoints coincide exactly; raises ValueError when
+    the widths differ."""
     return all(ok for *_, ok in polygon_rows(newton, hodge))
 
 
@@ -324,18 +361,29 @@ def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]
     values of v) (rhs): lhs <= rhs for i < n, lhs == rhs at i = n.
     Requires a plain module (no chain structure); repeated slopes are
     fine, the test is purely numerical.
+
+    -(sum of the last i values of v) is the sum of the i smallest slopes,
+    so both sides are running prefix sums, each in integers at its own
+    scale (the lcm of the jump denominators, and of the slope
+    denominators); a row compares them cross-multiplied and builds its
+    two ``Fraction`` sides only for the caller.
     """
     if module.steinberg is not None:
         raise ValueError("the inequality test applies to modules without chain structure")
     js = _jump_lists(jumps, module.rank, module.field.degree)
     n = module.rank
-    vals = sorted(-s for s in module.slopes_expanded())
+    jump_scale = math.lcm(*[j.denominator for sigma in js for j in sigma])
+    slopes = module.slopes_expanded()
+    slope_scale = math.lcm(*[s.denominator for s in slopes])
+    ascending = sorted(s.numerator * (slope_scale // s.denominator) for s in slopes)
     rows = []
-    lhs = Fraction(0)
-    for i in range(1, n + 1):
-        lhs += sum(sigma[i - 1] for sigma in js)
-        rhs = -sum(vals[n - i:], Fraction(0))
-        rows.append((lhs, rhs, lhs <= rhs if i < n else lhs == rhs))
+    lhs = rhs = 0
+    for i, column in enumerate(zip(*js), 1):
+        lhs += sum(j.numerator * (jump_scale // j.denominator) for j in column)
+        rhs += ascending[i - 1]
+        left, right = lhs * slope_scale, rhs * jump_scale
+        rows.append((Fraction(lhs, jump_scale), Fraction(rhs, slope_scale),
+                     left <= right if i < n else left == right))
     return rows
 
 
@@ -539,15 +587,17 @@ def block_polygons(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> tuple[
     data = [(Fraction(tn), int(d)) for tn, d in blocks]
     if any(d < 1 for _, d in data):
         raise ValueError("block dimensions must be >= 1")
-    agg = [sum(column) for column in zip(*_jump_lists(jumps, sum(d for _, d in data)))]
-    ordered = sorted(data, key=lambda bd: (bd[0], -bd[1]))
+    agg, jump_scale = _scaled_position_sums(jumps, sum(d for _, d in data))
+    hodge_sums = list(itertools.accumulate(agg, initial=0))
+    newton_scale = math.lcm(*[tn.denominator for tn, _ in data])
+    ordered = sorted(((tn.numerator * (newton_scale // tn.denominator), d) for tn, d in data),
+                     key=lambda td: (td[0], -td[1]))
     newton_pts = []
     hodge_pts = []
-    x = 0
-    ysum = Fraction(0)
+    x = newton_sum = 0
     for tn, d in ordered:
         x += d
-        ysum += tn
-        newton_pts.append((Fraction(x), ysum))
-        hodge_pts.append((Fraction(x), sum(agg[:x], Fraction(0))))
+        newton_sum += tn
+        newton_pts.append((Fraction(x), Fraction(newton_sum, newton_scale)))
+        hodge_pts.append((Fraction(x), Fraction(hodge_sums[x], jump_scale)))
     return Polygon.from_path(newton_pts), Polygon.from_path(hodge_pts)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wadm.checker
 from wadm.checker import (
@@ -79,6 +81,66 @@ def test_norm_inequalities_d0():
     assert invariant_norm_inequalities([4], [[5]], QP).status == FAIL
 
 
+def _reference_norm_rows(zeta_vals, a_rows, field):
+    """The norm rows in ``Fraction``, each tail summed anew: (name, ok, lhs,
+    rhs) per row, the modulus term [L:Q_p] * (d(d+1) - (i-2)(i-1)) / 2."""
+    vals = sorted(Fraction(v) for v in zeta_vals)
+    n = len(vals)
+    d = n - 1
+    agg = [sum(row[j] for row in a_rows) for j in range(n)]
+    rows = []
+    for i in range(2, n + 1):
+        lhs = sum(vals[i - 1:], Fraction(0))
+        rhs = sum(agg[i - 1:], Fraction(0)) + Fraction(
+            field.degree * (d * (d + 1) - (i - 2) * (i - 1)), 2)
+        rows.append((f"norm.ineq.i={i}", lhs <= rhs, lhs, rhs))
+    lhs = sum(vals, Fraction(0))
+    rhs = sum(agg, Fraction(0)) + Fraction(field.degree * d * (d + 1), 2)
+    rows.append(("norm.eq.total", lhs == rhs, lhs, rhs))
+    return rows
+
+
+def _reference_central(vals, a_rows, field):
+    """Central character integrality in ``Fraction``."""
+    d = len(vals) - 1
+    chi_pi = -sum(vals, Fraction(0)) + Fraction(field.degree * d * (d + 1), 2)
+    return sum(sum(row) for row in a_rows) + chi_pi == 0
+
+
+@st.composite
+def _norm_data(draw):
+    """(vals, weight rows, field): ranks 1-7, 1-3 embeddings, valuations in
+    halves and thirds; half the draws have equal totals, so every row can
+    go either way."""
+    field = FieldData(p=3, e=draw(st.integers(1, 3)), f=1)
+    n = draw(st.integers(1, 7))
+    a = [sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+         for _ in range(field.degree)]
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    vals = [Fraction(v, den) for v in draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        target = sum(sum(r) for r in a) + Fraction(field.degree * (n - 1) * n, 2)
+        vals[-1] = target - sum(vals[:-1])
+    return vals, a, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_data())
+def test_norm_rows_match_fraction_reference(data):
+    vals, a, field = data
+    verdict = invariant_norm_inequalities(vals, a, field)
+    got = [(c.name, c.ok, c.lhs, c.rhs) for c in verdict.checks]
+    assert got == _reference_norm_rows(vals, a, field)
+    assert all(type(c.lhs) is Fraction and type(c.rhs) is Fraction for c in verdict.checks)
+    assert verdict.passed == all(ok for _, ok, _, _ in got)
+    assert central_char_integral(vals, a, field) == _reference_central(vals, a, field)
+
+
+def test_norm_rows_of_the_empty_module():
+    verdict = invariant_norm_inequalities([], [[]], QP)
+    assert [c.render() for c in verdict.checks] == ["norm.eq.total: lhs=0 rhs=0 ok=true"]
+
+
 # --- central character ------------------------------------------------------------
 
 
@@ -106,6 +168,12 @@ def test_central_char_wd_input():
     rep = WDRep(QP, (Unramified(0, 1), Unramified(-2, 1)))
     # geometric vals (0, -2) mean arithmetic vals (0, 2)
     assert central_char_integral(rep, [[0, 1]], QP) == central_char_integral([0, 2], [[0, 1]], QP)
+    # a half-slope chain: arithmetic vals (-1/2, -3/2) sum to -2
+    chain = WDRep(QP, (SteinbergChain(Fraction(1, 2), 1, 2),))
+    assert central_char_integral(chain, [[-3, 0]], QP)
+    assert not central_char_integral(chain, [[-2, 0]], QP)
+    assert central_char_integral(chain, [[-3, 0]], QP) == _reference_central(
+        [Fraction(-1, 2), Fraction(-3, 2)], [[-3, 0]], QP)
 
 
 # --- existence routes ---------------------------------------------------------------

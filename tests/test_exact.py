@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wadm.exact import (
     INF,
     _echelon,
+    _integer_rows,
     _reduced_echelon,
     _solve_integer,
     MILLER_RABIN_BOUND,
@@ -46,6 +47,17 @@ def test_rat_multiplication_cancels(x, y):
 @given(rationals)
 def test_rat_text_round_trip(x):
     assert parse_rat(format_rat(x)) == x
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (-7, "-7"), (True, "1"), (False, "0"),
+    (Fraction(6, -4), "-3/2"), (Fraction(4, 2), "2"), ("3/6", "1/2"), ("-4", "-4"),
+], ids=["int-0", "int", "bool-true", "bool-false", "fraction", "integral-fraction",
+        "str", "str-int"])
+def test_format_rat_of_every_input_form(value, text):
+    # an int or a Fraction prints as it is; anything else, bool included,
+    # goes through Fraction first
+    assert format_rat(value) == text
 
 
 def test_rat_always_lowest_terms():
@@ -453,6 +465,28 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
             solve_linear(rows, rhs)
         with pytest.raises(AttributeError):
             lp_feasible(rows, rhs)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3]],
+    [[Fraction(1, 2), 1], [Fraction(1, 3)]],
+    [[1, 2], [Fraction(1, 2)]],
+    [[Fraction(1, 2)], [1, 2]],
+    [[], [1]],
+    [[1, 2], [3, 4], [5, 6, 7]],
+], ids=["ints", "fractions", "int-then-fraction", "fraction-then-int", "empty-first",
+        "third-row"])
+def test_integer_rows_reject_ragged_rows(rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        _integer_rows(rows)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank(rows)
+
+
+def test_integer_rows_keep_rectangular_shapes():
+    assert _integer_rows([]) == []
+    assert _integer_rows([[], []]) == [[], []]
+    assert _integer_rows([[1, Fraction(1, 2)], [Fraction(2, 3), 1]]) == [[2, 1], [2, 3]]
 
 
 def _reference_lp(rows, rhs) -> bool:

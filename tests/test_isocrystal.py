@@ -20,6 +20,7 @@ from wadm.isocrystal import (
     build_admissible_filtration,
     chain_sum_bounds,
     hodge_polygon,
+    inequality_rows,
     newton_polygon,
     polygon_dominates,
     polygon_rows,
@@ -95,7 +96,10 @@ def test_newton_polygon_vertices():
 def test_newton_polygon_merges_collinear():
     poly = newton_polygon(PhiModule.of_slopes(QP, [Fraction(1, 2), Fraction(1, 2)]))
     assert poly.vertices == ((0, 0), (2, 1))
-    assert poly.value_at(1) == Fraction(1, 2)
+    # the merged segment still carries the value 1/2 at x = 1, where the
+    # other path has a vertex
+    row = list(polygon_rows(poly, Polygon.from_slopes([0, 1])))[1]
+    assert row == (1, Fraction(1, 2), 0, True)
 
 
 def test_hodge_polygon_vertices():
@@ -142,6 +146,8 @@ def test_polygon_rows_carry_the_verdict():
 def test_polygon_dominates_width_mismatch():
     with pytest.raises(ValueError):
         polygon_dominates(Polygon.from_slopes([0]), Polygon.from_slopes([0, 1]))
+    with pytest.raises(ValueError, match="unequal widths"):
+        list(polygon_rows(Polygon.from_slopes([0]), Polygon.from_slopes([0, 1])))
 
 
 def _slopes_nondecreasing(poly):
@@ -682,3 +688,170 @@ def test_block_interior_vertex_failure():
     blocks = [(Fraction(-2), 1), (Fraction(2), 1)]
     jumps = [F(0, 0)]
     assert not polygon_dominates(*block_polygons(blocks, jumps))
+
+
+# --- integer rows against their Fraction forms ------------------------------------
+#
+# The library evaluates the partial-sum rows, the polygons, the block paths
+# and the polygon rows in integers, one scale per side.  The references
+# below are the same quantities summed in Fraction, each row anew.
+
+
+def _reference_inequality_rows(module, jumps):
+    js = [[Fraction(j) for j in sigma] for sigma in jumps]
+    n = module.rank
+    vals = sorted(-s for s in module.slopes_expanded())
+    rows = []
+    lhs = Fraction(0)
+    for i in range(1, n + 1):
+        lhs += sum(sigma[i - 1] for sigma in js)
+        rhs = -sum(vals[n - i:], Fraction(0))
+        rows.append((lhs, rhs, lhs <= rhs if i < n else lhs == rhs))
+    return rows
+
+
+def _reference_lower_boundary(slopes):
+    ordered = sorted(Fraction(s) for s in slopes)
+    pts = [(Fraction(0), Fraction(0))]
+    x, y = Fraction(0), Fraction(0)
+    for s, group in itertools.groupby(ordered):
+        run = len(list(group))
+        x, y = x + run, y + s * run
+        pts.append((x, y))
+    return tuple(pts)
+
+
+def _reference_block_paths(blocks, jumps):
+    data = [(Fraction(tn), int(d)) for tn, d in blocks]
+    agg = [sum(column) for column in zip(*[[Fraction(j) for j in sigma] for sigma in jumps])]
+    newton_pts, hodge_pts = [(0, 0)], [(0, 0)]
+    x, ysum = 0, Fraction(0)
+    for tn, d in sorted(data, key=lambda bd: (bd[0], -bd[1])):
+        x += d
+        ysum += tn
+        newton_pts.append((Fraction(x), ysum))
+        hodge_pts.append((Fraction(x), sum(agg[:x], Fraction(0))))
+    return tuple(newton_pts), tuple(hodge_pts)
+
+
+def _reference_value_at(poly, x):
+    """The path's value at x by a scan of its segments."""
+    for a, b in zip(poly.vertices, poly.vertices[1:]):
+        if a[0] <= x <= b[0]:
+            return a[1] + (b[1] - a[1]) * (x - a[0]) / (b[0] - a[0])
+    return poly.vertices[-1][1]
+
+
+def _reference_polygon_rows(newton, hodge):
+    xs = sorted({x for x, _ in newton.vertices} | {x for x, _ in hodge.vertices})
+    rows = []
+    for x in xs:
+        ny, hy = _reference_value_at(newton, x), _reference_value_at(hodge, x)
+        rows.append((x, ny, hy, hy <= ny if x < xs[-1] else hy == ny))
+    return rows
+
+
+def _all_fractions(rows):
+    return all(type(v) is Fraction for row in rows for v in row[:-1])
+
+
+# halves and thirds, mixed within one draw; whole values stay plain ints
+_RATIONALS = st.tuples(st.integers(-24, 24), st.sampled_from((1, 2, 3))).map(
+    lambda t: t[0] // t[1] if t[0] % t[1] == 0 else Fraction(*t))
+
+
+@st.composite
+def _modules_and_jumps(draw):
+    """A plain module and a jump type: ranks 1-7, 1-3 embeddings, slopes and
+    jumps in halves and thirds; half the draws have equal endpoints."""
+    field = FieldData(p=2, e=draw(st.integers(1, 3)), f=1)
+    n = draw(st.integers(1, 7))
+    jumps = [sorted(draw(st.lists(_RATIONALS, min_size=n, max_size=n)))
+             for _ in range(field.degree)]
+    slopes = draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        slopes[-1] = sum(map(Fraction, itertools.chain(*jumps))) - sum(map(Fraction, slopes[:-1]))
+    return PhiModule.of_slopes(field, slopes), jumps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modules_and_jumps())
+def test_inequality_rows_match_fraction_reference(data):
+    module, jumps = data
+    rows = inequality_rows(module, jumps)
+    assert rows == _reference_inequality_rows(module, jumps)
+    assert _all_fractions(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modules_and_jumps())
+def test_slope_polygons_and_their_rows_match_fraction_reference(data):
+    module, jumps = data
+    newton, hodge = newton_polygon(module), hodge_polygon(jumps)
+    assert newton.vertices == _reference_lower_boundary(module.slopes_expanded())
+    assert hodge.vertices == _reference_lower_boundary(
+        sum(map(Fraction, column)) for column in zip(*jumps))
+    assert all(type(v) is Fraction for poly in (newton, hodge) for vertex in poly.vertices
+               for v in vertex)
+    rows = list(polygon_rows(newton, hodge))
+    assert rows == _reference_polygon_rows(newton, hodge)
+    assert _all_fractions(rows)
+    assert polygon_dominates(newton, hodge) == all(ok for *_, ok in rows)
+
+
+@st.composite
+def _block_data(draw):
+    """Per-piece (Newton number, dimension) pairs, 1-4 pieces of dimension
+    1-3, Newton numbers in halves and thirds in any order (so the Newton
+    path need not be convex), and a jump type of the total rank."""
+    blocks = draw(st.lists(st.tuples(_RATIONALS, st.integers(1, 3)), min_size=1, max_size=4))
+    n = sum(d for _, d in blocks)
+    jumps = [sorted(draw(st.lists(_RATIONALS, min_size=n, max_size=n)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return blocks, jumps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_data())
+def test_block_paths_and_their_rows_match_fraction_reference(data):
+    blocks, jumps = data
+    newton, hodge = block_polygons(blocks, jumps)
+    assert (newton.vertices, hodge.vertices) == _reference_block_paths(blocks, jumps)
+    rows = list(polygon_rows(newton, hodge))
+    assert rows == _reference_polygon_rows(newton, hodge)
+    assert _all_fractions(rows)
+
+
+def test_non_convex_block_path_rows():
+    # Newton numbers 1 and 2 on dimensions 1 and 3: slopes 1 then 2/3
+    newton, hodge = block_polygons([(2, 3), (Fraction(1), 1)], [[Fraction(-1, 2), 0, 0, 1]])
+    assert newton.vertices == ((0, 0), (1, 1), (4, 3))
+    assert hodge.vertices == ((0, 0), (1, Fraction(-1, 2)), (4, Fraction(1, 2)))
+    assert not _slopes_nondecreasing(newton)
+    rows = list(polygon_rows(newton, hodge))
+    assert rows == _reference_polygon_rows(newton, hodge)
+    assert [ok for *_, ok in rows] == [True, True, False]
+
+
+@st.composite
+def _rational_paths(draw):
+    """Two paths from the origin to a common rational width, with
+    breakpoints at rational x (denominators up to 6) and rational y."""
+    width = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 6)))
+
+    def path():
+        inner = draw(st.sets(st.integers(1, 35), max_size=5))
+        xs = [width * k / 36 for k in sorted(inner)] + [width]
+        ys = draw(st.lists(_RATIONALS, min_size=len(xs), max_size=len(xs)))
+        return Polygon.from_path(list(zip(xs, ys)))
+
+    return path(), path()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_paths())
+def test_polygon_rows_match_fraction_reference_at_rational_x(paths):
+    newton, hodge = paths
+    rows = list(polygon_rows(newton, hodge))
+    assert rows == _reference_polygon_rows(newton, hodge)
+    assert _all_fractions(rows)
