@@ -40,11 +40,10 @@ spectral membership queries on the dual torus (``rootdata.in_Vxi``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import FieldData, format_rat
+from .exact import FieldData, _Frozen, format_rat
 from .isocrystal import (
     Filtration,
     PhiModule,
@@ -108,15 +107,20 @@ def weights_from_jumps(i_rows: Sequence[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckLine:
     """One evaluated condition with both sides as exact rationals."""
 
-    name: str
-    ok: Optional[bool]
-    lhs: Optional[Fraction] = None
-    rhs: Optional[Fraction] = None
-    note: str = ""
+    __slots__ = _fields = ("name", "ok", "lhs", "rhs", "note")
+    __hash__ = None  # a mutable record
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, name: str, ok: Optional[bool], lhs: Optional[Fraction] = None,
+                 rhs: Optional[Fraction] = None, note: str = "") -> None:
+        self.name = name
+        self.ok = ok
+        self.lhs = lhs
+        self.rhs = rhs
+        self.note = note
 
     def render(self) -> str:
         parts = []
@@ -131,16 +135,22 @@ class CheckLine:
         return f"{self.name}: " + " ".join(parts)
 
 
-@dataclass
 class Verdict:
     """Named results plus witness data and a trace of every inequality."""
 
-    status: str
-    checks: list[CheckLine] = dc_field(default_factory=list)
-    witness: Optional[Filtration] = None
-    newton: Optional[Polygon] = None
-    hodge: Optional[Polygon] = None
-    reason: str = ""
+    __slots__ = _fields = ("status", "checks", "witness", "newton", "hodge", "reason")
+    __hash__ = None  # a mutable record
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, status: str, checks: Optional[list[CheckLine]] = None,
+                 witness: Optional[Filtration] = None, newton: Optional[Polygon] = None,
+                 hodge: Optional[Polygon] = None, reason: str = "") -> None:
+        self.status = status
+        self.checks = [] if checks is None else checks
+        self.witness = witness
+        self.newton = newton
+        self.hodge = hodge
+        self.reason = reason
 
     @property
     def passed(self) -> bool:
@@ -152,39 +162,49 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """One structured problem instance.
 
     ``weights_a`` is the canonical highest-weight form (nondecreasing per
     embedding); the jump form converts through jumps_from_weights.  The
     Galois side is either a tuple of arithmetic Frobenius valuations or a
     WDRep with declared summands (see the sign table above).  The group
-    is GL(n), n the length of the weight rows.
+    is GL(n), n the length of the weight rows.  The arithmetic valuations
+    of a Weil-Deligne side are read off its summands' blocks once, here.
     """
 
-    ident: str
-    field: FieldData
-    weights_a: tuple[tuple[int, ...], ...]
-    zeta_vals: Optional[tuple[Fraction, ...]] = None
-    wd: Optional[WDRep] = None
+    _fields = ("ident", "field", "weights_a", "zeta_vals", "wd")
+    __slots__ = _fields + ("_arithmetic_vals",)
 
-    def __post_init__(self) -> None:
-        if (self.zeta_vals is None) == (self.wd is None):
+    def __init__(self, ident: str, field: FieldData, weights_a: tuple[tuple[int, ...], ...],
+                 zeta_vals: Optional[tuple[Fraction, ...]] = None,
+                 wd: Optional[WDRep] = None) -> None:
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "weights_a", weights_a)
+        object.__setattr__(self, "zeta_vals", zeta_vals)
+        object.__setattr__(self, "wd", wd)
+        if (zeta_vals is None) == (wd is None):
             raise ValueError("exactly one of zeta_vals and wd must be given")
-        if len(self.weights_a) != self.field.degree:
+        if len(weights_a) != field.degree:
             raise ValueError(
-                f"expected {self.field.degree} embeddings of weights, got {len(self.weights_a)}"
+                f"expected {field.degree} embeddings of weights, got {len(weights_a)}"
             )
-        n = len(self.weights_a[0])
+        n = len(weights_a[0])
         if n == 0:
             raise ValueError("an instance needs rank >= 1, got empty weight rows")
-        if any(len(row) != n for row in self.weights_a):
+        if any(len(row) != n for row in weights_a):
             raise ValueError("weight rows must have equal length")
-        if self.zeta_vals is not None and len(self.zeta_vals) != n:
+        if zeta_vals is not None and len(zeta_vals) != n:
             raise ValueError("zeta valuation count must match the weight length")
-        if self.wd is not None and self.wd.dimension != n:
+        if wd is not None and wd.dimension != n:
             raise ValueError("Weil-Deligne dimension must match the weight length")
+        if wd is None:
+            vals = tuple(zeta_vals)
+        else:
+            vals = tuple(-b.slope for part in wd.parts for b in part.blocks(field.degree)
+                         for _ in range(b.mult))
+        object.__setattr__(self, "_arithmetic_vals", vals)
 
     @property
     def dimension(self) -> int:
@@ -198,10 +218,7 @@ class Instance:
 
     def arithmetic_vals(self) -> list[Fraction]:
         """Arithmetic Frobenius valuations of the Galois side (sign table)."""
-        if self.zeta_vals is not None:
-            return list(self.zeta_vals)
-        return [-b.slope for part in self.wd.parts for b in part.blocks(self.field.degree)
-                for _ in range(b.mult)]
+        return list(self._arithmetic_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +439,21 @@ def polygons_for_instance(instance: Instance) -> tuple[Polygon, Polygon, bool]:
     return newton, hodge, polygon_dominates(newton, hodge)
 
 
-@dataclass
 class InstanceResult:
-    instance: Instance
-    norm: Verdict
-    central_ok: bool
-    adm: Verdict
-    membership: Verdict
-    status: str
+    """Every named verdict on one instance, and the overall status."""
+
+    __slots__ = _fields = ("instance", "norm", "central_ok", "adm", "membership", "status")
+    __hash__ = None  # a mutable record
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, instance: Instance, norm: Verdict, central_ok: bool, adm: Verdict,
+                 membership: Verdict, status: str) -> None:
+        self.instance = instance
+        self.norm = norm
+        self.central_ok = central_ok
+        self.adm = adm
+        self.membership = membership
+        self.status = status
 
 
 def check_instance(instance: Instance) -> InstanceResult:

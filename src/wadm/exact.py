@@ -24,6 +24,14 @@ scaled by the lcm of its denominators.  Back substitution runs in integers too
 (``_solve_integer`` returns det * x); only ``solve_linear`` builds
 ``Fraction``, one per entry of the solution.  ``_reduced_echelon``
 back-eliminates ``_echelon``'s rows in integers, for the subobject oracle.
+
+The library's frozen value types (``FieldData``, ``QSqrtQ``, root data,
+highest weights, modules, filtrations, Weil-Deligne data) derive from
+``_Frozen``: each is written out with ``__slots__`` and its own
+``__init__``, and the base gives them immutability, equality and hashing on
+their fields, and the ``Name(field=value, ...)`` repr.  Writing them out
+keeps ``dataclasses`` (and the ``inspect`` it imports) and its one ``exec``
+per generated method out of every process start.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -131,8 +138,48 @@ def val_p_rat(x: RatLike, p: int):
     return Fraction(mult(x.numerator) - mult(x.denominator))
 
 
-@dataclass(frozen=True)
-class FieldData:
+class _Frozen:
+    """Base of the frozen value types.
+
+    A subclass lists its fields in ``_fields`` (also its ``__slots__``, plus
+    any cached private slots) and sets each field in its ``__init__`` with
+    ``object.__setattr__``; its ``_key`` is ``operator.attrgetter(*_fields)``.
+    Instances are then immutable, equal exactly when they are of the same
+    class with equal fields, hashed on those fields, printed as
+    ``Name(field=value, ...)``, and copied or pickled by calling the class
+    on the fields again.  The mutable records (``checker.CheckLine`` and
+    ``Verdict``, ``InstanceResult``, ``instances.KeyValues``) list
+    ``_fields`` too and borrow only the repr.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class FieldData(_Frozen):
     """Numeric invariants of a finite extension L of Q_p.
 
     p is the residue characteristic, e the ramification index, f the
@@ -140,15 +187,16 @@ class FieldData:
     field embeddings used everywhere equals e*f.
     """
 
-    p: int
-    e: int
-    f: int
+    __slots__ = _fields = ("p", "e", "f")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.e < 1 or self.f < 1:
+    def __init__(self, p: int, e: int, f: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if e < 1 or f < 1:
             raise ValueError("e and f must be >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     @property
     def q(self) -> int:
@@ -168,8 +216,7 @@ def _as_frac(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class QSqrtQ:
+class QSqrtQ(_Frozen):
     """Element a + b*sqrt(q) of the formal quadratic extension by sqrt(q).
 
     sqrt(q) is treated as a formal symbol with (sqrt q)^2 = q, so equality
@@ -177,14 +224,13 @@ class QSqrtQ:
     there is no division.
     """
 
-    a: Fraction
-    b: Fraction
-    q: int
+    __slots__ = _fields = ("a", "b", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_frac(self.a))
-        object.__setattr__(self, "b", _as_frac(self.b))
-        prime_power(self.q)
+    def __init__(self, a: Fraction, b: Fraction, q: int) -> None:
+        object.__setattr__(self, "a", _as_frac(a))
+        object.__setattr__(self, "b", _as_frac(b))
+        object.__setattr__(self, "q", q)
+        prime_power(q)
 
     @classmethod
     def of(cls, a: RatLike, b: RatLike, q: int) -> "QSqrtQ":

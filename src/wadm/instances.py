@@ -34,14 +34,12 @@ default true) or ``element.N`` lines (group ring elements,
 
 from __future__ import annotations
 
-import ast
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
-from .exact import FieldData, QSqrtQ, format_rat, parse_rat
+from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
 from .isocrystal import Polygon, polygon_rows
 from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, all_roots,
                        validate_highest_weight)
@@ -59,10 +57,16 @@ class InstanceError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass
 class KeyValues:
-    path: str
-    entries: dict  # key -> (lineno, value)
+    """The ``key: value`` entries of one file, each with its line number."""
+
+    __slots__ = _fields = ("path", "entries")
+    __hash__ = None  # a mutable record
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, path: str, entries: dict) -> None:
+        self.path = path
+        self.entries = entries  # key -> (lineno, value)
 
     @classmethod
     def parse(cls, text: str, path: str = "<string>") -> "KeyValues":
@@ -121,8 +125,9 @@ class KeyValues:
             raise self.error(key, f"expected an integer, got {value!r}") from None
 
     def field(self) -> FieldData:
+        p, e, f = self._int("field.p"), self._int("field.e"), self._int("field.f")
         try:
-            return FieldData(p=self._int("field.p"), e=self._int("field.e"), f=self._int("field.f"))
+            return FieldData(p=p, e=e, f=f)
         except ValueError as exc:
             raise InstanceError(self.path, self.lineno("field.p"), str(exc)) from None
 
@@ -136,8 +141,9 @@ class KeyValues:
             raise self.error("group", str(exc)) from None
 
     def rational_list(self, key: str) -> list[Fraction]:
+        value = self.require(key)
         try:
-            return [parse_rat(tok) for tok in self.require(key).split()]
+            return [parse_rat(tok) for tok in value.split()]
         except ValueError as exc:
             raise self.error(key, str(exc)) from None
 
@@ -161,6 +167,8 @@ def parse_group(spec: str) -> RootDatum:
         return RootDatum.sp4()
     for prefix, kind in (("cartan-adjoint", "adjoint"), ("cartan", "simply_connected")):
         if spec.startswith(prefix + " "):
+            import ast  # the only use; most processes never parse a Cartan literal
+
             literal = spec[len(prefix):].strip()
             try:
                 matrix = ast.literal_eval(literal)
@@ -233,6 +241,8 @@ def _parse_wd_part(kv: KeyValues, key: str, value: str):
             return SteinbergChain(
                 parse_rat(need("base")), int(need("dim")), int(need("len"))
             )
+    except InstanceError:  # need's positioned error, already prefixed
+        raise
     except (ValueError, TypeError) as exc:
         raise kv.error(key, str(exc)) from None
     raise kv.error(key, f"unknown summand kind {kind!r}")

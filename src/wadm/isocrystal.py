@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FieldData, RatLike, _reduced_echelon, rank as mat_rank
+from .exact import FieldData, RatLike, _Frozen, _reduced_echelon, rank as mat_rank
 
 SUBOBJECT_ENUM_CAP = 12
 
@@ -53,8 +52,7 @@ class UnsupportedRegimeError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Frozen):
     """One isotypic piece: slope (val_L of the eigenvalue), multiplicity,
     and the Jordan partition of the multiplicity.
 
@@ -62,18 +60,17 @@ class Block:
     (``weildeligne.Unramified``), whose geometric Frobenius valuation
     ``val`` is the slope."""
 
-    slope: Fraction
-    mult: int
-    jordan: tuple[int, ...] = ()
+    __slots__ = _fields = ("slope", "mult", "jordan")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        jordan = tuple(sorted((int(v) for v in self.jordan), reverse=True)) or (1,) * self.mult
+    def __init__(self, slope: Fraction, mult: int, jordan: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "slope", Fraction(slope))
+        object.__setattr__(self, "mult", mult)
+        jordan = tuple(sorted((int(v) for v in jordan), reverse=True)) or (1,) * mult
         object.__setattr__(self, "jordan", jordan)
-        if self.mult < 1:
+        if mult < 1:
             raise ValueError("multiplicity must be >= 1")
-        if any(p < 1 for p in jordan) or sum(jordan) != self.mult:
-            raise ValueError(f"jordan {jordan} is not a partition of {self.mult}")
+        if any(p < 1 for p in jordan) or sum(jordan) != mult:
+            raise ValueError(f"jordan {jordan} is not a partition of {mult}")
 
     @property
     def val(self) -> Fraction:
@@ -87,19 +84,18 @@ class Block:
         return (self,)
 
 
-@dataclass(frozen=True)
-class SteinbergChain:
+class SteinbergChain(_Frozen):
     """An indecomposable chain D_0 + D_0(1) + ... of ``length`` twists of a
     piece of dimension ``piece_dim`` at slope ``base_val``; the nilpotent
     operator maps twist n to twist n-1 by the identity."""
 
-    base_val: Fraction
-    piece_dim: int
-    length: int
+    __slots__ = _fields = ("base_val", "piece_dim", "length")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_val", Fraction(self.base_val))
-        if self.piece_dim < 1 or self.length < 2:
+    def __init__(self, base_val: Fraction, piece_dim: int, length: int) -> None:
+        object.__setattr__(self, "base_val", Fraction(base_val))
+        object.__setattr__(self, "piece_dim", piece_dim)
+        object.__setattr__(self, "length", length)
+        if piece_dim < 1 or length < 2:
             raise ValueError("piece_dim must be >= 1 and length >= 2")
 
     @property
@@ -113,8 +109,7 @@ class SteinbergChain:
         )
 
 
-@dataclass(frozen=True)
-class PhiModule:
+class PhiModule(_Frozen):
     """Slope data of a Frobenius module over the coefficient ring.
 
     Coordinates: the blocks occupy consecutive standard basis vectors in
@@ -123,15 +118,16 @@ class PhiModule:
     in this basis.
     """
 
-    field: FieldData
-    blocks: tuple[Block, ...]
-    steinberg: Optional[SteinbergChain] = None
+    __slots__ = _fields = ("field", "blocks", "steinberg")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, field: FieldData, blocks: tuple[Block, ...],
+                 steinberg: Optional[SteinbergChain] = None) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "steinberg", steinberg)
+        if not blocks:
             raise ValueError("a module needs at least one block")
-        if self.steinberg is not None and \
-                self.blocks != self.steinberg.blocks(self.field.degree):
+        if steinberg is not None and blocks != steinberg.blocks(field.degree):
             raise ValueError("blocks do not match the declared chain structure")
 
     @classmethod
@@ -179,8 +175,7 @@ def _jump_lists(jumps: Sequence[Sequence], rank: Optional[int] = None,
     return js
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(_Frozen):
     """An explicit filtration: a jump type and the flag vectors realizing it.
 
     ``jumps[sigma]`` lists rank-many jumps, sorted nondecreasingly; a jump
@@ -191,13 +186,13 @@ class Filtration:
     (int or Fraction), so integral flags reach ``exact.rank`` as plain ints.
     """
 
-    jumps: tuple[tuple[Fraction, ...], ...]
-    flags: tuple[tuple[tuple[RatLike, ...], ...], ...]
+    __slots__ = _fields = ("jumps", "flags")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jumps", _jump_lists(self.jumps))
+    def __init__(self, jumps: Sequence[Sequence],
+                 flags: Sequence[Sequence[Sequence[RatLike]]]) -> None:
+        object.__setattr__(self, "jumps", _jump_lists(jumps))
         n = self.rank
-        flags = tuple(tuple(tuple(v) for v in sigma) for sigma in self.flags)
+        flags = tuple(tuple(tuple(v) for v in sigma) for sigma in flags)
         object.__setattr__(self, "flags", flags)
         if len(flags) != self.embeddings:
             raise ValueError("flags must cover every embedding")
@@ -231,17 +226,16 @@ def t_H(jumps: Sequence[Sequence]) -> Fraction:
     return sum((j for sigma in _jump_lists(jumps) for j in sigma), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(_Frozen):
     """Piecewise-linear path from (0, 0) with strictly increasing rational
     x-coordinates.  Slope-built polygons are lower-convex; block paths may
     not be."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: Sequence[tuple]) -> None:
         verts = tuple((x if type(x) is Fraction else Fraction(x),
-                       y if type(y) is Fraction else Fraction(y)) for x, y in self.vertices)
+                       y if type(y) is Fraction else Fraction(y)) for x, y in vertices)
         object.__setattr__(self, "vertices", verts)
         if not verts or verts[0] != (0, 0):
             raise ValueError("polygon must start at (0, 0)")

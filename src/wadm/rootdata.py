@@ -48,13 +48,12 @@ Conventions, fixed once for the whole library:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import (FieldData, _integer_rows, _solve_integer, lp_feasible, rank as mat_rank,
-                    solve_linear)
+from .exact import (FieldData, _Frozen, _integer_rows, _solve_integer, lp_feasible,
+                    rank as mat_rank, solve_linear)
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -125,11 +124,13 @@ def _matvec(m: IntMatrix, v: Sequence) -> tuple:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(_Frozen):
     """A Weyl group element as its integer matrix on cocharacters."""
 
-    cochar: IntMatrix
+    __slots__ = _fields = ("cochar",)
+
+    def __init__(self, cochar: IntMatrix) -> None:
+        object.__setattr__(self, "cochar", cochar)
 
     def on_cochar(self, lam: Sequence[int]) -> IntVec:
         return _matvec(self.cochar, lam)
@@ -138,31 +139,31 @@ class WeylElement:
         return WeylElement(_matmul(self.cochar, other.cochar))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(_Frozen):
     """A split root datum: simple roots and coroots in a rank-r lattice pair.
 
     ``simple_roots[i]`` has integer coordinates in the character lattice,
     ``simple_coroots[i]`` in the cocharacter lattice; the Cartan pairing
     ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
-    a non-positive integer off it.
+    a non-positive integer off it.  ``cartan`` is computed once, and neither
+    compared nor printed.
     """
 
-    rank: int
-    simple_roots: tuple[IntVec, ...]
-    simple_coroots: tuple[IntVec, ...]
-    name: str = ""
-    cartan: IntMatrix = dataclass_field(init=False, repr=False, compare=False)
+    _fields = ("rank", "simple_roots", "simple_coroots", "name")
+    __slots__ = _fields + ("cartan", "_hash")
 
-    def __post_init__(self) -> None:
-        roots = tuple(_int_tuple(r) for r in self.simple_roots)
-        coroots = tuple(_int_tuple(r) for r in self.simple_coroots)
+    def __init__(self, rank: int, simple_roots: Sequence[Sequence[int]],
+                 simple_coroots: Sequence[Sequence[int]], name: str = "") -> None:
+        roots = tuple(_int_tuple(r) for r in simple_roots)
+        coroots = tuple(_int_tuple(r) for r in simple_coroots)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
+        object.__setattr__(self, "name", name)
         if len(roots) != len(coroots):
             raise ValueError("simple roots and coroots must come in equal numbers")
         for r in roots + coroots:
-            if len(r) != self.rank:
+            if len(r) != rank:
                 raise ValueError("root/coroot length must equal the rank")
         cartan = tuple(tuple(dot(alpha, cov) for cov in coroots) for alpha in roots)
         object.__setattr__(self, "cartan", cartan)
@@ -177,7 +178,7 @@ class RootDatum:
         # Hashed once, not on every cache lookup keyed by a datum.  The name
         # is left out: equal data still hash equal, and a hash of ints
         # alone does not depend on the process's string hash seed.
-        object.__setattr__(self, "_hash", hash((self.rank, roots, coroots)))
+        object.__setattr__(self, "_hash", hash((rank, roots, coroots)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -402,18 +403,17 @@ def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HighestWeight:
+class HighestWeight(_Frozen):
     """A dominant integral weight for each of the e*f embeddings.
 
     For GL_{d+1} each entry is (a_1, ..., a_{d+1}) with a_j <= a_{j+1}
     (the lower-triangular Borel convention).
     """
 
-    per_embedding: tuple[IntVec, ...]
+    __slots__ = _fields = ("per_embedding",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_embedding", tuple(_int_tuple(w) for w in self.per_embedding))
+    def __init__(self, per_embedding: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "per_embedding", tuple(_int_tuple(w) for w in per_embedding))
 
     @classmethod
     def of(cls, weights: Iterable[Iterable[int]]) -> "HighestWeight":

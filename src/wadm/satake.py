@@ -20,11 +20,10 @@ golden value is delta_half_val(gl(2), (1,0)) = -1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import INF, FieldData, QSqrtQ, val_q
+from .exact import INF, FieldData, QSqrtQ, _Frozen, val_q
 from .rootdata import (
     HighestWeight,
     RootDatum,
@@ -39,14 +38,13 @@ from .rootdata import (
 Cochar = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
+class GroupRingElem(_Frozen):
     """Finitely supported map lambda -> coefficient, zero terms pruned."""
 
-    terms: tuple[tuple[Cochar, QSqrtQ], ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        pruned = tuple((_int_tuple(lam), c) for lam, c in self.terms if not c.is_zero())
+    def __init__(self, terms: Iterable[tuple[Sequence[int], QSqrtQ]]) -> None:
+        pruned = tuple((_int_tuple(lam), c) for lam, c in terms if not c.is_zero())
         qs = {c.q for _, c in pruned}
         if len(qs) > 1:
             raise ValueError(f"coefficients with mismatched q: {sorted(qs)}")

@@ -26,11 +26,10 @@ treatment needs an honest Galois action rather than valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact import FieldData
+from .exact import FieldData, _Frozen
 from .isocrystal import Block, PhiModule, SteinbergChain, UnsupportedRegimeError
 
 # An unramified summand (geometric Frobenius valuation ``val``, multiplicity,
@@ -46,20 +45,21 @@ def _sort_key(part: Summand):
     return (0, part.val, part.mult, part.jordan)
 
 
-@dataclass(frozen=True)
-class WDRep:
+class WDRep(_Frozen):
     """An unramified-or-Steinberg Weil-Deligne datum, as a direct sum of
     declared summands.  ``ramified`` marks out-of-scope inputs so the
     error surface exists at this layer too."""
 
-    field: FieldData
-    parts: tuple[Summand, ...]
-    ramified: bool = False
+    __slots__ = _fields = ("field", "parts", "ramified")
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, field: FieldData, parts: tuple[Summand, ...],
+                 ramified: bool = False) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "ramified", ramified)
+        if not parts:
             raise ValueError("a representation needs at least one summand")
-        for part in self.parts:
+        for part in parts:
             if not isinstance(part, (Unramified, SteinbergChain)):
                 raise TypeError(f"unsupported summand {part!r}")
 

@@ -1,6 +1,7 @@
 """Instance files, reports, and the command line: parsing, round trips,
 golden outputs, determinism, exit codes."""
 
+import collections
 import re
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wadm.checker import Instance, jumps_from_weights
+from wadm.checker import Instance, check_instance, jumps_from_weights
 from wadm.cli import main
 from wadm.exact import FieldData
 from wadm.instances import (
@@ -17,6 +18,7 @@ from wadm.instances import (
     parse_instance,
     parse_norm_query,
     parse_point_query,
+    render_check_report,
     serialize_instance,
 )
 from wadm.weildeligne import SteinbergChain, Unramified, WDRep
@@ -202,6 +204,51 @@ def test_group_rank_mismatch_is_positioned(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"{path}:4: group rank 3 does not match the data dimension 2\n"
     assert not captured.out
+
+
+# (file text, line of the offending key or None, message): an error raised
+# while a key is read is reported once, at that key's line
+ONE_PREFIX = {
+    "missing-field-p": ("field.e: 1\nfield.f: 1\nweights.sigma1: 0 1\ngalois.form: zeta\n"
+                        "galois.zeta_vals: 0 2\n", None, "missing required key 'field.p'"),
+    "bad-field-e": ("id: x\n\nfield.p: 3\nfield.e: x\nfield.f: 1\nweights.sigma1: 0 1\n"
+                    "galois.form: zeta\ngalois.zeta_vals: 0 2\n", 4,
+                    "expected an integer, got 'x'"),
+    "wd-summand-without-val": ("field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
+                               "galois.form: wd\n# a summand with no valuation\n\n"
+                               "galois.wd.1: unramified mult=2\n", 8,
+                               "unramified summand needs val="),
+    "missing-zeta-vals": ("field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
+                          "galois.form: zeta\n", None,
+                          "missing required key 'galois.zeta_vals'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PREFIX))
+def test_key_errors_carry_one_prefix(name, tmp_path, capsys):
+    text, line, message = ONE_PREFIX[name]
+    path = tmp_path / "x.inst"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    where = str(path) if line is None else f"{path}:{line}"
+    assert captured.err == f"{where}: {message}\n"
+    assert not captured.out
+
+
+def test_check_reads_each_summands_blocks_once(monkeypatch):
+    # a Weil-Deligne side's arithmetic valuations are read off its summands
+    # once per instance, not again for each verdict and for the report
+    calls = collections.Counter()
+    for cls in (Unramified, SteinbergChain):
+        def counted(self, degree, blocks=cls.blocks):
+            calls[self] += 1
+            return blocks(self, degree)
+        monkeypatch.setattr(cls, "blocks", counted)
+    inst = parse_instance((GOLDEN / "gl4_block.inst").read_text(), "gl4_block.inst")
+    report = render_check_report(check_instance(inst))
+    assert "galois.arithmetic_vals: 2 -2 0 -1" in report
+    assert calls == {part: 1 for part in inst.wd.parts}
 
 
 @pytest.mark.parametrize("command", ["check", "polygon"])

@@ -8,6 +8,7 @@ sets may meet only in an allowlist of input readers, each with the reason
 it is shared; a new shared helper, whatever its name, fails the guard.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ from wadm.isocrystal import (
     polygon_rows,
     weak_admissible,
 )
-from wadm.rootdata import RootDatum, positive_roots
+from wadm.rootdata import HighestWeight, RootDatum, in_hull, in_Vxi, positive_roots
 
 WADM = str(Path(wadm.__file__).parent)
 
@@ -131,6 +132,28 @@ def _oracle_side():
         assert weak_admissible(module, witness)
 
 
+# criterion 4's domain, unnormalized: sp(4) over two embeddings on a grid
+# of half-integral points, and gl(3) on integral ones, inside and outside
+DOMAINS = [
+    (RootDatum.sp4(), FieldData(2, 2, 1), HighestWeight.of([(2, 1), (1, 1)]),
+     [tuple(Fraction(a, 2) for a in z) for z in itertools.product(range(-9, 10, 3), repeat=2)]),
+    (RootDatum.gl(3), FieldData(3, 1, 1), HighestWeight.of([(0, 1, 3)]),
+     [(a, b, 4 - a - b) for a in range(-2, 5, 2) for b in range(-3, 4, 3)]),
+]
+
+
+def _dominance_side():
+    for datum, field, xi, points in DOMAINS:
+        for z in points:
+            in_Vxi(datum, field, xi, z)
+
+
+def _hull_side():
+    for datum, field, xi, points in DOMAINS:
+        for z in points:
+            in_hull(datum, field, xi, z)
+
+
 READS_THE_JUMP_TYPE = "reads and checks the jump type, the input both sides take"
 READS_THE_SLOPES = "reads the module's slopes, the input both sides take"
 READS_THE_GALOIS_SIDE = "reads the instance's arithmetic Frobenius valuations"
@@ -139,6 +162,13 @@ READS_THE_RANK = "reads the module's rank"
 READS_THE_REGIME = ("reads whether the module is in the distinct-slope regime, which "
                     "both the construction and the oracle require")
 READS_THE_FILTRATION = "reads the filtration's shape (the construction builds it)"
+BUILDS_THE_OUTPUT_ROWS = ("constructs the report rows and the verdict, the output records "
+                          "both sides return")
+VALIDATES_THE_WEIGHT = "validates the highest weight, the input both sides take"
+HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cache keys"
+READS_THE_ROOT_SYSTEM = ("the datum's root closure (the roots by reflection closure, the "
+                         "positive ones by one solve against the simple roots, and their "
+                         "sum 2*eta), which both domains are built from")
 
 # pair -> (side a, side b, {shared reader: why it may be shared}, functions
 # each side must be seen to call)
@@ -152,7 +182,9 @@ PAIRS = {
     "norm-vs-membership": (
         _norm_side, _membership_side,
         {"wadm.checker.Instance.arithmetic_vals": READS_THE_GALOIS_SIDE,
-         "wadm.exact.FieldData.degree": READS_THE_DEGREE},
+         "wadm.exact.FieldData.degree": READS_THE_DEGREE,
+         "wadm.checker.CheckLine.__init__": BUILDS_THE_OUTPUT_ROWS,
+         "wadm.checker.Verdict.__init__": BUILDS_THE_OUTPUT_ROWS},
         ("wadm.checker.invariant_norm_inequalities", "wadm.rootdata.in_Vxi"),
     ),
     "norm-vs-partial-sums": (
@@ -170,6 +202,25 @@ PAIRS = {
          "wadm.isocrystal.Filtration.embeddings": READS_THE_FILTRATION},
         ("wadm.isocrystal.build_admissible_filtration", "wadm.isocrystal.weak_admissible"),
     ),
+    "dominance-vs-hull": (
+        _dominance_side, _hull_side,
+        {"wadm.rootdata.validate_highest_weight": VALIDATES_THE_WEIGHT,
+         "wadm.rootdata.RootDatum.is_dominant": VALIDATES_THE_WEIGHT,
+         "wadm.rootdata.HighestWeight.embeddings": VALIDATES_THE_WEIGHT,
+         "wadm.exact.FieldData.degree": READS_THE_DEGREE,
+         "wadm.exact._Frozen.__hash__": HASHES_THE_INPUTS,
+         "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
+         "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata.all_roots": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata.RootDatum.reflect_weight": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata.dot": READS_THE_ROOT_SYSTEM,
+         "wadm.exact.solve_linear": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._two_eta": READS_THE_ROOT_SYSTEM},
+        ("wadm.rootdata.in_Vxi", "wadm.rootdata.in_hull"),
+    ),
 }
 
 # A known exception, not an input reader: ``Filtration``'s independence
@@ -178,9 +229,18 @@ PAIRS = {
 # elimination reaches both sides of construction vs. oracle.  It goes once
 # the oracle runs its own elimination (ROADMAP, the depth-first oracle);
 # the guard then fails until this entry is dropped.
+#
+# A second known exception: the dominance side's root-cone test
+# (``_in_root_cone`` -> ``_solve_integer`` -> ``_echelon``) and the hull
+# side's LP (``lp_feasible`` -> ``_integer_rows``) meet in exact's integer
+# elimination and row scaling, which the root closure's solve reaches on
+# both sides as well.  A common-mode fault in the row scaling reaches both
+# membership decisions of criterion 4.
 KNOWN_SHARED = {
     "construction-vs-oracle": {"wadm.exact.rank", "wadm.exact._echelon",
                                "wadm.exact._integer_rows"},
+    "dominance-vs-hull": {"wadm.exact._solve_integer", "wadm.exact._echelon",
+                          "wadm.exact._integer_rows"},
 }
 
 
