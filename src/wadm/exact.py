@@ -16,14 +16,15 @@ The conversion constant is val_L = e*f*val_q = degree*val_q.
 
 No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
-``solve_linear`` share one fraction-free elimination (rows scaled to
+``_solve_integer`` share one fraction-free elimination (rows scaled to
 integers, then Bareiss), and ``lp_feasible`` pivots the same integer rows
 by the same rule.  ``_integer_rows`` copies an all-``int`` row (such as
 the oracle's flags) in one pass; only a row with a ``Fraction`` in it is
-scaled by the lcm of its denominators.  Back substitution runs in integers too
-(``_solve_integer`` returns det * x); only ``solve_linear`` builds
-``Fraction``, one per entry of the solution.  ``_reduced_echelon``
-back-eliminates ``_echelon``'s rows in integers, for the subobject oracle.
+scaled by the lcm of its denominators.  Back substitution runs in integers
+too: ``_solve_integer`` returns det and det * x, and its callers read the
+signs they need from those integers, so the linear algebra builds no
+``Fraction``.  ``_reduced_echelon`` back-eliminates ``_echelon``'s rows in
+integers, for the subobject oracle.
 
 The library's frozen value types (``FieldData``, ``QSqrtQ``, root data,
 highest weights, modules, filtrations, Weil-Deligne data) derive from
@@ -408,20 +409,6 @@ def _solve_integer(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[tuple[int, 
     for c, p, w in reversed(pivots):
         y[c] = (det * w[-1] - sum(v * y[j] for j, v in enumerate(w[:-1], c + 1))) // p
     return det, y
-
-
-def solve_linear(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly: ``_solve_integer``, then one ``Fraction``
-    per entry.
-
-    Returns one exact solution (free variables set to 0), or None when the
-    system is inconsistent.  Raises ValueError on dimension mismatch.
-    """
-    solved = _solve_integer(rows, rhs)
-    if solved is None:
-        return None
-    det, nums = solved
-    return [Fraction(v, det) for v in nums]
 
 
 def rank(rows: Matrix) -> int:

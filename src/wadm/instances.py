@@ -102,13 +102,17 @@ class KeyValues:
         return InstanceError(self.path, self.lineno(key), message)
 
     def numbered(self, prefix: str) -> list[tuple[str, str]]:
-        """Keys of the form prefix<N>, required consecutive from 1."""
+        """Keys of the form prefix<N>, required consecutive from 1; two keys
+        with the same N (``prefix1`` and ``prefix01``) raise at the later one."""
         pat = re.compile(re.escape(prefix) + r"(\d+)$")
         found = {}
         for key in self.entries:
             m = pat.match(key)
             if m:
-                found[int(m.group(1))] = key
+                n = int(m.group(1))
+                if n in found:
+                    raise self.error(key, f"{key!r} repeats the number of {found[n]!r}")
+                found[n] = key
         if not found:
             return []
         if sorted(found) != list(range(1, len(found) + 1)):

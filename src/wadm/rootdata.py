@@ -53,26 +53,31 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .exact import (FieldData, _Frozen, _integer_rows, _solve_integer, lp_feasible,
-                    rank as mat_rank, solve_linear)
+                    rank as mat_rank)
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
 
-DEFAULT_ORBIT_CAP = 10**6
+# The most elements an enumeration of a finite Weyl group or of one of its
+# orbits may hold before it raises ``OrbitCapError``.
+ORBIT_CAP = 10**6
 
 
 class InfiniteWeylGroupError(RuntimeError):
-    """A reflection closure outgrew its bound; for the root closure of
-    ``all_roots`` this proves the Weyl group infinite."""
+    """The root closure of ``all_roots`` outgrew the bound on a finite root
+    system of its rank, which proves the Weyl group infinite."""
 
 
 class OrbitCapError(RuntimeError):
-    """An orbit enumeration (``weyl_orbit``, ``in_hull``) passed its cap."""
+    """An enumeration of a finite Weyl group (``weyl_elements``) or of an
+    orbit (``weyl_orbit``, ``in_hull``) passed ``ORBIT_CAP``."""
 
 
 def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    """The entries as a tuple of ``Fraction``s: a ``Fraction`` is kept as it
+    is, anything else (``int``, ``bool``, ``"1/2"``, ``0.5``) is converted."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _int_tuple(values: Iterable) -> IntVec:
@@ -296,11 +301,13 @@ def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
 def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     """Roots that are non-negative rational combinations of the simples.
 
-    <r, lam> for the integer lam with all <alpha_i, lam> equal and positive
-    is a multiple of r's height; a root's simple-root coefficients share one sign.
+    <r, lam> for the rational lam with <alpha_i, lam> = 1 for every i is
+    r's height; a root's simple-root coefficients share one sign.  The one
+    integer solve gives det and det * lam, so the sign of <r, lam> is that
+    of <r, det * lam> * det, and no ``Fraction`` is built.
     """
-    lam = _integer_rows([solve_linear(datum.simple_roots, [1] * datum.nsimple)])[0]
-    return tuple(r for r in all_roots(datum) if dot(r, lam) > 0)
+    det, lam = _solve_integer(datum.simple_roots, [1] * datum.nsimple)
+    return tuple(r for r in all_roots(datum) if dot(r, lam) * det > 0)
 
 
 @lru_cache(maxsize=None)
@@ -316,25 +323,28 @@ def half_sum_positive_roots(datum: RootDatum) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def weyl_elements(datum: RootDatum, cap: int = DEFAULT_ORBIT_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, by closure of the simple reflections;
-    raises ``InfiniteWeylGroupError`` at once when W is infinite."""
+def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
+    """All Weyl group elements, by closure of the simple reflections.
+    Raises ``InfiniteWeylGroupError`` at once when W is infinite, and
+    ``OrbitCapError`` when the finite W has more than ``ORBIT_CAP``
+    elements."""
     positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     ident = WeylElement(_identity(datum.rank))
     gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
-    error = InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
-    return _closure([ident], lambda w: (g * w for g in gens), cap, error)
+    error = OrbitCapError(f"Weyl group order exceeded cap {ORBIT_CAP}")
+    return _closure([ident], lambda w: (g * w for g in gens), ORBIT_CAP, error)
 
 
-def weyl_orbit(datum: RootDatum, z: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
-    """The W-orbit of z (weight side), as a frozenset of vectors; raises
-    ``InfiniteWeylGroupError`` at once when W is infinite."""
+def weyl_orbit(datum: RootDatum, z: Sequence) -> frozenset:
+    """The W-orbit of z (weight side), as a frozenset of vectors.  Raises
+    ``InfiniteWeylGroupError`` at once when W is infinite, and
+    ``OrbitCapError`` when the orbit has more than ``ORBIT_CAP`` points."""
     start = vec(z)
     if len(start) != datum.rank:
         raise ValueError("vector length must equal the rank")
     positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
-    error = OrbitCapError(f"orbit size exceeded cap {cap}")
-    return frozenset(_closure([start], _reflections(datum), cap, error))
+    error = OrbitCapError(f"orbit size exceeded cap {ORBIT_CAP}")
+    return frozenset(_closure([start], _reflections(datum), ORBIT_CAP, error))
 
 
 @lru_cache(maxsize=None)
@@ -480,20 +490,16 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     map), it is the exact criterion for the character attached to the
     point to extend to the completed Hecke algebra.
 
-    z has rational entries: ``int`` and ``Fraction`` are read as they
-    are, anything else (``"1/2"``, ``0.5``) through ``vec``, as ``in_hull``
-    reads it.  Everything is scaled by s = 2 * lcm(denominators of z): s*z
-    is an integer vector, and s*eta_L and s*(eta_L + xi_L) are lcm times
-    the cached ``_domain_bound``.
+    z has rational entries, read by ``vec`` as ``in_hull`` reads them.
+    Everything is scaled by s = 2 * lcm(denominators of z): s*z is an
+    integer vector, and s*eta_L and s*(eta_L + xi_L) are lcm times the
+    cached ``_domain_bound``.
     """
     two_el, two_bound = _domain_bound(datum, field, xi)
     if len(z) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    try:
-        lcm = math.lcm(*[v.denominator for v in z])
-    except AttributeError:  # an entry with no denominator, such as a str or a float
-        z = vec(z)
-        lcm = math.lcm(*[v.denominator for v in z])
+    z = vec(z)
+    lcm = math.lcm(*[v.denominator for v in z])
     scale = 2 * lcm
     bound = [lcm * b for b in two_bound]
     probe = [v.numerator * (scale // v.denominator) for v in z]
@@ -504,21 +510,21 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
 
 
 @lru_cache(maxsize=_XI_CACHE_SIZE)
-def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight,
-                 cap: int) -> tuple[Vec, ...]:
+def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tuple[Vec, ...]:
     el = eta_L(datum, field)
     top = tuple(a + b for a, b in zip(el, xi.xi_L()))
-    orbit = weyl_orbit(datum, top, cap)
+    orbit = weyl_orbit(datum, top)
     return tuple(sorted(tuple(a - b for a, b in zip(pt, el)) for pt in orbit))
 
 
-def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
-            cap: int = DEFAULT_ORBIT_CAP) -> bool:
+def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence) -> bool:
     """Membership of z in the convex hull of {w(eta_L + xi_L) - eta_L : w in W},
-    decided by exact rational linear programming."""
+    decided by exact rational linear programming.  z is read by ``vec``;
+    raises ``OrbitCapError`` when the orbit has more than ``ORBIT_CAP``
+    points."""
     validate_highest_weight(datum, field, xi)
     zv = vec(z)
-    pts = _hull_points(datum, field, xi, cap)
+    pts = _hull_points(datum, field, xi)
     rows = [[pt[i] for pt in pts] for i in range(datum.rank)]
     rows.append([1] * len(pts))
     rhs = list(zv) + [1]

@@ -24,9 +24,9 @@ RUNS = {
 
 KEYS = [
     "id", "field.p", "field.e", "field.f", "group", "weights.form", "weights.sigma1",
-    "weights.sigma2", "galois.form", "galois.zeta_vals", "galois.wd.1", "galois.wd.2",
-    "galois.wd.3", "galois.wd.4", "galois.wd.ramified", "options.normalized", "point.vals",
-    "element.1", "element.2",
+    "weights.sigma2", "weights.sigma01", "galois.form", "galois.zeta_vals", "galois.wd.1",
+    "galois.wd.2", "galois.wd.3", "galois.wd.4", "galois.wd.01", "galois.wd.ramified",
+    "options.normalized", "point.vals", "element.1", "element.2", "element.01",
 ]
 
 GROUPS = [

@@ -24,7 +24,6 @@ from wadm.exact import (
     parse_rat,
     prime_power,
     rank,
-    solve_linear,
     val_p_rat,
     val_q,
 )
@@ -186,31 +185,42 @@ def test_qsqrtq_mismatched_q():
 # --- linear algebra --------------------------------------------------------
 
 
+def _solution(rows, rhs):
+    """``_solve_integer``'s (det, det * x) read back as the solution x over
+    Fraction, or None."""
+    solved = _solve_integer(rows, rhs)
+    if solved is None:
+        return None
+    det, nums = solved
+    assert type(det) is int and det != 0 and all(type(v) is int for v in nums)
+    return [Fraction(v, det) for v in nums]
+
+
 def test_solve_identity():
-    assert solve_linear([[1, 0], [0, 1]], [1, 2]) == [1, 2]
+    assert _solution([[1, 0], [0, 1]], [1, 2]) == [1, 2]
 
 
 def test_solve_inconsistent():
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
+    assert _solution([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_solve_diagonal():
-    assert solve_linear([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert _solution([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_linear([[1, 0]], [1, 2])
+        _solution([[1, 0]], [1, 2])
 
 
 def test_solve_edge_shapes():
-    assert solve_linear([], []) == []
-    assert solve_linear([[]], [0]) == []
-    assert solve_linear([[]], [1]) is None
+    assert _solution([], []) == []
+    assert _solution([[]], [0]) == []
+    assert _solution([[]], [1]) is None
     # x2 is free and set to 0; x1 comes from back substitution
-    assert solve_linear([[2, 3], [4, 6]], [1, 2]) == [Fraction(1, 2), 0]
+    assert _solution([[2, 3], [4, 6]], [1, 2]) == [Fraction(1, 2), 0]
     with pytest.raises(ValueError, match="ragged matrix"):
-        solve_linear([[1, 2], [3]], [1, 2])
+        _solution([[1, 2], [3]], [1, 2])
 
 
 def test_solve_random_round_trip():
@@ -220,7 +230,7 @@ def test_solve_random_round_trip():
         a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        got = solve_linear(a, b)
+        got = _solution(a, b)
         assert got is not None
         assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(n)] == b
 
@@ -256,7 +266,7 @@ def _reference_rank(rows) -> int:
 
 
 def _reference_solve(rows, rhs):
-    """Gauss-Jordan elimination over Fraction, independent of ``solve_linear``:
+    """Gauss-Jordan elimination over Fraction, independent of ``_solve_integer``:
     one solution with the free variables at 0, or None."""
     a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
@@ -329,9 +339,7 @@ def test_solve_matches_gauss_jordan(rows, consistent, data):
         rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
     else:
         rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
-    got = solve_linear(rows, rhs)
-    assert got == _reference_solve(rows, rhs)
-    assert got is None or all(type(v) is Fraction for v in got)
+    assert _solution(rows, rhs) == _reference_solve(rows, rhs)
 
 
 @settings(max_examples=400, deadline=None)
@@ -363,7 +371,7 @@ def test_reduced_echelon_edge_shapes():
 
 def _fraction_back_substitution(rows, rhs):
     """Back substitution over Fraction on ``_echelon``'s pivots (the form
-    ``solve_linear`` had before its integer one): one solution with the
+    the library's solve had before its integer one): one solution with the
     free variables at 0, or None."""
     n = len(rows[0]) if rows else 0
     pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
@@ -409,7 +417,7 @@ def test_integer_back_substitution_matches_fraction_reference(system):
     kind, rows, rhs = system
     expected = _fraction_back_substitution(rows, rhs)
     assert (expected is None) == (kind == "inconsistent")
-    assert solve_linear(rows, rhs) == expected == _reference_solve(rows, rhs)
+    assert _solution(rows, rhs) == expected == _reference_solve(rows, rhs)
     solved = _solve_integer(rows, rhs)
     if expected is None:
         assert solved is None
@@ -452,17 +460,17 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
                   for i, row in enumerate(ints)]
         for rows in (ints, halves, [[Fraction(v) for v in row] for row in ints]):
             assert rank(rows) == _reference_rank(rows)
-            assert solve_linear(rows, rhs) == _reference_solve(rows, rhs)
+            assert _solution(rows, rhs) == _reference_solve(rows, rhs)
             assert lp_feasible(rows, rhs) == _reference_lp(rows, rhs)
     bools = [[True, False, True], [False, True, True]]
     assert rank(bools) == 2
-    assert solve_linear(bools, [True, False]) == [1, 0, 0]
+    assert _solution(bools, [True, False]) == [1, 0, 0]
     assert lp_feasible(bools, [True, True]) and not lp_feasible(bools, [True, -1])
     for rows, rhs in (([[1, 2], [3, 4.5]], [1, 2]), ([[1, 2], [3, 4]], [1, 0.5])):
         with pytest.raises(AttributeError):
             rank(rows + [rhs])
         with pytest.raises(AttributeError):
-            solve_linear(rows, rhs)
+            _solution(rows, rhs)
         with pytest.raises(AttributeError):
             lp_feasible(rows, rhs)
 

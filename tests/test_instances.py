@@ -236,6 +236,29 @@ def test_key_errors_carry_one_prefix(name, tmp_path, capsys):
     assert not captured.out
 
 
+# (command, golden file, numbered key already in it, a second key with its number)
+SAME_NUMBER = {
+    "weights": ("check", "gl2_pass", "weights.sigma1", "weights.sigma01: 0 5"),
+    "galois.wd": ("check", "gl2_steinberg", "galois.wd.1", "galois.wd.01: unramified val=0 mult=1"),
+    "element": ("satake-norm", "satake_norm_gl2", "element.1", "element.01: lambda=0,1 a=1 b=0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_NUMBER))
+def test_numbered_keys_with_the_same_number_are_an_input_error(name, tmp_path, capsys):
+    # int("01") == int("1"): the later key used to replace the earlier one
+    # silently, dropping a weight row, a summand or a term
+    command, golden, first, second = SAME_NUMBER[name]
+    lines = (GOLDEN / f"{golden}.inst").read_text().splitlines() + [second]
+    path = tmp_path / f"{golden}.inst"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    key = second.partition(":")[0]
+    assert captured.err == f"{path}:{len(lines)}: {key!r} repeats the number of {first!r}\n"
+    assert not captured.out
+
+
 def test_check_reads_each_summands_blocks_once(monkeypatch):
     # a Weil-Deligne side's arithmetic valuations are read off its summands
     # once per instance, not again for each verdict and for the report

@@ -165,6 +165,7 @@ READS_THE_FILTRATION = "reads the filtration's shape (the construction builds it
 BUILDS_THE_OUTPUT_ROWS = ("constructs the report rows and the verdict, the output records "
                           "both sides return")
 VALIDATES_THE_WEIGHT = "validates the highest weight, the input both sides take"
+READS_THE_POINT = "reads the point, the input both sides take"
 HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cache keys"
 READS_THE_ROOT_SYSTEM = ("the datum's root closure (the roots by reflection closure, the "
                          "positive ones by one solve against the simple roots, and their "
@@ -208,6 +209,7 @@ PAIRS = {
          "wadm.rootdata.RootDatum.is_dominant": VALIDATES_THE_WEIGHT,
          "wadm.rootdata.HighestWeight.embeddings": VALIDATES_THE_WEIGHT,
          "wadm.exact.FieldData.degree": READS_THE_DEGREE,
+         "wadm.rootdata.vec": READS_THE_POINT,
          "wadm.exact._Frozen.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
@@ -217,7 +219,6 @@ PAIRS = {
          "wadm.rootdata.RootDatum.reflect_weight": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.dot": READS_THE_ROOT_SYSTEM,
-         "wadm.exact.solve_linear": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._two_eta": READS_THE_ROOT_SYSTEM},
         ("wadm.rootdata.in_Vxi", "wadm.rootdata.in_hull"),
     ),

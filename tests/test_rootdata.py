@@ -5,13 +5,14 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wadm.rootdata
-from wadm.exact import FieldData, QSqrtQ, solve_linear
+from wadm.exact import FieldData, QSqrtQ
 from wadm.rootdata import (
     HighestWeight,
     InfiniteWeylGroupError,
@@ -40,6 +41,50 @@ QP = FieldData(p=3, e=1, f=1)
 
 def frac_vec(*vals):
     return vec(vals)
+
+
+def _fraction_solve(rows, rhs):
+    """One solution of A x = b (free variables at 0), or None, by
+    Gauss-Jordan elimination over Fraction: independent of the library's
+    integer elimination."""
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    n = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [v / a[r][col] for v in a[r]]
+        for i in range(len(a)):
+            f = a[i][col]
+            if i != r and f != 0:
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+    if any(row[-1] != 0 for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = a[r][-1]
+    return x
+
+
+@pytest.fixture
+def orbit_cap(monkeypatch):
+    """``orbit_cap(n)`` sets ``ORBIT_CAP`` to n for the test and clears the
+    caches that enumerate under it, so no result found under another cap
+    is reused."""
+    caches = (wadm.rootdata.weyl_elements, wadm.rootdata._hull_points)
+
+    def set_cap(cap):
+        monkeypatch.setattr(wadm.rootdata, "ORBIT_CAP", cap)
+        for cache in caches:
+            cache.cache_clear()
+
+    yield set_cap
+    for cache in caches:
+        cache.cache_clear()
 
 
 # --- eta -------------------------------------------------------------------
@@ -152,7 +197,7 @@ def _reference_all_roots(datum):
 
 
 def _reference_positive_roots(datum):
-    lam = solve_linear(datum.simple_roots, [1] * datum.nsimple)
+    lam = _fraction_solve(datum.simple_roots, [1] * datum.nsimple)
     return tuple(
         r for r in _reference_all_roots(datum)
         if sum(Fraction(a) * b for a, b in zip(r, lam)) > 0
@@ -160,6 +205,7 @@ def _reference_positive_roots(datum):
 
 
 def _reference_weyl_elements(datum, cap):
+    _reference_all_roots(datum)  # raises for an infinite W
     ident = _identity_element(datum.rank)
     gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
     elements = {ident.cochar: ident}
@@ -173,7 +219,7 @@ def _reference_weyl_elements(datum, cap):
                     elements[prod.cochar] = prod
                     nxt.append(prod)
         if len(elements) > cap:
-            raise InfiniteWeylGroupError(f"Weyl group enumeration exceeded cap {cap}")
+            raise OrbitCapError(f"Weyl group order exceeded cap {cap}")
         frontier = nxt
     return tuple(elements.values())
 
@@ -207,7 +253,8 @@ CLOSURE_DATA = (
     + [(RootDatum.sl(3), 6), (RootDatum.sp4(), 8)]
 )
 # Weyl groups up to |W(F4)| are enumerated in full; on the larger ones
-# (gl(7), gl(8), gl(12), gl(20), E8) both closures must stop at a cap of 100
+# (gl(7), gl(8), gl(12), gl(20), E8) both closures must stop at a cap of 100,
+# with ``OrbitCapError``: W is finite, only larger than the cap
 SMALL_ORDER = 1152
 
 
@@ -249,20 +296,21 @@ def _same_outcome(new, reference):
 
 
 @pytest.mark.parametrize("datum, order", [pytest.param(d, o, id=d.name) for d, o in CLOSURE_DATA])
-def test_closures_match_reference(datum, order):
+def test_closures_match_reference(datum, order, orbit_cap):
     assert all_roots(datum) == _reference_all_roots(datum)
     assert positive_roots(datum) == _reference_positive_roots(datum)
     cap = order if order <= SMALL_ORDER else 100
+    orbit_cap(cap)
     # tuple equality: the same Weyl elements in the same order
-    _same_outcome(lambda: weyl_elements(datum, cap), lambda: _reference_weyl_elements(datum, cap))
+    _same_outcome(lambda: weyl_elements(datum), lambda: _reference_weyl_elements(datum, cap))
     if order <= SMALL_ORDER:
-        assert len(weyl_elements(datum, cap)) == order
+        assert len(weyl_elements(datum)) == order
     rng = random.Random(datum.name)
     points = [tuple(rng.choice((Fraction(-1, 2), Fraction(2))) for _ in range(datum.rank))]
     if datum.nsimple:
         points.append(tuple(Fraction(3, 2) * v for v in datum.simple_roots[-1]))
     for z in points:
-        _same_outcome(lambda: weyl_orbit(datum, z, cap), lambda: _reference_weyl_orbit(datum, z, cap))
+        _same_outcome(lambda: weyl_orbit(datum, z), lambda: _reference_weyl_orbit(datum, z, cap))
 
 
 @pytest.mark.parametrize("datum", [d for d, _ in CLOSURE_DATA], ids=lambda d: d.name)
@@ -294,19 +342,29 @@ def test_closures_reject_infinite_weyl_group_at_once():
         assert time.perf_counter() - start < 1.0
 
 
-def test_closure_errors_match_reference():
+def test_closure_errors_match_reference(orbit_cap):
     hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
     for roots in (all_roots, _reference_all_roots):
         with pytest.raises(InfiniteWeylGroupError):
             roots(hyperbolic)
-    for elements in (weyl_elements, _reference_weyl_elements):
+    orbit_cap(500)
+    for elements in (weyl_elements, partial(_reference_weyl_elements, cap=500)):
         with pytest.raises(InfiniteWeylGroupError):
-            elements(hyperbolic, 500)
+            elements(hyperbolic)
+    # a finite W past the cap: |W(gl(8))| = 40320
+    orbit_cap(100)
+    for elements in (weyl_elements, partial(_reference_weyl_elements, cap=100)):
+        with pytest.raises(OrbitCapError, match="^Weyl group order exceeded cap 100$"):
+            elements(RootDatum.gl(8))
     # a regular sp(4) orbit has exactly 8 points
-    for orbit in (weyl_orbit, _reference_weyl_orbit):
-        with pytest.raises(OrbitCapError):
-            orbit(RootDatum.sp4(), (1, 3), 7)
-        assert len(orbit(RootDatum.sp4(), (1, 3), 8)) == 8
+    for cap, fits in ((7, False), (8, True)):
+        orbit_cap(cap)
+        for orbit in (weyl_orbit, partial(_reference_weyl_orbit, cap=cap)):
+            if fits:
+                assert len(orbit(RootDatum.sp4(), (1, 3))) == 8
+            else:
+                with pytest.raises(OrbitCapError, match=f"^orbit size exceeded cap {cap}$"):
+                    orbit(RootDatum.sp4(), (1, 3))
 
 
 @pytest.mark.parametrize(
@@ -347,19 +405,17 @@ def test_orbit_regular_gl3():
     assert orbit == expected
 
 
-def test_orbit_cap_enforced():
-    from wadm.rootdata import OrbitCapError
-
+def test_orbit_cap_enforced(orbit_cap):
+    datum, field, xi = RootDatum.gl(3), FieldData(p=2, e=1, f=1), HighestWeight.of([(0, 1, 2)])
+    # found and cached under the default cap, which the fixture's cache_clear drops
+    assert len(weyl_elements(datum)) == 6 and len(wadm.rootdata._hull_points(datum, field, xi)) == 6
+    orbit_cap(2)
     with pytest.raises(OrbitCapError):
-        weyl_orbit(RootDatum.gl(3), frac_vec(0, 1, 2), cap=2)
+        weyl_orbit(datum, frac_vec(0, 1, 2))
     with pytest.raises(OrbitCapError):
-        in_hull(
-            RootDatum.gl(3),
-            FieldData(p=2, e=1, f=1),
-            HighestWeight.of([(0, 1, 2)]),
-            frac_vec(0, 0, 3),
-            cap=2,
-        )
+        weyl_elements(datum)
+    with pytest.raises(OrbitCapError):
+        in_hull(datum, field, xi, frac_vec(0, 0, 3))
 
 
 def test_orbit_matches_permutations_gln():
@@ -486,7 +542,7 @@ def _reference_dominance_leq(datum, z, z2):
         raise ValueError("vector length must equal the rank")
     diff = tuple(y - x for x, y in zip(a, b))
     cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
-    coeffs = solve_linear(cols, diff)
+    coeffs = _fraction_solve(cols, diff)
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
@@ -517,7 +573,7 @@ CONE_DATA = [RootDatum.gl(n) for n in range(2, 6)] + [
 
 
 def _cone_by_solve(datum, diff):
-    """The sign test on ``solve_linear``'s Fraction coefficients."""
+    """The sign test on ``_fraction_solve``'s Fraction coefficients."""
     return _reference_dominance_leq(datum, [0] * datum.rank, diff)
 
 
@@ -737,8 +793,7 @@ def test_dominance_and_hull_share_no_kernel(monkeypatch):
         assert [in_Vxi(datum, field, xi, z) for z in points] == expected
     wadm.rootdata._hull_points.cache_clear()
     with monkeypatch.context() as patch:
-        for name in ("_chamber_walk", "solve_linear", "_in_root_cone", "_solve_integer",
-                     "_domain_bound"):
+        for name in ("_chamber_walk", "_in_root_cone", "_solve_integer", "_domain_bound"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_hull(datum, field, xi, z) for z in points] == expected
 
