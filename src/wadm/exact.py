@@ -123,8 +123,11 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def val_p_rat(x: RatLike, p: int):
-    """p-adic valuation of a rational, with val_p(p) = 1; INF at zero."""
-    x = Fraction(x)
+    """p-adic valuation of a rational, with val_p(p) = 1: an ``int``, the
+    multiplicity of p in the numerator minus that in the denominator; INF
+    at zero."""
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
     if x == 0:
         return INF
 
@@ -136,7 +139,7 @@ def val_p_rat(x: RatLike, p: int):
             k += 1
         return k
 
-    return Fraction(mult(x.numerator) - mult(x.denominator))
+    return mult(x.numerator) - mult(x.denominator)
 
 
 class _Frozen:
@@ -274,6 +277,16 @@ def format_qsqrtq(x: QSqrtQ) -> str:
     return f"{format_rat(x.a)}{sign}{format_rat(abs(x.b))}*sqrtq"
 
 
+def _twice_f_val_q(x: QSqrtQ, p: int, f: int):
+    """2f * val_q(x) as an ``int``, for q = p^f; INF at zero.  On a
+    coefficient that is 2 * val_p, and on the sqrt(q) part 2 * val_p + f,
+    from ``val_p_rat``'s integer valuations."""
+    if x.a:
+        va = 2 * val_p_rat(x.a, p)
+        return min(va, 2 * val_p_rat(x.b, p) + f) if x.b else va
+    return 2 * val_p_rat(x.b, p) + f if x.b else INF
+
+
 def val_q(x: QSqrtQ):
     """q-normalized valuation of a + b*sqrt(q).
 
@@ -281,17 +294,12 @@ def val_q(x: QSqrtQ):
     valuation divided by f where q = p^f.  Unit parts are ignored: the
     result is min(val_q(a), val_q(b) + 1/2) over the nonzero coefficients,
     and INF for zero.  For q a non-square this is the honest valuation of
-    the quadratic extension (in particular additive on products).
+    the quadratic extension (in particular additive on products).  It is
+    one ``Fraction``, ``_twice_f_val_q`` over 2f.
     """
     p, f = prime_power(x.q)
-    vals = []
-    if x.a != 0:
-        vals.append(val_p_rat(x.a, p) / f)
-    if x.b != 0:
-        vals.append(val_p_rat(x.b, p) / f + Fraction(1, 2))
-    if not vals:
-        return INF
-    return min(vals)
+    v = _twice_f_val_q(x, p, f)
+    return INF if v == INF else Fraction(v, 2 * f)
 
 
 # ---------------------------------------------------------------------------

@@ -441,15 +441,17 @@ def _induced_t_H_on_subspace(filtration: Filtration, tails: Sequence[Sequence[tu
 
 
 def _subobject_coords(module: PhiModule, den: int):
-    """Enumerate the stable subobjects as coordinate index tuples, paired
-    with ``den`` times their Newton numbers, as integers (``den`` must
-    clear every slope's denominator).  The full module comes last."""
+    """The stable subobjects as coordinate index tuples, paired with
+    ``den`` times their Newton numbers, as integers (``den`` must clear
+    every slope's denominator).  The full module comes last.  An
+    unsupported regime or a rank past ``SUBOBJECT_ENUM_CAP`` raises
+    ``UnsupportedRegimeError`` here, at the call; the subsets themselves
+    are enumerated lazily."""
     scaled = [int(b.slope * b.mult * den) for b in module.blocks]
     if module.steinberg is not None:
         p = module.steinberg.piece_dim
-        for nchain in range(module.steinberg.length):
-            yield tuple(range((nchain + 1) * p)), sum(scaled[: nchain + 1])
-        return
+        return [(tuple(range((nchain + 1) * p)), sum(scaled[: nchain + 1]))
+                for nchain in range(module.steinberg.length)]
     if not module.has_distinct_unit_blocks():
         raise UnsupportedRegimeError(
             "repeated or multi-dimensional eigenvalue labels without declared "
@@ -458,10 +460,8 @@ def _subobject_coords(module: PhiModule, den: int):
     n = module.rank
     if n > SUBOBJECT_ENUM_CAP:
         raise UnsupportedRegimeError(f"subobject enumeration capped at rank {SUBOBJECT_ENUM_CAP}")
-    for size in range(1, n):
-        for coords in itertools.combinations(range(n), size):
-            yield coords, sum(map(scaled.__getitem__, coords))
-    yield tuple(range(n)), sum(scaled)
+    return ((coords, sum(map(scaled.__getitem__, coords)))
+            for size in range(1, n + 1) for coords in itertools.combinations(range(n), size))
 
 
 def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
@@ -488,8 +488,9 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
     den = math.lcm(*[j.denominator for sigma in filtration.jumps for j in sigma],
                    *[b.slope.denominator for b in module.blocks])
     full = tuple(range(module.rank))
+    subobjects = _subobject_coords(module, den)  # raises for an unsupported module first
     tails = _tail_forms(filtration, den)
-    for coords, tn in _subobject_coords(module, den):
+    for coords, tn in subobjects:
         th = _induced_t_H_on_subspace(filtration, tails, coords)
         if coords == full:
             if th != tn:

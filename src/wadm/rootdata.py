@@ -20,11 +20,15 @@ twice the bound eta_L + xi_L are integer vectors cached per (datum, field,
 xi) in ``_domain_bound``, next to the cached validation of xi, so a point
 only multiplies them by its lcm.  The chamber walk and the one integer
 solve of the dominance test (``_in_root_cone``, which reads each
-coefficient's sign from det * c and det) then see integer vectors and
-build no ``Fraction``.  ``dominance_leq`` scales z2 - z to integers and
-calls the same test.  Both are invariant under positive scaling, so the
-verdicts are those of the rational vectors.  ``in_hull`` stays on the
-rational orbit points.
+coefficient's sign from det * c and det, against the simple roots' columns
+cached per datum) then see integer vectors and build no ``Fraction``.
+``dominance_leq`` scales z2 - z to integers and calls the same test.  Both
+are invariant under positive scaling, so the verdicts are those of the
+rational vectors.  The hull side runs on integers too, by its own scaling:
+``_hull_points`` caches the orbit points per (datum, field, xi) as integer
+columns, s times the points for s the lcm of their denominators, and
+``in_hull`` multiplies them by the lcm of its point's denominators, so its
+LP gets integer rows and builds no ``Fraction``.
 
 Conventions, fixed once for the whole library:
 
@@ -385,14 +389,20 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
     return tuple(-v for v in _chamber_walk(_dual(datum), [-v for v in _int_tuple(lam)]))
 
 
+@lru_cache(maxsize=None)
+def _root_columns(datum: RootDatum) -> IntMatrix:
+    """The simple roots as columns: row i holds every simple root's i-th
+    coordinate."""
+    return tuple(tuple(r[i] for r in datum.simple_roots) for i in range(datum.rank))
+
+
 def _in_root_cone(datum: RootDatum, diff: IntVec) -> bool:
     """Whether the integer vector diff is a non-negative rational
     combination of the simple roots.  One integer solve gives det and
     det * c for the combination c (unique, the simple roots being
     independent; None means diff is outside their span), so c_i has the
     sign of (det * c_i) * det and no ``Fraction`` is built."""
-    cols = [[r[i] for r in datum.simple_roots] for i in range(datum.rank)]
-    solved = _solve_integer(cols, diff)
+    solved = _solve_integer(_root_columns(datum), diff)
     if solved is None:
         return False
     det, nums = solved
@@ -510,22 +520,41 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
 
 
 @lru_cache(maxsize=_XI_CACHE_SIZE)
-def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tuple[Vec, ...]:
+def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tuple[int, IntMatrix]:
+    """The hull's orbit points w(eta_L + xi_L) - eta_L as integer columns:
+    ``(s, rows)`` with s the lcm of the points' denominators and
+    ``rows[i]`` s times the i-th coordinate of every point, the points in
+    sorted order.  Validates xi first; raises ``OrbitCapError`` when the
+    orbit has more than ``ORBIT_CAP`` points."""
+    validate_highest_weight(datum, field, xi)
     el = eta_L(datum, field)
     top = tuple(a + b for a, b in zip(el, xi.xi_L()))
-    orbit = weyl_orbit(datum, top)
-    return tuple(sorted(tuple(a - b for a, b in zip(pt, el)) for pt in orbit))
+    pts = sorted(tuple(a - b for a, b in zip(pt, el)) for pt in weyl_orbit(datum, top))
+    s = math.lcm(*[v.denominator for pt in pts for v in pt])
+    return s, tuple(tuple(pt[i].numerator * (s // pt[i].denominator) for pt in pts)
+                    for i in range(datum.rank))
 
 
 def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence) -> bool:
     """Membership of z in the convex hull of {w(eta_L + xi_L) - eta_L : w in W},
     decided by exact rational linear programming.  z is read by ``vec``;
     raises ``OrbitCapError`` when the orbit has more than ``ORBIT_CAP``
-    points."""
-    validate_highest_weight(datum, field, xi)
-    zv = vec(z)
-    pts = _hull_points(datum, field, xi)
-    rows = [[pt[i] for pt in pts] for i in range(datum.rank)]
-    rows.append([1] * len(pts))
-    rhs = list(zv) + [1]
+    points.
+
+    The LP is sum_j x_j P_j = z, sum_j x_j = 1, x >= 0 over the orbit
+    points P_j.  Its coordinate rows are scaled by s * lcm(denominators of
+    z): lcm times ``_hull_points``' cached integer columns s * P_j, and
+    s * lcm * z on the right.  Every row is then an integer row, which
+    ``lp_feasible`` takes without reading a denominator.
+    """
+    s, cols = _hull_points(datum, field, xi)
+    if len(z) != datum.rank:
+        raise ValueError("vector length must equal the rank")
+    z = vec(z)
+    lcm = math.lcm(*[v.denominator for v in z])
+    scale = s * lcm
+    rows = [[lcm * x for x in col] for col in cols]
+    rows.append([1] * len(cols[0]) if cols else [1])
+    rhs = [v.numerator * (scale // v.denominator) for v in z]
+    rhs.append(1)
     return lp_feasible(rows, rhs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import INF, FieldData, QSqrtQ, _Frozen, val_q
+from .exact import INF, FieldData, QSqrtQ, _Frozen, _twice_f_val_q
 from .rootdata import (
     HighestWeight,
     RootDatum,
@@ -129,12 +129,17 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
 
         val_q(c_lambda) + <eta, lambda^- - lambda> + <xi_L, lambda^-> / [L:Q_p]
 
-    and INF for the zero element.  The last two terms are one Fraction,
-    (d*<2*eta, lambda^- - lambda> + 2*<xi_L, lambda^->) / (2*d) with
-    d = [L:Q_p], from integer pairings on the cached 2*eta and the integer
-    xi_L.  The norm itself is q^(-value); for an antidominant monomial with
-    unit coefficient the value is the q-valuation of the weight character
-    at the corresponding torus point.
+    and INF for the zero element.  With d = [L:Q_p] and q = p^f (p and f
+    read from ``field``, whose q every coefficient must share), each term
+    times 2*d*f is the integer
+
+        d * 2f*val_q(c_lambda) + f * (d*<2*eta, lambda^- - lambda> + 2*<xi_L, lambda^->)
+
+    from ``exact._twice_f_val_q`` and integer pairings on the cached 2*eta
+    and the integer xi_L; the least one becomes the one ``Fraction`` built.
+    The norm itself is q^(-value); for an antidominant monomial with unit
+    coefficient the value is the q-valuation of the weight character at
+    the corresponding torus point.
     """
     validate_highest_weight(datum, field, xi)
     if x.is_zero():
@@ -143,13 +148,12 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
         raise ValueError(f"coefficient q does not match the field's q = {field.q}")
     two_eta = _two_eta(datum)
     xi_l = [sum(col) for col in zip(*xi.per_embedding)]
-    deg = field.degree
+    deg, p, f = field.degree, field.p, field.f
     best = None
     for lam, c in x.terms:
         anti = antidominant_rep_cochar(datum, lam)
         shift = dot(two_eta, [a - b for a, b in zip(anti, lam)])
-        v = val_q(c) + Fraction(deg * shift + 2 * dot(xi_l, anti), 2 * deg)
+        v = deg * _twice_f_val_q(c, p, f) + f * (deg * shift + 2 * dot(xi_l, anti))
         if best is None or v < best:
             best = v
-    return best
-
+    return Fraction(best, 2 * deg * f)

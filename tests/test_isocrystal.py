@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wadm.isocrystal
 from wadm.exact import FieldData, rank as mat_rank
 from wadm.isocrystal import (
     Block,
@@ -298,6 +299,24 @@ def test_weak_admissible_unsupported_regimes():
     jordan = PhiModule(QP, (Block(1, 2, (2,)),))
     with pytest.raises(UnsupportedRegimeError):
         weak_admissible(jordan, filt)
+
+
+def test_weak_admissible_raises_before_any_elimination(monkeypatch):
+    # the rank cap and the regime are checked before a flag tail is reduced
+    slopes = list(range(13))
+    module = PhiModule.of_slopes(QP, slopes)
+    witness = build_admissible_filtration(module, [sorted(slopes)])
+    repeated = PhiModule.of_slopes(QP, [1, 1])
+    filt = Filtration([F(0, 2)], (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),))
+
+    def eliminated(rows):
+        pytest.fail("a flag tail was reduced")
+
+    monkeypatch.setattr(wadm.isocrystal, "_reduced_echelon", eliminated)
+    with pytest.raises(UnsupportedRegimeError, match="capped at rank 12"):
+        weak_admissible(module, witness)
+    with pytest.raises(UnsupportedRegimeError, match="not enumerable"):
+        weak_admissible(repeated, filt)
 
 
 # --- explicit construction --------------------------------------------------------

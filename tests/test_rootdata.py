@@ -408,7 +408,8 @@ def test_orbit_regular_gl3():
 def test_orbit_cap_enforced(orbit_cap):
     datum, field, xi = RootDatum.gl(3), FieldData(p=2, e=1, f=1), HighestWeight.of([(0, 1, 2)])
     # found and cached under the default cap, which the fixture's cache_clear drops
-    assert len(weyl_elements(datum)) == 6 and len(wadm.rootdata._hull_points(datum, field, xi)) == 6
+    _, columns = wadm.rootdata._hull_points(datum, field, xi)
+    assert len(weyl_elements(datum)) == 6 and len(columns[0]) == 6
     orbit_cap(2)
     with pytest.raises(OrbitCapError):
         weyl_orbit(datum, frac_vec(0, 1, 2))
@@ -740,6 +741,8 @@ def _reference_in_Vxi(datum, field, xi, z, normalized=False):
 MEMBERSHIP_DATA = [d for d, _ in CLOSURE_DATA] + [
     RootDatum.from_cartan([[2]], kind="adjoint", name="A1-adjoint")
 ]
+# |W| per membership datum; on those with |W| <= 48 the LP hull runs too
+MEMBERSHIP_ORDERS = {d.name: order for d, order in CLOSURE_DATA} | {"A1-adjoint": 2}
 
 
 @pytest.mark.parametrize("datum", MEMBERSHIP_DATA, ids=lambda d: d.name)
@@ -747,6 +750,7 @@ def test_membership_matches_fraction_reference(datum):
     # points near the domain's boundary: a Weyl image of t * (eta_L + xi_L),
     # t close to 1, moved along a simple root, sometimes off the root span
     rng = random.Random(f"membership-{datum.name}")
+    hull = MEMBERSHIP_ORDERS[datum.name] <= 48
     verdicts = set()
     for degree in (1, 2, 3):
         field = FieldData(p=2, e=degree, f=1)
@@ -771,6 +775,9 @@ def test_membership_matches_fraction_reference(datum):
                     z = p if normalized else [a - b for a, b in zip(p, el)]
                     got = in_Vxi(datum, field, xi, z, normalized=normalized)
                     assert got == _reference_in_Vxi(datum, field, xi, z, normalized), (z, normalized)
+                    if not normalized and hull:
+                        # the hull's cached integer columns, rescaled per point
+                        assert in_hull(datum, field, xi, z) == got, z
                     assert dominance_leq(datum, z, bound) == _reference_dominance_leq(datum, z, bound)
                     verdicts.add(got)
     assert verdicts == {True, False}
@@ -892,13 +899,16 @@ def test_highest_weight_caches_are_bounded():
 
 
 def test_in_vxi_rejects_a_point_of_the_wrong_length():
-    # unnormalized, a longer point used to be cut to the rank and answered
+    # unnormalized, a longer point used to be cut to the rank and answered;
+    # the hull raised the LP's dimension mismatch instead of the same error
     datum = RootDatum.gl(2)
     xi0 = HighestWeight.zero(datum, QP)
     for z in ((0, 0, 5), (0,)):
         for normalized in (False, True):
             with pytest.raises(ValueError, match="vector length must equal the rank"):
                 in_Vxi(datum, QP, xi0, z, normalized=normalized)
+        with pytest.raises(ValueError, match="vector length must equal the rank"):
+            in_hull(datum, QP, xi0, z)
 
 
 def test_highest_weight_validation():

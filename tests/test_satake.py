@@ -244,16 +244,52 @@ NORM_FIELDS = [FieldData(p=3, e=1, f=1), FieldData(p=2, e=1, f=2), FieldData(p=5
                FieldData(p=2, e=2, f=2), FieldData(p=3, e=4, f=1)]
 
 
+def _local_val_q(c, p, f):
+    """val_q of c = a + b*sqrt(q), q = p^f, read off the numerators and
+    denominators without ``wadm.exact``: the p-adic valuation of a nonzero
+    rational is the largest k with p^k dividing its numerator, less the
+    largest with p^k dividing its denominator."""
+
+    def power(n):
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        return k
+
+    def val_p(r):
+        return power(abs(r.numerator)) - power(r.denominator)
+
+    vals = []
+    if c.a != 0:
+        vals.append(Fraction(val_p(c.a), f))
+    if c.b != 0:
+        vals.append(Fraction(val_p(c.b), f) + Fraction(1, 2))
+    return min(vals, default=INF)
+
+
+def test_val_q_matches_local_valuation():
+    # f = 1, 2, 3; p in the numerator and in the denominator; a zero, b
+    # zero, both zero
+    for p, f in ((3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
+        q = p**f
+        parts = [Fraction(0), Fraction(1), Fraction(-7, 11), Fraction(p**3), Fraction(-2 * p**2, 5),
+                 Fraction(1, p), Fraction(4, p**4), Fraction(p**5, p + 1)]
+        for a, b in itertools.product(parts, repeat=2):
+            c = QSqrtQ(a, b, q)
+            assert val_q(c) == _local_val_q(c, p, f), (c, p, f)
+
+
 def _reference_norm_xi_val(datum, field, xi, x):
     """min over the terms (lam, c) and w in W of
-    val_q(c) + <eta, w lam - lam> + <xi_L, w lam> / [L:Q_p]."""
+    val_q(c) + <eta, w lam - lam> + <xi_L, w lam> / [L:Q_p], with the
+    test's own ``_local_val_q``."""
     eta = half_sum_positive_roots(datum)
     xi_l = xi.xi_L()
     best = INF
     for lam, c in x.terms:
         for w in weyl_elements(datum):
             wlam = w.on_cochar(lam)
-            v = (val_q(c)
+            v = (_local_val_q(c, field.p, field.f)
                  + sum(e * (a - b) for e, a, b in zip(eta, wlam, lam))
                  + Fraction(sum(a * b for a, b in zip(xi_l, wlam)), field.degree))
             best = min(best, v)
