@@ -17,9 +17,12 @@ The conversion constant is val_L = e*f*val_q = degree*val_q.
 No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``_solve_integer`` share one fraction-free elimination (rows scaled to
-integers, then Bareiss), and ``lp_feasible`` pivots the same integer rows
-by the same rule.  ``_integer_rows`` copies an all-``int`` row (such as
-the oracle's flags) in one pass; only a row with a ``Fraction`` in it is
+integers, then Bareiss), and ``farkas_certificate``, the one LP, pivots
+the same integer rows by the same rule.  When {x >= 0 : A x = b} is empty
+it returns the proof, a row y with y.A <= 0 and y.b > 0 (Farkas): the
+multiplier behind the final phase-1 objective row, mapped back to the rows
+as given.  ``_integer_rows`` copies an all-``int`` row (such as the
+oracle's flags) in one pass; only a row with a ``Fraction`` in it is
 scaled by the lcm of its denominators.  Back substitution runs in integers
 too: ``_solve_integer`` returns det and det * x, and its callers read the
 signs they need from those integers, so the linear algebra builds no
@@ -424,31 +427,27 @@ def rank(rows: Matrix) -> int:
     return len(_echelon(rows))
 
 
-def lp_feasible(rows: Matrix, rhs: Sequence[RatLike]) -> bool:
-    """Decide whether {x >= 0 : A x = b} is nonempty, exactly.
+def _phase_one(a: list[list[int]], n: int) -> list[int]:
+    """The final objective row of the phase-1 simplex on the integer rows
+    ``a``, each [A' | b' | carried columns] with b' >= 0.
 
-    Phase-1 simplex with Bland's rule (no cycling) on the integer rows of
-    [A | b], b made nonnegative; the objective w + sum_j colsum_j x_j = sum b
-    (w the sum of the artificials) is one more row.  Every row but the pivot
-    row takes ``_echelon``'s step (p*v - v[s]*w) // d, which keeps each
-    entry d times its rational value, d > 0 the basis determinant (Edmonds
-    1967), so every division is exact.
+    Bland's rule (no cycling); the objective w + sum_j colsum_j x_j = sum b'
+    (w the sum of the artificials) is one more row, the sum of the rows.
+    Every row but the pivot row takes ``_echelon``'s step
+    (p*v - v[s]*w) // d, which keeps each entry d times its rational value,
+    d > 0 the basis determinant (Edmonds 1967), so every division is exact,
+    in the carried columns too.  The rule reads only the first n + 1
+    columns, so carried columns do not change the pivots.
     """
-    if len(rows) != len(rhs):
-        raise ValueError("matrix/rhs dimension mismatch")
-    if not rows:
-        return True
-    a = [[-v for v in r] if r[-1] < 0 else r
-         for r in _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])]
-    m, n = len(a), len(a[0]) - 1
-    a.append([sum(col) for col in zip(*a)])
+    m = len(a)
+    a = a + [[sum(col) for col in zip(*a)]]
     basis = list(range(n, n + m))  # artificial markers; artificials never re-enter
     d = 1
     while True:
         obj = a[m]
         s = next((j for j in range(n) if obj[j] > 0), None)
         if s is None:
-            return obj[n] == 0
+            return obj
         # Bland: the least ratio v[n] / v[s], cross-multiplied; 1 / 0 is infinite
         leave, num, den = None, 1, 0
         for i in range(m):
@@ -467,3 +466,34 @@ def lp_feasible(rows: Matrix, rhs: Sequence[RatLike]) -> bool:
                 a[i] = [(p * x - f * y) // d for x, y in zip(v, w)]
         basis[leave] = s
         d = p
+
+
+def farkas_certificate(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[int]]:
+    """Decide whether {x >= 0 : A x = b} is nonempty, exactly: None when it
+    is, and otherwise a Farkas certificate, an integer y with y.A <= 0 on
+    every column and y.b > 0 (which no x >= 0 with A x = b can meet).
+
+    ``_phase_one`` runs on the integer rows A' of [A | b], each row scaled
+    by the lcm of its denominators and negated where b < 0.  The system is
+    feasible when the final w is 0.  Otherwise the same pivots run again
+    with an m-column identity block carried through them: it holds the
+    multiplier u of the rows behind each tableau row, so the final
+    objective row is u.A' <= 0 on every column and u.b' = d * w > 0.  u
+    times each row's scale and sign is y on the rows as given, returned
+    divided by its gcd.  The first run carries no block, since a feasible
+    system needs none.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("matrix/rhs dimension mismatch")
+    if not rows:
+        return None
+    given = [list(row) + [b] for row, b in zip(rows, rhs)]
+    a = [[-v for v in r] if r[-1] < 0 else r for r in _integer_rows(given)]
+    m, n = len(a), len(a[0]) - 1
+    if _phase_one(a, n)[n] == 0:
+        return None
+    u = _phase_one([r + [int(i == j) for j in range(m)] for i, r in enumerate(a)], n)[n + 1:]
+    y = [v * (-1 if b < 0 else 1) * math.lcm(*[x.denominator for x in row])
+         for v, b, row in zip(u, rhs, given)]
+    g = math.gcd(*y)
+    return [v // g for v in y]

@@ -28,7 +28,15 @@ rational vectors.  The hull side runs on integers too, by its own scaling:
 ``_hull_points`` caches the orbit points per (datum, field, xi) as integer
 columns, s times the points for s the lcm of their denominators, and
 ``in_hull`` multiplies them by the lcm of its point's denominators, so its
-LP gets integer rows and builds no ``Fraction``.
+LP gets integer rows and builds no ``Fraction``.  An outside point needs
+only one separating inequality: when the LP is infeasible its Farkas
+certificate is such a cut, valid on the whole hull, and ``in_hull`` keeps
+it (checked against every orbit point) in the hull's cached value, at most
+as many cuts as the hull has points.  A point is first tested against the
+kept cuts, one integer dot product each, and the LP runs only when none
+separates it.  The simple coroots' nonzero entries are cached per datum
+(``_coroot_entries``) for the chamber walk's labels and the reflection
+closure.
 
 Conventions, fixed once for the whole library:
 
@@ -52,11 +60,13 @@ Conventions, fixed once for the whole library:
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import (FieldData, _Frozen, _integer_rows, _solve_integer, lp_feasible,
+from .exact import (FieldData, _Frozen, _integer_rows, _solve_integer, farkas_certificate,
                     rank as mat_rank)
 
 Vec = tuple[Fraction, ...]
@@ -273,13 +283,20 @@ class RootDatum(_Frozen):
         return all(dot(z, cov) >= 0 for cov in self.simple_coroots)
 
 
+@lru_cache(maxsize=None)
+def _coroot_entries(datum: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each simple coroot's nonzero entries, as (index, value) pairs: a
+    weight's pairing with the coroot reads only these."""
+    return tuple(tuple((j, v) for j, v in enumerate(cov) if v) for cov in datum.simple_coroots)
+
+
 def _reflections(datum: RootDatum) -> Callable:
     """The images of a weight under the simple reflections that move it.
 
-    Each simple coroot's nonzero entries are read once; a reflection whose
-    pairing with the weight is 0 fixes it, and the closure has already
-    seen the weight itself, so that image is skipped."""
-    coroots = [[(j, v) for j, v in enumerate(cov) if v] for cov in datum.simple_coroots]
+    A reflection whose pairing with the weight (over the coroot's cached
+    nonzero entries) is 0 fixes it, and the closure has already seen the
+    weight itself, so that image is skipped."""
+    coroots = _coroot_entries(datum)
     return lambda z: (datum.reflect_weight(i, z) for i, cov in enumerate(coroots)
                       if sum(z[j] * v for j, v in cov))
 
@@ -361,8 +378,15 @@ def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
     """The dominant point of the W-orbit of x, W finite: reflecting at a
     negative label c_i = <x, alpha_i^vee> subtracts c_i times Cartan row i
     from the labels; x is rebuilt once at the end.  s_i permutes the other
-    positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps."""
-    labels = [dot(x, cov) for cov in datum.simple_coroots]
+    positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps.
+    The labels read only the coroots' cached nonzero entries, so x must
+    have the datum's rank (the callers check)."""
+    labels = []
+    for cov in _coroot_entries(datum):  # a plain loop: no comprehension frame per coroot
+        c = 0
+        for j, v in cov:
+            c += x[j] * v
+        labels.append(c)
     coeffs = [0] * datum.nsimple
     while (c := min(labels, default=0)) < 0:
         i = labels.index(c)
@@ -377,6 +401,8 @@ def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
 def dominant_rep(datum: RootDatum, z: Sequence) -> Vec:
     """The dominant point of the W-orbit of z (for GL_n, the nondecreasing
     rearrangement); raises ``InfiniteWeylGroupError`` when W is infinite."""
+    if len(z) != datum.rank:
+        raise ValueError("dimension mismatch in pairing")
     positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
     return _chamber_walk(datum, vec(z))
 
@@ -385,6 +411,8 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
     """The antidominant representative of a cocharacter: <alpha, lam> <= 0
     for every simple root alpha, so -lam is dominant for the dual datum.
     Raises ``InfiniteWeylGroupError`` when W is infinite."""
+    if len(lam) != datum.rank:
+        raise ValueError("dimension mismatch in pairing")
     positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
     return tuple(-v for v in _chamber_walk(_dual(datum), [-v for v in _int_tuple(lam)]))
 
@@ -519,20 +547,28 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     return _in_root_cone(datum, [b - r for b, r in zip(bound, rep)])
 
 
+# Held for the check and the append of a kept cut, so that callers on
+# several threads cannot push a hull's list past its number of points.
+_CUTS_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=_XI_CACHE_SIZE)
-def _hull_points(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tuple[int, IntMatrix]:
-    """The hull's orbit points w(eta_L + xi_L) - eta_L as integer columns:
-    ``(s, rows)`` with s the lcm of the points' denominators and
-    ``rows[i]`` s times the i-th coordinate of every point, the points in
-    sorted order.  Validates xi first; raises ``OrbitCapError`` when the
-    orbit has more than ``ORBIT_CAP`` points."""
+def _hull_points(datum: RootDatum, field: FieldData,
+                 xi: HighestWeight) -> tuple[int, IntMatrix, list[tuple[list[int], int]]]:
+    """The hull's orbit points w(eta_L + xi_L) - eta_L as integer columns,
+    and the hull's cuts: ``(s, rows, cuts)`` with s the lcm of the points'
+    denominators, ``rows[i]`` s times the i-th coordinate of every point,
+    the points in sorted order, and ``cuts`` an empty list that ``in_hull``
+    fills with the separating inequalities it has proved.  Validates xi
+    first; raises ``OrbitCapError`` when the orbit has more than
+    ``ORBIT_CAP`` points."""
     validate_highest_weight(datum, field, xi)
     el = eta_L(datum, field)
     top = tuple(a + b for a, b in zip(el, xi.xi_L()))
     pts = sorted(tuple(a - b for a, b in zip(pt, el)) for pt in weyl_orbit(datum, top))
     s = math.lcm(*[v.denominator for pt in pts for v in pt])
     return s, tuple(tuple(pt[i].numerator * (s // pt[i].denominator) for pt in pts)
-                    for i in range(datum.rank))
+                    for i in range(datum.rank)), []
 
 
 def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence) -> bool:
@@ -545,16 +581,37 @@ def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence) 
     points P_j.  Its coordinate rows are scaled by s * lcm(denominators of
     z): lcm times ``_hull_points``' cached integer columns s * P_j, and
     s * lcm * z on the right.  Every row is then an integer row, which
-    ``lp_feasible`` takes without reading a denominator.
+    ``farkas_certificate`` takes without reading a denominator.
+
+    When the LP is infeasible, its certificate (y, c) (y on the coordinate
+    rows, c on the ones row) gives the cut a = lcm * y: a . (s * P) + c <= 0
+    on every orbit point, hence on the whole hull, and > 0 at z.  The cut
+    is checked exactly against every orbit point (a failure raises
+    ``ArithmeticError``) and kept with the hull's cached points, at most as
+    many cuts as the hull has points, since scanning that many costs about
+    one pivot.  A later point z' is outside when a cut reads
+    a . (s * lcm' * z') + c * lcm' > 0, one integer dot product; only a
+    point that no kept cut separates builds the LP.
     """
-    s, cols = _hull_points(datum, field, xi)
+    s, cols, cuts = _hull_points(datum, field, xi)
     if len(z) != datum.rank:
         raise ValueError("vector length must equal the rank")
     z = vec(z)
     lcm = math.lcm(*[v.denominator for v in z])
     scale = s * lcm
+    point = [v.numerator * (scale // v.denominator) for v in z]
+    for a, c in cuts:
+        if sum(map(operator.mul, a, point)) + c * lcm > 0:
+            return False
     rows = [[lcm * x for x in col] for col in cols]
     rows.append([1] * len(cols[0]) if cols else [1])
-    rhs = [v.numerator * (scale // v.denominator) for v in z]
-    rhs.append(1)
-    return lp_feasible(rows, rhs)
+    y = farkas_certificate(rows, point + [1])
+    if y is None:
+        return True
+    a, c = [lcm * v for v in y[:-1]], y[-1]
+    if any(sum(map(operator.mul, a, pt)) + c > 0 for pt in zip(*cols)):
+        raise ArithmeticError(f"the LP's certificate {y} does not hold on the orbit points")
+    with _CUTS_LOCK:
+        if len(cuts) < len(cols[0]):
+            cuts.append((a, c))
+    return False

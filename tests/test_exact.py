@@ -17,10 +17,10 @@ from wadm.exact import (
     MILLER_RABIN_BOUND,
     FieldData,
     QSqrtQ,
+    farkas_certificate,
     format_qsqrtq,
     format_rat,
     is_prime,
-    lp_feasible,
     parse_rat,
     prime_power,
     rank,
@@ -461,18 +461,19 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
         for rows in (ints, halves, [[Fraction(v) for v in row] for row in ints]):
             assert rank(rows) == _reference_rank(rows)
             assert _solution(rows, rhs) == _reference_solve(rows, rhs)
-            assert lp_feasible(rows, rhs) == _reference_lp(rows, rhs)
+            assert (farkas_certificate(rows, rhs) is None) == _reference_lp(rows, rhs)
     bools = [[True, False, True], [False, True, True]]
     assert rank(bools) == 2
     assert _solution(bools, [True, False]) == [1, 0, 0]
-    assert lp_feasible(bools, [True, True]) and not lp_feasible(bools, [True, -1])
+    assert farkas_certificate(bools, [True, True]) is None
+    assert farkas_certificate(bools, [True, -1]) is not None
     for rows, rhs in (([[1, 2], [3, 4.5]], [1, 2]), ([[1, 2], [3, 4]], [1, 0.5])):
         with pytest.raises(AttributeError):
             rank(rows + [rhs])
         with pytest.raises(AttributeError):
             _solution(rows, rhs)
         with pytest.raises(AttributeError):
-            lp_feasible(rows, rhs)
+            farkas_certificate(rows, rhs)
 
 
 @pytest.mark.parametrize("rows", [
@@ -499,7 +500,7 @@ def test_integer_rows_keep_rectangular_shapes():
 
 def _reference_lp(rows, rhs) -> bool:
     """Phase-1 simplex over Fraction with Bland's rule, independent of
-    ``lp_feasible``: whether {x >= 0 : A x = b} is nonempty."""
+    ``farkas_certificate``: whether {x >= 0 : A x = b} is nonempty."""
     m = len(rows)
     if m == 0:
         return True
@@ -540,52 +541,76 @@ def _reference_lp(rows, rhs) -> bool:
 def lp_systems(draw):
     """A designed-rank matrix with duplicated rows and zero columns added,
     and b = A x for some x >= 0 (feasible) or an arbitrary b (mostly
-    infeasible); returns (rows, rhs, whether b was drawn as A x)."""
+    infeasible).  Then maybe a redundant row, a rational combination of two
+    rows with b combined the same way, and up to two rows (with their b)
+    scaled by a Fraction, some negative; neither changes the solution set.
+    Returns (rows, rhs, whether b was drawn as A x)."""
     rows = draw(designed_rank_matrices())
     for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)) if rows else ():
         rows.append(list(rows[i]))
     for j in draw(st.lists(st.integers(0, len(rows[0]) if rows else 0), max_size=2)):
         rows = [row[:j] + [0] + row[j:] for row in rows]
     n = len(rows[0]) if rows else 0
-    if draw(st.booleans()):
+    feasible = draw(st.booleans())
+    if feasible:
         x = draw(st.lists(entries.map(abs), min_size=n, max_size=n))
-        return rows, [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows], True
-    return rows, draw(st.lists(entries, min_size=len(rows), max_size=len(rows))), False
+        rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    if rows and draw(st.booleans()):
+        i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c, e = draw(entries), draw(entries)
+        rows.append([c * u + e * v for u, v in zip(rows[i], rows[k])])
+        rhs.append(c * rhs[i] + e * rhs[k])
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)) if rows else ():
+        c = draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), -1]))
+        rows[i] = [c * v for v in rows[i]]
+        rhs[i] *= c
+    return rows, rhs, feasible
 
 
 @settings(max_examples=400, deadline=None)
 @given(lp_systems())
-def test_lp_feasible_matches_fraction_simplex(system):
+def test_farkas_certificate_matches_fraction_simplex(system):
+    # None exactly when the Fraction simplex finds {x >= 0 : A x = b}
+    # nonempty; otherwise y proves it empty on the rows as given
     rows, rhs, feasible = system
-    got = lp_feasible(rows, rhs)
-    assert got == _reference_lp(rows, rhs)
-    assert got or not feasible
+    y = farkas_certificate(rows, rhs)
+    assert (y is None) == _reference_lp(rows, rhs)
+    assert y is None or not feasible
+    if y is not None:
+        assert all(sum(v * a for v, a in zip(y, col)) <= 0 for col in zip(*rows))
+        assert sum(v * b for v, b in zip(y, rhs)) > 0
 
 
-def test_lp_feasible_simplex():
+def test_farkas_certificate_simplex():
     # x1 + x2 = 1, x >= 0: feasible
-    assert lp_feasible([[1, 1]], [1])
-    # x1 + x2 = -1, x >= 0: infeasible
-    assert not lp_feasible([[1, 1]], [-1])
+    assert farkas_certificate([[1, 1]], [1]) is None
+    # x1 + x2 = -1, x >= 0: infeasible, y = -1 gives -x1 - x2 = 1
+    assert farkas_certificate([[1, 1]], [-1]) == [-1]
     # x1 - x2 = 0, x1 + x2 = 2: x = (1,1)
-    assert lp_feasible([[1, -1], [1, 1]], [0, 2])
+    assert farkas_certificate([[1, -1], [1, 1]], [0, 2]) is None
     # zero row with nonzero rhs
-    assert not lp_feasible([[0, 0]], [1])
-    assert lp_feasible([[0, 0]], [0])
-    assert lp_feasible([], [])
-    assert lp_feasible([[]], [0])
-    assert not lp_feasible([[]], [1])
-    assert not lp_feasible([[]], [Fraction(-1, 2)])
+    assert farkas_certificate([[0, 0]], [1]) == [1]
+    assert farkas_certificate([[0, 0]], [0]) is None
+    assert farkas_certificate([], []) is None
+    assert farkas_certificate([[]], [0]) is None
+    assert farkas_certificate([[]], [1]) == [1]
+    # the row is scaled by 2 and negated inside; y is on the row as given
+    assert farkas_certificate([[]], [Fraction(-1, 2)]) == [-1]
     with pytest.raises(ValueError, match="ragged matrix"):
-        lp_feasible([[1, 2], [3]], [1, 2])
+        farkas_certificate([[1, 2], [3]], [1, 2])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        lp_feasible([[1, 2]], [1, 2])
+        farkas_certificate([[1, 2]], [1, 2])
 
 
-def test_lp_feasible_matches_bruteforce_hull():
+def test_farkas_certificate_matches_bruteforce_hull():
     # membership of a point in a segment via convex combination
     # points (0,0) and (2,1); z = (1, 1/2) inside, (1, 1) outside
     pts = [(0, 0), (2, 1)]
     a = [[p[0] for p in pts], [p[1] for p in pts], [1, 1]]
-    assert lp_feasible(a, [1, Fraction(1, 2), 1])
-    assert not lp_feasible(a, [1, 1, 1])
+    assert farkas_certificate(a, [1, Fraction(1, 2), 1]) is None
+    y = farkas_certificate(a, [1, 1, 1])
+    # the cut y . (x, y, 1) <= 0 holds at both points and fails at z
+    assert all(sum(v * c for v, c in zip(y, p + (1,))) <= 0 for p in pts)
+    assert sum(v * c for v, c in zip(y, (1, 1, 1))) > 0

@@ -170,6 +170,8 @@ HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cach
 READS_THE_ROOT_SYSTEM = ("the datum's root closure (the roots by reflection closure, the "
                          "positive ones by one solve against the simple roots, and their "
                          "sum 2*eta), which both domains are built from")
+READS_THE_COROOTS = ("reads the simple coroots' nonzero entries once per datum, which the "
+                     "chamber walk and the orbit's reflection closure pair weights with")
 
 # pair -> (side a, side b, {shared reader: why it may be shared}, functions
 # each side must be seen to call)
@@ -216,6 +218,7 @@ PAIRS = {
          "wadm.rootdata.all_roots": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._coroot_entries": READS_THE_COROOTS,
          "wadm.rootdata.RootDatum.reflect_weight": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.dot": READS_THE_ROOT_SYSTEM,

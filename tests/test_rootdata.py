@@ -3,7 +3,10 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wadm.rootdata
-from wadm.exact import FieldData, QSqrtQ
+from wadm.exact import FieldData, QSqrtQ, farkas_certificate
 from wadm.rootdata import (
     HighestWeight,
     InfiniteWeylGroupError,
@@ -408,7 +411,7 @@ def test_orbit_regular_gl3():
 def test_orbit_cap_enforced(orbit_cap):
     datum, field, xi = RootDatum.gl(3), FieldData(p=2, e=1, f=1), HighestWeight.of([(0, 1, 2)])
     # found and cached under the default cap, which the fixture's cache_clear drops
-    _, columns = wadm.rootdata._hull_points(datum, field, xi)
+    _, columns, _ = wadm.rootdata._hull_points(datum, field, xi)
     assert len(weyl_elements(datum)) == 6 and len(columns[0]) == 6
     orbit_cap(2)
     with pytest.raises(OrbitCapError):
@@ -745,10 +748,25 @@ MEMBERSHIP_DATA = [d for d, _ in CLOSURE_DATA] + [
 MEMBERSHIP_ORDERS = {d.name: order for d, order in CLOSURE_DATA} | {"A1-adjoint": 2}
 
 
+def _near_the_boundary(rng, datum, bound, den):
+    """A point near the domain's boundary: a Weyl image of t * bound, t
+    close to 1, moved along a simple root, sometimes off the root span;
+    its entries have denominators dividing den."""
+    t = Fraction(rng.randint(den - 1, den + 1), den)
+    p = [t * b for b in bound]
+    if datum.nsimple:
+        c = Fraction(rng.randint(-2, 2), den)
+        p = [v + c * r for v, r in zip(p, rng.choice(datum.simple_roots))]
+    if rng.random() < 0.25:
+        p[rng.randrange(datum.rank)] += Fraction(rng.choice((-1, 1)), den)
+    for _ in range(rng.randint(0, 2 * datum.nsimple)):
+        p = datum.reflect_weight(rng.randrange(datum.nsimple), p)
+    return p
+
+
 @pytest.mark.parametrize("datum", MEMBERSHIP_DATA, ids=lambda d: d.name)
 def test_membership_matches_fraction_reference(datum):
-    # points near the domain's boundary: a Weyl image of t * (eta_L + xi_L),
-    # t close to 1, moved along a simple root, sometimes off the root span
+    # points near the domain's boundary, with denominators 1-6
     rng = random.Random(f"membership-{datum.name}")
     hull = MEMBERSHIP_ORDERS[datum.name] <= 48
     verdicts = set()
@@ -763,15 +781,7 @@ def test_membership_matches_fraction_reference(datum):
         for den in range(1, 7):
             for normalized in (False, True):
                 for _ in range(3):
-                    t = Fraction(rng.randint(den - 1, den + 1), den)
-                    p = [t * b for b in bound]
-                    if datum.nsimple:
-                        c = Fraction(rng.randint(-2, 2), den)
-                        p = [v + c * r for v, r in zip(p, rng.choice(datum.simple_roots))]
-                    if rng.random() < 0.25:
-                        p[rng.randrange(datum.rank)] += Fraction(rng.choice((-1, 1)), den)
-                    for _ in range(rng.randint(0, 2 * datum.nsimple)):
-                        p = datum.reflect_weight(rng.randrange(datum.nsimple), p)
+                    p = _near_the_boundary(rng, datum, bound, den)
                     z = p if normalized else [a - b for a, b in zip(p, el)]
                     got = in_Vxi(datum, field, xi, z, normalized=normalized)
                     assert got == _reference_in_Vxi(datum, field, xi, z, normalized), (z, normalized)
@@ -781,6 +791,91 @@ def test_membership_matches_fraction_reference(datum):
                     assert dominance_leq(datum, z, bound) == _reference_dominance_leq(datum, z, bound)
                     verdicts.add(got)
     assert verdicts == {True, False}
+
+
+HULL_DATA = [d for d in MEMBERSHIP_DATA if MEMBERSHIP_ORDERS[d.name] <= 48]
+
+
+@pytest.mark.parametrize("datum", HULL_DATA, ids=lambda d: d.name)
+def test_hull_cuts_keep_the_verdicts(datum):
+    # in_hull keeps the LP's Farkas cuts with the hull's cached points and
+    # tests them before any LP: the verdicts stay those of in_Vxi (and of
+    # the Fraction reference) whatever order the points come in, every
+    # kept cut holds on every orbit point, and the list never holds more
+    # cuts than the hull has points
+    rng = random.Random(f"hull-cuts-{datum.name}")
+    field = FieldData(p=2, e=2, f=1)
+    xi = HighestWeight.of(
+        [dominant_rep(datum, [rng.randint(-2, 2) for _ in range(datum.rank)]) for _ in range(2)]
+    )
+    el = eta_L(datum, field)
+    bound = tuple(a + b for a, b in zip(el, xi.xi_L()))
+    points = [tuple(a - b for a, b in zip(_near_the_boundary(rng, datum, bound, den), el))
+              for den in range(1, 7) for _ in range(8)]
+    expected = {z: in_Vxi(datum, field, xi, z) for z in points}
+    assert all(_reference_in_Vxi(datum, field, xi, z) == got for z, got in expected.items())
+    assert set(expected.values()) == {True, False}
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    for order in (points, shuffled):
+        wadm.rootdata._hull_points.cache_clear()
+        _, cols, cuts = wadm.rootdata._hull_points(datum, field, xi)
+        for z in order:
+            assert in_hull(datum, field, xi, z) == expected[z], z
+            assert len(cuts) <= len(cols[0])
+        assert cuts
+        for a, c in cuts:
+            assert all(sum(x * v for x, v in zip(a, pt)) + c <= 0 for pt in zip(*cols))
+
+
+def test_hull_cuts_stop_at_the_number_of_orbit_points(monkeypatch):
+    # gl(2)'s hull is a segment with 2 points, so at most 2 cuts are kept;
+    # points outside it that neither separates still get the LP, whose
+    # cut is then dropped
+    datum, xi = RootDatum.gl(2), HighestWeight.of([(0, 2)])
+    wadm.rootdata._hull_points.cache_clear()
+    _, cols, cuts = wadm.rootdata._hull_points(datum, QP, xi)
+    past_cap = []
+
+    def certificate(rows, rhs):
+        y = farkas_certificate(rows, rhs)
+        past_cap.append(y is not None and len(cuts) == 2)
+        return y
+
+    monkeypatch.setattr(wadm.rootdata, "farkas_certificate", certificate)
+    ring = [(Fraction(a, 2), Fraction(b, 2)) for a in range(-8, 9) for b in range(-8, 9)]
+    for z in ring:
+        assert in_hull(datum, QP, xi, z) == in_Vxi(datum, QP, xi, z), z
+        assert len(cuts) <= len(cols[0]) == 2
+    assert len(cuts) == 2 and any(past_cap)
+
+
+def test_hull_cuts_stay_capped_under_threads():
+    # callers on several threads share a hull's list of cuts; they start
+    # together on points outside the hull, so their LPs end and try to keep
+    # a cut at about the same time: the list still never holds more cuts
+    # than the hull has points, and the verdicts hold
+    datum, xi = RootDatum.gl(2), HighestWeight.of([(0, 2)])
+    ring = [(Fraction(a, 2), Fraction(b, 2)) for a in range(-8, 9) for b in range(-8, 9)]
+    outside = [z for z in ring if not in_Vxi(datum, QP, xi, z)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            wadm.rootdata._hull_points.cache_clear()
+            _, cols, cuts = wadm.rootdata._hull_points(datum, QP, xi)
+            start = threading.Barrier(6)
+
+            def run(k):
+                start.wait(timeout=60)
+                return [in_hull(datum, QP, xi, z) for z in outside[k % 3::3]]
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                runs = [pool.submit(run, k) for k in range(6)]
+                assert not any(any(run.result(timeout=60)) for run in runs)
+            assert len(cuts) <= len(cols[0])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_dominance_and_hull_share_no_kernel(monkeypatch):
@@ -795,7 +890,7 @@ def test_dominance_and_hull_share_no_kernel(monkeypatch):
         return lambda *args, **kwargs: pytest.fail(f"{name} called")
 
     with monkeypatch.context() as patch:
-        for name in ("lp_feasible", "_hull_points"):
+        for name in ("farkas_certificate", "_hull_points"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_Vxi(datum, field, xi, z) for z in points] == expected
     wadm.rootdata._hull_points.cache_clear()
@@ -909,6 +1004,12 @@ def test_in_vxi_rejects_a_point_of_the_wrong_length():
                 in_Vxi(datum, QP, xi0, z, normalized=normalized)
         with pytest.raises(ValueError, match="vector length must equal the rank"):
             in_hull(datum, QP, xi0, z)
+        # the chamber walk reads only the coroots' nonzero entries, so its
+        # two public callers check the length that ``dot`` used to check
+        with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+            dominant_rep(datum, z)
+        with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+            antidominant_rep_cochar(datum, z)
 
 
 def test_highest_weight_validation():
