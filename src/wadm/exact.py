@@ -16,18 +16,17 @@ The conversion constant is val_L = e*f*val_q = degree*val_q.
 
 No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
-``_solve_integer`` share one fraction-free elimination (rows scaled to
+``_reduced_echelon`` share one fraction-free elimination (rows scaled to
 integers, then Bareiss), and ``farkas_certificate``, the one LP, pivots
 the same integer rows by the same rule.  When {x >= 0 : A x = b} is empty
 it returns the proof, a row y with y.A <= 0 and y.b > 0 (Farkas): the
 multiplier behind the final phase-1 objective row, mapped back to the rows
 as given.  ``_integer_rows`` copies an all-``int`` row (such as the
 oracle's flags) in one pass; only a row with a ``Fraction`` in it is
-scaled by the lcm of its denominators.  Back substitution runs in integers
-too: ``_solve_integer`` returns det and det * x, and its callers read the
-signs they need from those integers, so the linear algebra builds no
-``Fraction``.  ``_reduced_echelon`` back-eliminates ``_echelon``'s rows in
-integers, for the subobject oracle.
+scaled by the lcm of its denominators.  ``_reduced_echelon``
+back-eliminates ``_echelon``'s rows in integers, for the subobject oracle
+and for root data's cone forms, so the linear algebra builds no
+``Fraction``.
 
 The library's frozen value types (``FieldData``, ``QSqrtQ``, root data,
 highest weights, modules, filtrations, Weil-Deligne data) derive from
@@ -397,29 +396,6 @@ def _reduced_echelon(rows: Matrix) -> list[tuple[int, list[int]]]:
         reduced.append((c, [x // g for x in v] if v[c] > 0 else [-x // g for x in v]))
     reduced.reverse()
     return reduced
-
-
-def _solve_integer(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[tuple[int, list[int]]]:
-    """Solve A x = b exactly in integers: fraction-free elimination on
-    [A | b], then back substitution on ``_echelon``'s pivots.
-
-    Returns ``(det, det * x)`` for one solution x (free variables set to
-    0), where det, the last pivot, is up to sign the determinant of the
-    pivot rows and columns; by Cramer's rule det * x is integral, so every
-    division is exact.  det is 1 when there is no pivot.  Returns None when
-    the system is inconsistent; raises ValueError on dimension mismatch.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("matrix/rhs dimension mismatch")
-    n = len(rows[0]) if rows else 0
-    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1][0] == n:
-        return None
-    det = pivots[-1][1] if pivots else 1
-    y = [0] * n
-    for c, p, w in reversed(pivots):
-        y[c] = (det * w[-1] - sum(v * y[j] for j, v in enumerate(w[:-1], c + 1))) // p
-    return det, y
 
 
 def rank(rows: Matrix) -> int:

@@ -10,18 +10,18 @@ Integer inputs are checked, never truncated: a non-integral root,
 cocharacter or highest weight raises ``ValueError``.  A Weyl group
 element is stored as its integer matrix on cocharacters; on weights it
 acts by the inverse transpose, and weight orbits come from the simple
-reflections directly (``weyl_orbit``).  Roots, orbits and Weyl elements
-come from one closure (``_closure``), dominant representatives from one
-walk (``_chamber_walk``).
+reflections directly (``weyl_orbit``).  Positive roots, orbits and Weyl
+elements come from one closure (``_closure``), dominant representatives
+from one walk (``_chamber_walk``).
 
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
 its point once, by twice the lcm of its denominators; twice eta_L and
 twice the bound eta_L + xi_L are integer vectors cached per (datum, field,
 xi) in ``_domain_bound``, next to the cached validation of xi, so a point
-only multiplies them by its lcm.  The chamber walk and the one integer
-solve of the dominance test (``_in_root_cone``, which reads each
-coefficient's sign from det * c and det, against the simple roots' columns
-cached per datum) then see integer vectors and build no ``Fraction``.
+only multiplies them by its lcm.  The chamber walk and the dominance test
+(``_in_root_cone``, integer dot products with forms read once per datum
+off a reduced echelon form, ``_cone_forms``) then see integer vectors and
+build no ``Fraction``.
 ``dominance_leq`` scales z2 - z to integers and calls the same test.  Both
 are invariant under positive scaling, so the verdicts are those of the
 rational vectors.  The hull side runs on integers too, by its own scaling:
@@ -36,7 +36,7 @@ as many cuts as the hull has points.  A point is first tested against the
 kept cuts, one integer dot product each, and the LP runs only when none
 separates it.  The simple coroots' nonzero entries are cached per datum
 (``_coroot_entries``) for the chamber walk's labels and the reflection
-closure.
+closures.
 
 Conventions, fixed once for the whole library:
 
@@ -66,7 +66,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .exact import (FieldData, _Frozen, _integer_rows, _solve_integer, farkas_certificate,
+from .exact import (FieldData, _Frozen, _integer_rows, _reduced_echelon, farkas_certificate,
                     rank as mat_rank)
 
 Vec = tuple[Fraction, ...]
@@ -79,7 +79,7 @@ ORBIT_CAP = 10**6
 
 
 class InfiniteWeylGroupError(RuntimeError):
-    """The root closure of ``all_roots`` outgrew the bound on a finite root
+    """The root closure of ``positive_roots`` outgrew the bound on a finite root
     system of its rank, which proves the Weyl group infinite."""
 
 
@@ -302,33 +302,36 @@ def _reflections(datum: RootDatum) -> Callable:
 
 
 @lru_cache(maxsize=None)
-def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
-    """The full (finite) root system, by reflection closure of the simples;
-    integer vectors, sorted.
+def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
+    """The positive roots, sorted: the closure of the simple roots under
+    every s_i except at alpha_i itself, since s_i permutes the positive
+    roots other than alpha_i (Humphreys, Lemma 10.2B).  Images are read on
+    the coroots' cached nonzero entries, as ``_reflections`` reads them.
 
-    A finite root system of rank r has at most r * max(2r, 30) roots (its
-    Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8), so a
-    larger closure proves the Weyl group infinite.
+    The closure and its negatives hold W applied to the simple roots for any
+    input (s_i sends alpha_i to -alpha_i), and a finite root system of rank
+    r has at most r * max(2r, 30) roots (its Coxeter numbers are at most 2r
+    for B_r and C_r, 30 for E_8).  So a closure of more than half that many
+    roots proves the Weyl group infinite.
     """
     bound = datum.nsimple * max(2 * datum.nsimple, 30)
     error = InfiniteWeylGroupError(
         f"root closure passed {bound} roots, more than a finite root system "
         f"of rank {datum.nsimple} can have; the Weyl group is infinite"
     )
-    return tuple(sorted(_closure(datum.simple_roots, _reflections(datum), bound, error)))
+    simple, coroots = datum.simple_roots, _coroot_entries(datum)
+    return tuple(sorted(_closure(
+        simple, lambda b: (datum.reflect_weight(i, b) for i, cov in enumerate(coroots)
+                           if b != simple[i] and sum(b[j] * v for j, v in cov)),
+        bound // 2, error)))
 
 
 @lru_cache(maxsize=None)
-def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
-    """Roots that are non-negative rational combinations of the simples.
-
-    <r, lam> for the rational lam with <alpha_i, lam> = 1 for every i is
-    r's height; a root's simple-root coefficients share one sign.  The one
-    integer solve gives det and det * lam, so the sign of <r, lam> is that
-    of <r, det * lam> * det, and no ``Fraction`` is built.
-    """
-    det, lam = _solve_integer(datum.simple_roots, [1] * datum.nsimple)
-    return tuple(r for r in all_roots(datum) if dot(r, lam) * det > 0)
+def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
+    """The full (finite) root system: the positive roots and their
+    negatives, integer vectors, sorted."""
+    pos = positive_roots(datum)
+    return tuple(sorted(pos + tuple(tuple(-v for v in r) for r in pos)))
 
 
 @lru_cache(maxsize=None)
@@ -418,23 +421,28 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
 
 
 @lru_cache(maxsize=None)
-def _root_columns(datum: RootDatum) -> IntMatrix:
-    """The simple roots as columns: row i holds every simple root's i-th
-    coordinate."""
-    return tuple(tuple(r[i] for r in datum.simple_roots) for i in range(datum.rank))
+def _cone_forms(datum: RootDatum) -> tuple[IntMatrix, IntMatrix]:
+    """``(forms, annihilators)``, integer rows read off the reduced echelon
+    form of [simple-root columns | I].  Each row there is [u C | u] for the
+    columns C; the simple roots being independent, row i < nsimple pivots
+    on root i, so u C = g_i e_i with g_i > 0 and u . diff = g_i c_i for
+    diff = C c.  A row pivoting in the identity block has u C = 0: these
+    rows span the forms that vanish on the roots' span."""
+    m = datum.nsimple
+    rows = _reduced_echelon([[r[i] for r in datum.simple_roots] + list(unit)
+                             for i, unit in enumerate(_identity(datum.rank))])
+    return (tuple(tuple(row[m:]) for c, row in rows if c < m),
+            tuple(tuple(row[m:]) for c, row in rows if c >= m))
 
 
 def _in_root_cone(datum: RootDatum, diff: IntVec) -> bool:
     """Whether the integer vector diff is a non-negative rational
-    combination of the simple roots.  One integer solve gives det and
-    det * c for the combination c (unique, the simple roots being
-    independent; None means diff is outside their span), so c_i has the
-    sign of (det * c_i) * det and no ``Fraction`` is built."""
-    solved = _solve_integer(_root_columns(datum), diff)
-    if solved is None:
-        return False
-    det, nums = solved
-    return all(v * det >= 0 for v in nums)
+    combination of the simple roots: it lies in their span when every
+    annihilator of ``_cone_forms`` reads 0, and then its coefficients have
+    the signs the forms read, by integer dot products only."""
+    forms, annihilators = _cone_forms(datum)
+    return (all(sum(map(operator.mul, u, diff)) == 0 for u in annihilators)
+            and all(sum(map(operator.mul, u, diff)) >= 0 for u in forms))
 
 
 def dominance_leq(datum: RootDatum, z: Sequence, z2: Sequence) -> bool:

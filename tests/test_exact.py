@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from wadm.exact import (
     INF,
-    _echelon,
     _integer_rows,
     _reduced_echelon,
-    _solve_integer,
     MILLER_RABIN_BOUND,
     FieldData,
     QSqrtQ,
@@ -185,56 +183,6 @@ def test_qsqrtq_mismatched_q():
 # --- linear algebra --------------------------------------------------------
 
 
-def _solution(rows, rhs):
-    """``_solve_integer``'s (det, det * x) read back as the solution x over
-    Fraction, or None."""
-    solved = _solve_integer(rows, rhs)
-    if solved is None:
-        return None
-    det, nums = solved
-    assert type(det) is int and det != 0 and all(type(v) is int for v in nums)
-    return [Fraction(v, det) for v in nums]
-
-
-def test_solve_identity():
-    assert _solution([[1, 0], [0, 1]], [1, 2]) == [1, 2]
-
-
-def test_solve_inconsistent():
-    assert _solution([[1, 1], [1, 1]], [0, 1]) is None
-
-
-def test_solve_diagonal():
-    assert _solution([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        _solution([[1, 0]], [1, 2])
-
-
-def test_solve_edge_shapes():
-    assert _solution([], []) == []
-    assert _solution([[]], [0]) == []
-    assert _solution([[]], [1]) is None
-    # x2 is free and set to 0; x1 comes from back substitution
-    assert _solution([[2, 3], [4, 6]], [1, 2]) == [Fraction(1, 2), 0]
-    with pytest.raises(ValueError, match="ragged matrix"):
-        _solution([[1, 2], [3]], [1, 2])
-
-
-def test_solve_random_round_trip():
-    rng = random.Random(23)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        got = _solution(a, b)
-        assert got is not None
-        assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(n)] == b
-
-
 def test_rank():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
@@ -263,40 +211,6 @@ def _reference_rank(rows) -> int:
                 a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
         r += 1
     return r
-
-
-def _reference_solve(rows, rhs):
-    """Gauss-Jordan elimination over Fraction, independent of ``_solve_integer``:
-    one solution with the free variables at 0, or None."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    m, n = len(a), len(a[0]) if a else 0
-    pivots = []
-    row = 0
-    for col in range(n):
-        pr = next((i for i in range(row, m) if a[i][col] != 0), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        b[row], b[pr] = b[pr], b[row]
-        inv = a[row][col]
-        a[row] = [v / inv for v in a[row]]
-        b[row] /= inv
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[row])]
-                b[i] -= factor * b[row]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    if any(b[i] != 0 for i in range(row, m)):
-        return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = b[r]
-    return x
 
 
 entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7])).map(
@@ -331,18 +245,6 @@ def test_rank_matches_fraction_elimination(rows):
 
 
 @settings(max_examples=400, deadline=None)
-@given(designed_rank_matrices(), st.booleans(), st.data())
-def test_solve_matches_gauss_jordan(rows, consistent, data):
-    m, n = len(rows), len(rows[0]) if rows else 0
-    if consistent:  # b = A x, so a solution exists
-        x = data.draw(st.lists(entries, min_size=n, max_size=n))
-        rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
-    else:
-        rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
-    assert _solution(rows, rhs) == _reference_solve(rows, rhs)
-
-
-@settings(max_examples=400, deadline=None)
 @given(designed_rank_matrices(), st.data())
 def test_reduced_echelon_clears_pivot_columns_and_keeps_restricted_ranks(rows, data):
     # the oracle reads a flag tail's reduced form in place of the tail, so
@@ -367,70 +269,6 @@ def test_reduced_echelon_edge_shapes():
     assert _reduced_echelon([[0, 0], [0, 0]]) == []
     assert _reduced_echelon([[2, 4], [Fraction(1, 3), Fraction(2, 3)]]) == [(0, [1, 2])]
     assert _reduced_echelon([[0, -2, 4], [3, 1, 0]]) == [(0, [3, 0, 2]), (1, [0, 1, -2])]
-
-
-def _fraction_back_substitution(rows, rhs):
-    """Back substitution over Fraction on ``_echelon``'s pivots (the form
-    the library's solve had before its integer one): one solution with the
-    free variables at 0, or None."""
-    n = len(rows[0]) if rows else 0
-    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1][0] == n:
-        return None
-    x = [Fraction(0)] * n
-    for c, p, w in reversed(pivots):
-        x[c] = Fraction(w[-1] - sum(v * x[j] for j, v in enumerate(w[:-1], c + 1)), p)
-    return x
-
-
-SHAPES = ("square", "wide", "tall", "deficient", "inconsistent")
-
-
-@st.composite
-def shaped_systems(draw):
-    """(kind, A, b): a square system, a wide or a tall one (both
-    consistent), a rank-deficient one (free variables) and an inconsistent
-    one (its last row repeats the first with another right-hand side)."""
-    kind = draw(st.sampled_from(SHAPES))
-    n = draw(st.integers(1, 6))
-    m = {"square": n, "wide": draw(st.integers(1, n)), "tall": draw(st.integers(n, 8)),
-         "deficient": draw(st.integers(1, 7)), "inconsistent": draw(st.integers(2, 7))}[kind]
-    if kind in ("deficient", "inconsistent"):
-        r = draw(st.integers(0, min(m, n) - 1))
-        left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
-        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
-        rows = [[sum((x * right[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(n)]
-                for row in left]
-    else:
-        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-    x = draw(st.lists(entries, min_size=n, max_size=n))
-    rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in rows]
-    if kind == "inconsistent":
-        rows[-1] = list(rows[0])
-        rhs[-1] = rhs[0] + draw(entries.filter(lambda v: v != 0))
-    return kind, rows, rhs
-
-
-@settings(max_examples=500, deadline=None)
-@given(shaped_systems())
-def test_integer_back_substitution_matches_fraction_reference(system):
-    kind, rows, rhs = system
-    expected = _fraction_back_substitution(rows, rhs)
-    assert (expected is None) == (kind == "inconsistent")
-    assert _solution(rows, rhs) == expected == _reference_solve(rows, rhs)
-    solved = _solve_integer(rows, rhs)
-    if expected is None:
-        assert solved is None
-        return
-    pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    det, nums = solved
-    assert det == (pivots[-1][1] if pivots else 1)
-    assert all(type(v) is int for v in nums)
-    assert [Fraction(v, det) for v in nums] == expected
-    if kind == "deficient":  # free variables are 0
-        assert len(pivots) < len(rows[0])
-        pivot_cols = {c for c, _, _ in pivots}
-        assert all(v == 0 for j, v in enumerate(nums) if j not in pivot_cols)
 
 
 def test_rank_of_rank12_witness_flag():
@@ -460,18 +298,14 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
                   for i, row in enumerate(ints)]
         for rows in (ints, halves, [[Fraction(v) for v in row] for row in ints]):
             assert rank(rows) == _reference_rank(rows)
-            assert _solution(rows, rhs) == _reference_solve(rows, rhs)
             assert (farkas_certificate(rows, rhs) is None) == _reference_lp(rows, rhs)
     bools = [[True, False, True], [False, True, True]]
     assert rank(bools) == 2
-    assert _solution(bools, [True, False]) == [1, 0, 0]
     assert farkas_certificate(bools, [True, True]) is None
     assert farkas_certificate(bools, [True, -1]) is not None
     for rows, rhs in (([[1, 2], [3, 4.5]], [1, 2]), ([[1, 2], [3, 4]], [1, 0.5])):
         with pytest.raises(AttributeError):
             rank(rows + [rhs])
-        with pytest.raises(AttributeError):
-            _solution(rows, rhs)
         with pytest.raises(AttributeError):
             farkas_certificate(rows, rhs)
 

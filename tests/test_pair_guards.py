@@ -167,9 +167,9 @@ BUILDS_THE_OUTPUT_ROWS = ("constructs the report rows and the verdict, the outpu
 VALIDATES_THE_WEIGHT = "validates the highest weight, the input both sides take"
 READS_THE_POINT = "reads the point, the input both sides take"
 HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cache keys"
-READS_THE_ROOT_SYSTEM = ("the datum's root closure (the roots by reflection closure, the "
-                         "positive ones by one solve against the simple roots, and their "
-                         "sum 2*eta), which both domains are built from")
+READS_THE_ROOT_SYSTEM = ("the datum's root closure (the positive roots by reflection closure "
+                         "of the simple roots, and their sum 2*eta), which both domains are "
+                         "built from")
 READS_THE_COROOTS = ("reads the simple coroots' nonzero entries once per datum, which the "
                      "chamber walk and the orbit's reflection closure pair weights with")
 
@@ -215,9 +215,7 @@ PAIRS = {
          "wadm.exact._Frozen.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata.all_roots": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._coroot_entries": READS_THE_COROOTS,
          "wadm.rootdata.RootDatum.reflect_weight": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
@@ -234,17 +232,15 @@ PAIRS = {
 # the oracle runs its own elimination (ROADMAP, the depth-first oracle);
 # the guard then fails until this entry is dropped.
 #
-# A second known exception: the dominance side's root-cone test
-# (``_in_root_cone`` -> ``_solve_integer`` -> ``_echelon``) and the hull
-# side's LP (``lp_feasible`` -> ``_integer_rows``) meet in exact's integer
-# elimination and row scaling, which the root closure's solve reaches on
-# both sides as well.  A common-mode fault in the row scaling reaches both
+# A second known exception: the dominance side's cone forms
+# (``_cone_forms`` -> ``_reduced_echelon`` -> ``_echelon``) and the hull
+# side's LP (``farkas_certificate``) both scale their rows to integers in
+# ``_integer_rows``.  A common-mode fault in the row scaling reaches both
 # membership decisions of criterion 4.
 KNOWN_SHARED = {
     "construction-vs-oracle": {"wadm.exact.rank", "wadm.exact._echelon",
                                "wadm.exact._integer_rows"},
-    "dominance-vs-hull": {"wadm.exact._solve_integer", "wadm.exact._echelon",
-                          "wadm.exact._integer_rows"},
+    "dominance-vs-hull": {"wadm.exact._integer_rows"},
 }
 
 
@@ -257,6 +253,8 @@ def test_pair_sides_share_only_input_readers(pair):
     known = KNOWN_SHARED.get(pair, set())
     shared = calls_a & calls_b
     assert shared - known <= set(readers), sorted(shared - known - set(readers))
+    assert set(readers) <= shared, (
+        f"no longer shared, drop the reader: {sorted(set(readers) - shared)}")
     assert known <= shared, f"no longer shared, drop the known exception: {sorted(known - shared)}"
 
 

@@ -372,6 +372,52 @@ def test_closure_errors_match_reference(orbit_cap):
 
 @pytest.mark.parametrize(
     "datum",
+    [RootDatum.gl(n) for n in range(1, 9)] + [RootDatum.sl(n) for n in range(2, 7)]
+    + [RootDatum.sp4()]
+    + [RootDatum.from_cartan(cartan, kind=kind, name=f"{name}-{kind}")
+       for name, (cartan, _) in sorted(CARTANS.items())
+       for kind in ("simply_connected", "adjoint")],
+    ids=lambda d: d.name,
+)
+def test_two_eta_pairs_to_two_with_every_simple_coroot(datum):
+    # s_i permutes the positive roots other than alpha_i (Humphreys, Lemma
+    # 10.2B), so s_i(2 eta) = 2 eta - 2 alpha_i: a closure that misses a
+    # positive root, or keeps a negative one, breaks this identity
+    two_eta = wadm.rootdata._two_eta(datum)
+    assert all(dot(two_eta, cov) == 2 for cov in datum.simple_coroots)
+
+
+def test_root_closure_matches_reference_on_random_cartan_matrices():
+    # 2x2 and 3x3 Cartan matrices with off-diagonal entries in
+    # {0, -1, -2, -3}, of both kinds, finite and infinite types alike;
+    # a matrix whose simple roots are dependent is rejected at construction
+    rng = random.Random(2021)
+    outcomes = set()
+    for _ in range(250):
+        r = rng.choice((2, 3))
+        cartan = [[2 if i == j else rng.choice((0, -1, -2, -3)) for j in range(r)]
+                  for i in range(r)]
+        for kind in ("simply_connected", "adjoint"):
+            try:
+                datum = RootDatum.from_cartan(cartan, kind=kind)
+            except ValueError:
+                continue
+            try:
+                expected = _reference_all_roots(datum)
+            except InfiniteWeylGroupError as exc:
+                outcomes.add("infinite")
+                for closure in (all_roots, positive_roots):
+                    with pytest.raises(InfiniteWeylGroupError, match=f"^{exc}, "):
+                        closure(datum)
+                continue
+            outcomes.add("finite")
+            assert all_roots(datum) == expected, cartan
+            assert positive_roots(datum) == _reference_positive_roots(datum), cartan
+    assert outcomes == {"finite", "infinite"}
+
+
+@pytest.mark.parametrize(
+    "datum",
     [d for d, _ in CLOSURE_DATA if d.name.split("-")[0] in CARTANS]
     + [RootDatum.from_cartan([], name="rank-0"), RootDatum.gl(1)],
     ids=lambda d: d.name,
@@ -893,9 +939,13 @@ def test_dominance_and_hull_share_no_kernel(monkeypatch):
         for name in ("farkas_certificate", "_hull_points"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_Vxi(datum, field, xi, z) for z in points] == expected
-    wadm.rootdata._hull_points.cache_clear()
+    # with every root-data cache cleared, so that a kernel reached only
+    # through a cached helper (the root closure) is seen too
+    for value in vars(wadm.rootdata).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
     with monkeypatch.context() as patch:
-        for name in ("_chamber_walk", "_in_root_cone", "_solve_integer", "_domain_bound"):
+        for name in ("_chamber_walk", "_in_root_cone", "_cone_forms", "_domain_bound"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_hull(datum, field, xi, z) for z in points] == expected
 
