@@ -41,7 +41,7 @@ from typing import Optional
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
 from .isocrystal import Polygon, polygon_rows
-from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, all_roots,
+from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, positive_roots,
                        validate_highest_weight)
 from .satake import GroupRingElem
 from .weildeligne import SteinbergChain, Unramified, WDRep
@@ -135,14 +135,23 @@ class KeyValues:
         except ValueError as exc:
             raise InstanceError(self.path, self.lineno("field.p"), str(exc)) from None
 
-    def group(self) -> Optional[RootDatum]:
+    def group(self) -> Optional[tuple]:
+        """The group line as (name, rank, build), ``build()`` giving the
+        datum.  A ``gl(N)`` or ``sl(N)`` line with N >= 2 is read off the
+        spec, so that its rank meets the data before N^2 root entries are
+        built; any other spec is built and checked here."""
         spec = self.get("group")
         if spec is None:
             return None
+        m = _SERIES.fullmatch(spec.strip())
+        if m and int(m.group(2)) >= 2:
+            series, n = m.group(1), int(m.group(2))
+            return f"{series}({n})", n - (series == "sl"), lambda: parse_group(spec)
         try:
-            return parse_group(spec)
+            datum = parse_group(spec)
         except (ValueError, InfiniteWeylGroupError) as exc:
             raise self.error("group", str(exc)) from None
+        return datum.name, datum.rank, lambda: datum
 
     def rational_list(self, key: str) -> list[Fraction]:
         value = self.require(key)
@@ -159,14 +168,14 @@ class KeyValues:
             raise self.error(key, f"expected integers, got {value!r}") from None
 
 
+_SERIES = re.compile(r"(gl|sl)\((\d+)\)")
+
+
 def parse_group(spec: str) -> RootDatum:
     spec = spec.strip()
-    m = re.fullmatch(r"gl\((\d+)\)", spec)
+    m = _SERIES.fullmatch(spec)
     if m:
-        return RootDatum.gl(int(m.group(1)))
-    m = re.fullmatch(r"sl\((\d+)\)", spec)
-    if m:
-        return RootDatum.sl(int(m.group(1)))
+        return (RootDatum.gl if m.group(1) == "gl" else RootDatum.sl)(int(m.group(2)))
     if spec == "sp(4)":
         return RootDatum.sp4()
     for prefix, kind in (("cartan-adjoint", "adjoint"), ("cartan", "simply_connected")):
@@ -183,13 +192,13 @@ def parse_group(spec: str) -> RootDatum:
                 raise ValueError(f"bad Cartan matrix literal {literal!r}: "
                                  "expected a list of integer lists")
             datum = RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
-            all_roots(datum)  # raises InfiniteWeylGroupError for an infinite type
+            positive_roots(datum)  # raises InfiniteWeylGroupError for an infinite type
             return datum
     raise ValueError(f"unknown group {spec!r}")
 
 
 def _parse_weights(kv: KeyValues, field: FieldData,
-                   datum: Optional[RootDatum] = None) -> tuple[tuple[int, ...], ...]:
+                   group: Optional[str] = None) -> tuple[tuple[int, ...], ...]:
     """Weight rows, one per embedding.
 
     The a/i conversion and its monotonicity checks are the general-linear
@@ -197,7 +206,7 @@ def _parse_weights(kv: KeyValues, field: FieldData,
     vectors themselves (form must be 'a', dominance is validated where the
     weight is used).
     """
-    general_linear = datum is None or datum.name.startswith("gl(")
+    general_linear = group is None or group.startswith("gl(")
     form = kv.get("weights.form", "a")
     if form not in ("a", "i"):
         raise kv.error("weights.form", f"weights.form must be 'a' or 'i', got {form!r}")
@@ -270,11 +279,11 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     """
     kv = KeyValues.parse(text, path)
     field = kv.field()
-    group = kv.group()
-    if group is not None and not group.name.startswith("gl("):
+    group, rank, _ = kv.group() or (None, None, None)
+    if group is not None and not group.startswith("gl("):
         raise kv.error(
             "group",
-            f"checker instances are general-linear; use an affinoid query for {group.name}",
+            f"checker instances are general-linear; use an affinoid query for {group}",
         )
     weights = _parse_weights(kv, field)
     form = kv.require("galois.form")
@@ -299,22 +308,27 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
         inst = Instance(kv.get("id", default_id), field, weights, zeta_vals=zeta, wd=wd)
     except ValueError as exc:
         raise InstanceError(path, None, str(exc)) from None
-    if group is not None and group.rank != inst.dimension:
+    if group is not None and rank != inst.dimension:
         raise kv.error(
-            "group", f"group rank {group.rank} does not match the data dimension {inst.dimension}"
+            "group", f"group rank {rank} does not match the data dimension {inst.dimension}"
         )
     return inst
 
 
 def _query_weight(kv: KeyValues, field: FieldData) -> tuple[RootDatum, HighestWeight]:
     """The group of a query (gl(n) by default) and its highest weight, one
-    dominant weight of the group's rank per embedding."""
-    datum = kv.group()
-    weights = _parse_weights(kv, field, datum)
+    dominant weight of the group's rank per embedding.  The first weight's
+    length is compared with the rank before the datum is built."""
+    group, rank, build = kv.group() or (None, None, None)
+    weights = _parse_weights(kv, field, group)
     xi = HighestWeight.of(weights)
     try:
-        if datum is None:
+        if group is None:
             datum = RootDatum.gl(len(weights[0]))
+        elif len(weights[0]) != rank:
+            raise ValueError("weight length must equal the rank")
+        else:
+            datum = build()
         validate_highest_weight(datum, field, xi)
     except ValueError as exc:
         raise kv.error("weights.sigma1", str(exc)) from None

@@ -12,7 +12,11 @@ element is stored as its integer matrix on cocharacters; on weights it
 acts by the inverse transpose, and weight orbits come from the simple
 reflections directly (``weyl_orbit``).  Positive roots, orbits and Weyl
 elements come from one closure (``_closure``), dominant representatives
-from one walk (``_chamber_walk``).
+from one walk (``_chamber_walk``).  Every simple reflection is one step,
+``_reflect``: x - c * v on v's nonzero entries, kept with the datum
+(``RootDatum.entries``).  On a weight, c = <x, alpha_i^vee> and v = alpha_i;
+on a cocharacter (a column of a Weyl element), c = <alpha_i, x> and
+v = alpha_i^vee.  The chamber walk writes the same step out on one list.
 
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
 its point once, by twice the lcm of its denominators; twice eta_L and
@@ -34,9 +38,7 @@ certificate is such a cut, valid on the whole hull, and ``in_hull`` keeps
 it (checked against every orbit point) in the hull's cached value, at most
 as many cuts as the hull has points.  A point is first tested against the
 kept cuts, one integer dot product each, and the LP runs only when none
-separates it.  The simple coroots' nonzero entries are cached per datum
-(``_coroot_entries``) for the chamber walk's labels and the reflection
-closures.
+separates it.
 
 Conventions, fixed once for the whole library:
 
@@ -64,7 +66,7 @@ import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import (FieldData, _Frozen, _integer_rows, _reduced_echelon, farkas_certificate,
                     rank as mat_rank)
@@ -139,10 +141,6 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _matvec(m: IntMatrix, v: Sequence) -> tuple:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
 class WeylElement(_Frozen):
     """A Weyl group element as its integer matrix on cocharacters."""
 
@@ -152,7 +150,7 @@ class WeylElement(_Frozen):
         object.__setattr__(self, "cochar", cochar)
 
     def on_cochar(self, lam: Sequence[int]) -> IntVec:
-        return _matvec(self.cochar, lam)
+        return tuple(sum(row[j] * lam[j] for j in range(len(lam))) for row in self.cochar)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(_matmul(self.cochar, other.cochar))
@@ -164,12 +162,14 @@ class RootDatum(_Frozen):
     ``simple_roots[i]`` has integer coordinates in the character lattice,
     ``simple_coroots[i]`` in the cocharacter lattice; the Cartan pairing
     ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
-    a non-positive integer off it.  ``cartan`` is computed once, and neither
-    compared nor printed.
+    a non-positive integer off it.  ``entries[i]`` holds the nonzero
+    (index, value) entries of alpha_i^vee and of alpha_i, which every
+    reflection (``_reflect``) reads and moves along.  ``cartan`` and
+    ``entries`` are computed once, and neither compared nor printed.
     """
 
     _fields = ("rank", "simple_roots", "simple_coroots", "name")
-    __slots__ = _fields + ("cartan", "_hash")
+    __slots__ = _fields + ("cartan", "entries", "_hash")
 
     def __init__(self, rank: int, simple_roots: Sequence[Sequence[int]],
                  simple_coroots: Sequence[Sequence[int]], name: str = "") -> None:
@@ -186,6 +186,9 @@ class RootDatum(_Frozen):
                 raise ValueError("root/coroot length must equal the rank")
         cartan = tuple(tuple(dot(alpha, cov) for cov in coroots) for alpha in roots)
         object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "entries", tuple(
+            tuple(tuple((j, v) for j, v in enumerate(vector) if v) for vector in pair)
+            for pair in zip(coroots, roots)))
         for i, row in enumerate(cartan):
             for j, c in enumerate(row):
                 if i == j and c != 2:
@@ -266,63 +269,54 @@ class RootDatum(_Frozen):
     def nsimple(self) -> int:
         return len(self.simple_roots)
 
-    def reflect_weight(self, i: int, z: Sequence) -> tuple:
-        """Simple reflection s_i on the weight side: z - <z, alpha_i^vee> alpha_i
-        (integer vectors stay integer, Fraction vectors stay Fraction)."""
-        c = dot(z, self.simple_coroots[i])
-        return tuple(v - c * r for v, r in zip(z, self.simple_roots[i]))
-
-    def simple_reflection(self, i: int) -> WeylElement:
-        n = self.rank
-        alpha, cov = self.simple_roots[i], self.simple_coroots[i]
-        return WeylElement(tuple(
-            tuple(int(a == b) - cov[a] * alpha[b] for b in range(n)) for a in range(n)
-        ))
-
     def is_dominant(self, z: Sequence) -> bool:
         return all(dot(z, cov) >= 0 for cov in self.simple_coroots)
 
 
-@lru_cache(maxsize=None)
-def _coroot_entries(datum: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each simple coroot's nonzero entries, as (index, value) pairs: a
-    weight's pairing with the coroot reads only these."""
-    return tuple(tuple((j, v) for j, v in enumerate(cov) if v) for cov in datum.simple_coroots)
+def _reflect(z: Sequence, c, move: Sequence[tuple[int, int]]) -> tuple:
+    """z - c * v, with v given by its nonzero (index, value) entries
+    ``move``: a simple reflection once its pairing c is read (integer
+    vectors stay integer, Fraction vectors stay Fraction)."""
+    z = list(z)
+    for j, v in move:
+        z[j] -= c * v
+    return tuple(z)
 
 
-def _reflections(datum: RootDatum) -> Callable:
-    """The images of a weight under the simple reflections that move it.
-
-    A reflection whose pairing with the weight (over the coroot's cached
-    nonzero entries) is 0 fixes it, and the closure has already seen the
-    weight itself, so that image is skipped."""
-    coroots = _coroot_entries(datum)
-    return lambda z: (datum.reflect_weight(i, z) for i, cov in enumerate(coroots)
-                      if sum(z[j] * v for j, v in cov))
+def _reflections(datum: RootDatum, z: Sequence) -> Iterator[tuple]:
+    """The images of a weight z under the simple reflections that move it:
+    c = <z, alpha_i^vee> is read once on the coroot's entries, and s_i z is
+    z - c * alpha_i on the root's.  A reflection with c = 0 fixes z, and the
+    closure has already seen z itself, so that image is skipped."""
+    for cov, alpha in datum.entries:
+        c = 0
+        for j, v in cov:
+            c += z[j] * v
+        if c:
+            yield _reflect(z, c, alpha)
 
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     """The positive roots, sorted: the closure of the simple roots under
-    every s_i except at alpha_i itself, since s_i permutes the positive
-    roots other than alpha_i (Humphreys, Lemma 10.2B).  Images are read on
-    the coroots' cached nonzero entries, as ``_reflections`` reads them.
+    ``_reflections``, never entering a negated simple root.  s_i sends
+    alpha_i to -alpha_i and permutes the other positive roots (Humphreys,
+    Lemma 10.2B), so the closure holds exactly the positive roots.
 
     The closure and its negatives hold W applied to the simple roots for any
-    input (s_i sends alpha_i to -alpha_i), and a finite root system of rank
-    r has at most r * max(2r, 30) roots (its Coxeter numbers are at most 2r
-    for B_r and C_r, 30 for E_8).  So a closure of more than half that many
-    roots proves the Weyl group infinite.
+    input, and a finite root system of rank r has at most r * max(2r, 30)
+    roots (its Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8).
+    So a closure of more than half that many roots proves the Weyl group
+    infinite.
     """
     bound = datum.nsimple * max(2 * datum.nsimple, 30)
     error = InfiniteWeylGroupError(
         f"root closure passed {bound} roots, more than a finite root system "
         f"of rank {datum.nsimple} can have; the Weyl group is infinite"
     )
-    simple, coroots = datum.simple_roots, _coroot_entries(datum)
+    negated = {tuple(-v for v in r) for r in datum.simple_roots}
     return tuple(sorted(_closure(
-        simple, lambda b: (datum.reflect_weight(i, b) for i, cov in enumerate(coroots)
-                           if b != simple[i] and sum(b[j] * v for j, v in cov)),
+        datum.simple_roots, lambda b: (r for r in _reflections(datum, b) if r not in negated),
         bound // 2, error)))
 
 
@@ -348,15 +342,18 @@ def half_sum_positive_roots(datum: RootDatum) -> Vec:
 
 @lru_cache(maxsize=None)
 def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, by closure of the simple reflections.
-    Raises ``InfiniteWeylGroupError`` at once when W is infinite, and
-    ``OrbitCapError`` when the finite W has more than ``ORBIT_CAP``
-    elements."""
+    """All Weyl group elements, by closure of the simple reflections acting
+    on the left.  While the closure runs, an element w is held by its
+    columns, cocharacters: s_i w sends each column x to
+    x - <alpha_i, x> alpha_i^vee.  Raises ``InfiniteWeylGroupError`` at once
+    when W is infinite, and ``OrbitCapError`` when the finite W has more
+    than ``ORBIT_CAP`` elements."""
     positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
-    ident = WeylElement(_identity(datum.rank))
-    gens = [datum.simple_reflection(i) for i in range(datum.nsimple)]
     error = OrbitCapError(f"Weyl group order exceeded cap {ORBIT_CAP}")
-    return _closure([ident], lambda w: (g * w for g in gens), ORBIT_CAP, error)
+    closure = _closure([_identity(datum.rank)], lambda cols: (  # s_i w for each i
+        tuple(_reflect(x, sum(x[j] * v for j, v in alpha), cov) for x in cols)
+        for cov, alpha in datum.entries), ORBIT_CAP, error)
+    return tuple(WeylElement(tuple(zip(*cols))) for cols in closure)
 
 
 def weyl_orbit(datum: RootDatum, z: Sequence) -> frozenset:
@@ -368,7 +365,7 @@ def weyl_orbit(datum: RootDatum, z: Sequence) -> frozenset:
         raise ValueError("vector length must equal the rank")
     positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     error = OrbitCapError(f"orbit size exceeded cap {ORBIT_CAP}")
-    return frozenset(_closure([start], _reflections(datum), ORBIT_CAP, error))
+    return frozenset(_closure([start], lambda z: _reflections(datum, z), ORBIT_CAP, error))
 
 
 @lru_cache(maxsize=None)
@@ -382,10 +379,10 @@ def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
     negative label c_i = <x, alpha_i^vee> subtracts c_i times Cartan row i
     from the labels; x is rebuilt once at the end.  s_i permutes the other
     positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps.
-    The labels read only the coroots' cached nonzero entries, so x must
+    The labels and the rebuild read only the datum's ``entries``, so x must
     have the datum's rank (the callers check)."""
     labels = []
-    for cov in _coroot_entries(datum):  # a plain loop: no comprehension frame per coroot
+    for cov, _ in datum.entries:  # a plain loop: no comprehension frame per coroot
         c = 0
         for j, v in cov:
             c += x[j] * v
@@ -395,9 +392,11 @@ def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
         i = labels.index(c)
         coeffs[i] += c
         labels = [a - c * b if b else a for a, b in zip(labels, datum.cartan[i])]
-    for k, alpha in zip(coeffs, datum.simple_roots):
+    x = list(x)  # _reflect's step, written out on one list for every k
+    for k, (_, alpha) in zip(coeffs, datum.entries):
         if k:
-            x = [v - k * r if r else v for v, r in zip(x, alpha)]
+            for j, v in alpha:
+                x[j] -= k * v
     return tuple(x)
 
 

@@ -20,6 +20,8 @@ ALLOWED = {
                         "cross-validates it against its integer sweep",
     "PhiModule.chain": "the chain module of a rank piece and s twists in one call; 11 test call "
                        "sites build chain modules with it",
+    "all_roots": "the full root system; bench/spans.py (CACHED) and bench/run.py (CLOSURES) "
+                 "read its cache counters by name",
 }
 
 

@@ -2,7 +2,10 @@
 golden outputs, determinism, exit codes."""
 
 import collections
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -234,6 +237,33 @@ def test_key_errors_carry_one_prefix(name, tmp_path, capsys):
     where = str(path) if line is None else f"{path}:{line}"
     assert captured.err == f"{where}: {message}\n"
     assert not captured.out
+
+
+# (command, golden file, group line, the error line and message of a 2-dimensional file)
+LARGE_GROUPS = {
+    "check-gl": ("check", "gl2_pass", "gl(3000)", 6,
+                 "group rank 3000 does not match the data dimension 2"),
+    "polygon-sl": ("polygon", "gl2_pass", "sl(3000)", 6,
+                   "checker instances are general-linear; use an affinoid query for sl(3000)"),
+    "affinoid-gl": ("affinoid", "affinoid_gl2", "gl(3000)", 8, "weight length must equal the rank"),
+    "satake-norm-sl": ("satake-norm", "satake_norm_gl2", "sl(3000)", 8,
+                       "weight length must equal the rank"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUPS))
+def test_a_large_group_line_is_checked_before_it_is_built(name, tmp_path):
+    # a gl(N)/sl(N) datum holds N^2 root entries and its independence check
+    # takes N^3 steps; a mismatched line must be refused from its spec, so a
+    # fresh interpreter exits 3 long before the timeout
+    command, golden, group, line, message = LARGE_GROUPS[name]
+    path = tmp_path / f"{name}.inst"
+    path.write_text((GOLDEN / f"{golden}.inst").read_text().replace("group: gl(2)", f"group: {group}"))
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "wadm", command, str(path)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"{path}:{line}: {message}\n")
 
 
 # (command, golden file, numbered key already in it, a second key with its number)

@@ -170,8 +170,6 @@ HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cach
 READS_THE_ROOT_SYSTEM = ("the datum's root closure (the positive roots by reflection closure "
                          "of the simple roots, and their sum 2*eta), which both domains are "
                          "built from")
-READS_THE_COROOTS = ("reads the simple coroots' nonzero entries once per datum, which the "
-                     "chamber walk and the orbit's reflection closure pair weights with")
 
 # pair -> (side a, side b, {shared reader: why it may be shared}, functions
 # each side must be seen to call)
@@ -210,16 +208,16 @@ PAIRS = {
         {"wadm.rootdata.validate_highest_weight": VALIDATES_THE_WEIGHT,
          "wadm.rootdata.RootDatum.is_dominant": VALIDATES_THE_WEIGHT,
          "wadm.rootdata.HighestWeight.embeddings": VALIDATES_THE_WEIGHT,
+         "wadm.rootdata.dot": VALIDATES_THE_WEIGHT,
          "wadm.exact.FieldData.degree": READS_THE_DEGREE,
          "wadm.rootdata.vec": READS_THE_POINT,
          "wadm.exact._Frozen.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata._coroot_entries": READS_THE_COROOTS,
-         "wadm.rootdata.RootDatum.reflect_weight": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,
+         "wadm.rootdata._reflect": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata.dot": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._two_eta": READS_THE_ROOT_SYSTEM},
         ("wadm.rootdata.in_Vxi", "wadm.rootdata.in_hull"),
     ),
