@@ -22,7 +22,7 @@ from wadm import (
     norm_xi_val,
     twisted_action,
 )
-from wadm.rootdata import weyl_elements
+from wadm.rootdata import antidominant_rep_cochar, weyl_elements
 
 field = FieldData(p=3, e=1, f=1)
 gl2 = RootDatum.gl(2)
@@ -38,12 +38,14 @@ x = GroupRingElem.monomial((1, 0), QSqrtQ.one(q))
 y = twisted_action(gl2, swap, x)
 print("swap . [(1,0)] =", [(lam, str(c)) for lam, c in y.terms])
 
-# Norms: the zero weight gives the spherical situation.
+# Norms: the zero weight gives the spherical situation.  The norm of a
+# monomial is read at the antidominant Weyl translate of its cocharacter.
 xi0 = HighestWeight.zero(gl2, field)
 print("\nnorm valuations with trivial weight:")
 for lam in [(1, 0), (0, 1), (1, 1), (-1, 2)]:
     elem = GroupRingElem.monomial(lam, QSqrtQ.one(q))
-    print(f"  ||[{lam}]|| has q-valuation", norm_xi_val(gl2, field, xi0, elem))
+    print(f"  ||[{lam}]|| (antidominant translate {antidominant_rep_cochar(gl2, lam)})"
+          " has q-valuation", norm_xi_val(gl2, field, xi0, elem))
 
 rng = random.Random(0)
 print("\nrandom checks (isometry and submultiplicativity):")

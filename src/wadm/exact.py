@@ -18,7 +18,8 @@ No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``_reduced_echelon`` share one fraction-free elimination (rows scaled to
 integers, then Bareiss), and ``farkas_certificate``, the one LP, pivots
-the same integer rows by the same rule.  When {x >= 0 : A x = b} is empty
+the same integer rows with the same exact step, by ``_phase_one``'s own
+rule.  When {x >= 0 : A x = b} is empty
 it returns the proof, a row y with y.A <= 0 and y.b > 0 (Farkas): the
 multiplier behind the final phase-1 objective row, mapped back to the rows
 as given.  ``_integer_rows`` copies an all-``int`` row (such as the
@@ -132,16 +133,15 @@ def val_p_rat(x: RatLike, p: int):
         x = Fraction(x)
     if x == 0:
         return INF
-
-    def mult(n: int) -> int:
-        n = abs(n)
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k
-
-    return mult(x.numerator) - mult(x.denominator)
+    n, d = abs(x.numerator), x.denominator
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    while d % p == 0:
+        d //= p
+        k -= 1
+    return k
 
 
 class _Frozen:
@@ -193,7 +193,8 @@ class FieldData(_Frozen):
     field embeddings used everywhere equals e*f.
     """
 
-    __slots__ = _fields = ("p", "e", "f")
+    _fields = ("p", "e", "f")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, p: int, e: int, f: int) -> None:
         if not is_prime(p):
@@ -203,6 +204,10 @@ class FieldData(_Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_hash", hash((p, e, f)))  # once: a cache key on every lookup
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -227,7 +232,11 @@ class QSqrtQ(_Frozen):
 
     sqrt(q) is treated as a formal symbol with (sqrt q)^2 = q, so equality
     is coefficient-wise.  Sums and products are all the group ring needs;
-    there is no division.
+    there is no division.  The constructor checks that a and b are exact
+    rationals and q a prime power; a sum or product of two such values (or
+    of one and a checked scalar) is built by ``_checked`` without checking
+    again, since its coefficients are ``Fraction`` sums and products and
+    its q is the operands' q.
     """
 
     __slots__ = _fields = ("a", "b", "q")
@@ -237,6 +246,14 @@ class QSqrtQ(_Frozen):
         object.__setattr__(self, "b", _as_frac(b))
         object.__setattr__(self, "q", q)
         prime_power(q)
+
+    @classmethod
+    def _checked(cls, a: Fraction, b: Fraction, q: int) -> "QSqrtQ":
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "q", q)
+        return x
 
     @classmethod
     def of(cls, a: RatLike, b: RatLike, q: int) -> "QSqrtQ":
@@ -255,17 +272,18 @@ class QSqrtQ(_Frozen):
 
     def __add__(self, other: "QSqrtQ") -> "QSqrtQ":
         self._check(other)
-        return QSqrtQ(self.a + other.a, self.b + other.b, self.q)
+        return QSqrtQ._checked(self.a + other.a, self.b + other.b, self.q)
 
     def __mul__(self, other) -> "QSqrtQ":
         if isinstance(other, QSqrtQ):
             self._check(other)
-            return QSqrtQ(
+            return QSqrtQ._checked(
                 self.a * other.a + self.q * self.b * other.b,
                 self.a * other.b + self.b * other.a,
                 self.q,
             )
-        return QSqrtQ(self.a * _as_frac(other), self.b * _as_frac(other), self.q)
+        other = _as_frac(other)
+        return QSqrtQ._checked(self.a * other, self.b * other, self.q)
 
     __rmul__ = __mul__
 
@@ -407,24 +425,36 @@ def _phase_one(a: list[list[int]], n: int) -> list[int]:
     """The final objective row of the phase-1 simplex on the integer rows
     ``a``, each [A' | b' | carried columns] with b' >= 0.
 
-    Bland's rule (no cycling); the objective w + sum_j colsum_j x_j = sum b'
-    (w the sum of the artificials) is one more row, the sum of the rows.
+    The objective w + sum_j colsum_j x_j = sum b' (w the sum of the
+    artificials) is one more row, the sum of the rows.  The entering column
+    is the largest positive objective entry (Dantzig) until the first
+    degenerate pivot, one whose leaving row has rhs 0; from then on it is
+    the first positive one (Bland).  The leaving row is the least ratio
+    v[n] / v[s], ties to the least basis index.  This terminates: before
+    the switch every pivot strictly lowers w, so no basis repeats, and
+    after it Bland's rule cannot cycle (Bland, Math. Oper. Res. 2, 1977).
     Every row but the pivot row takes ``_echelon``'s step
     (p*v - v[s]*w) // d, which keeps each entry d times its rational value,
     d > 0 the basis determinant (Edmonds 1967), so every division is exact,
-    in the carried columns too.  The rule reads only the first n + 1
-    columns, so carried columns do not change the pivots.
+    in the carried columns too; a row with 0 in the pivot column is only
+    rescaled by p / d.  The rule reads only the first n + 1 columns, so
+    carried columns do not change the pivots.
     """
     m = len(a)
     a = a + [[sum(col) for col in zip(*a)]]
     basis = list(range(n, n + m))  # artificial markers; artificials never re-enter
     d = 1
+    bland = False
     while True:
         obj = a[m]
-        s = next((j for j in range(n) if obj[j] > 0), None)
+        if bland:
+            s = next((j for j in range(n) if obj[j] > 0), None)
+        else:
+            top = max(obj[:n], default=0)
+            s = obj.index(top) if top > 0 else None
         if s is None:
             return obj
-        # Bland: the least ratio v[n] / v[s], cross-multiplied; 1 / 0 is infinite
+        # the least ratio v[n] / v[s], cross-multiplied; 1 / 0 is infinite
         leave, num, den = None, 1, 0
         for i in range(m):
             v = a[i]
@@ -436,10 +466,13 @@ def _phase_one(a: list[list[int]], n: int) -> list[int]:
             raise ArithmeticError("unbounded phase-1 simplex")
         w = a[leave]
         p = w[s]
+        bland = bland or not num  # a degenerate pivot (rhs 0) hands over to Bland's rule
         for i, v in enumerate(a):
-            if i != leave:
-                f = v[s]
+            f = v[s]
+            if f and i != leave:
                 a[i] = [(p * x - f * y) // d for x, y in zip(v, w)]
+            elif not f and p != d:
+                a[i] = [p * x // d for x in v]
         basis[leave] = s
         d = p
 

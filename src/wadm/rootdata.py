@@ -150,7 +150,9 @@ class WeylElement(_Frozen):
         object.__setattr__(self, "cochar", cochar)
 
     def on_cochar(self, lam: Sequence[int]) -> IntVec:
-        return tuple(sum(row[j] * lam[j] for j in range(len(lam))) for row in self.cochar)
+        if len(lam) != len(self.cochar):
+            raise ValueError("dimension mismatch in pairing")
+        return tuple(sum(map(operator.mul, row, lam)) for row in self.cochar)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(_matmul(self.cochar, other.cochar))
@@ -465,10 +467,16 @@ class HighestWeight(_Frozen):
     (the lower-triangular Borel convention).
     """
 
-    __slots__ = _fields = ("per_embedding",)
+    _fields = ("per_embedding",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, per_embedding: Iterable[Iterable[int]]) -> None:
-        object.__setattr__(self, "per_embedding", tuple(_int_tuple(w) for w in per_embedding))
+        per_embedding = tuple(_int_tuple(w) for w in per_embedding)
+        object.__setattr__(self, "per_embedding", per_embedding)
+        object.__setattr__(self, "_hash", hash(per_embedding))  # once, as RootDatum's
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, weights: Iterable[Iterable[int]]) -> "HighestWeight":
@@ -535,23 +543,32 @@ def in_Vxi(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence,
     map), it is the exact criterion for the character attached to the
     point to extend to the completed Hecke algebra.
 
-    z has rational entries, read by ``vec`` as ``in_hull`` reads them.
-    Everything is scaled by s = 2 * lcm(denominators of z): s*z is an
-    integer vector, and s*eta_L and s*(eta_L + xi_L) are lcm times the
-    cached ``_domain_bound``.
+    z has rational entries; a ``Fraction`` is read as it is and any other
+    entry through ``vec``, as ``in_hull`` reads them.  One pass over z takes
+    its numerators and the lcm of its denominators.  Everything is scaled by
+    s = 2 * lcm: s*z is an integer vector, and s*eta_L and s*(eta_L + xi_L)
+    are lcm times the cached ``_domain_bound``, so the root-cone test gets
+    lcm * (2*bound) - (s*z)^dom directly.
     """
     two_el, two_bound = _domain_bound(datum, field, xi)
     if len(z) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    z = vec(z)
-    lcm = math.lcm(*[v.denominator for v in z])
+    lcm = 1
+    parts = []
+    for v in z:
+        if type(v) is not Fraction:
+            v = vec((v,))[0]
+        d = v.denominator
+        if lcm % d:
+            lcm = lcm // math.gcd(lcm, d) * d
+        parts.append((v.numerator, d))
     scale = 2 * lcm
-    bound = [lcm * b for b in two_bound]
-    probe = [v.numerator * (scale // v.denominator) for v in z]
-    if not normalized:
-        probe = [a + lcm * e for a, e in zip(probe, two_el)]
+    if normalized:
+        probe = [a * (scale // d) for a, d in parts]
+    else:
+        probe = [a * (scale // d) + lcm * e for (a, d), e in zip(parts, two_el)]
     rep = _chamber_walk(datum, probe)
-    return _in_root_cone(datum, [b - r for b, r in zip(bound, rep)])
+    return _in_root_cone(datum, [lcm * b - r for b, r in zip(two_bound, rep)])
 
 
 # Held for the check and the append of a kept cut, so that callers on

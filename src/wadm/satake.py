@@ -20,6 +20,7 @@ golden value is delta_half_val(gl(2), (1,0)) = -1/2.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,10 +29,12 @@ from .rootdata import (
     HighestWeight,
     RootDatum,
     WeylElement,
+    _chamber_walk,
+    _dual,
     _int_tuple,
     _two_eta,
-    antidominant_rep_cochar,
     dot,
+    positive_roots,
     validate_highest_weight,
 )
 
@@ -72,12 +75,22 @@ class GroupRingElem(_Frozen):
         return GroupRingElem.from_terms(self.terms + other.terms)
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        """Convolution product: lambda * mu = lambda + mu on the lattice."""
-        out: list[tuple[Cochar, QSqrtQ]] = []
+        """Convolution product: lambda * mu = lambda + mu on the lattice.
+        The products are summed in one dict keyed by the int tuples
+        lambda + mu; the zero sums are dropped and the rest sorted once.
+        Both operands are checked already, so the product is not checked
+        again: its keys are int tuples, and ``QSqrtQ``'s product checks
+        that the operands share q."""
+        acc: dict[Cochar, QSqrtQ] = {}
         for lam, c in self.terms:
             for mu, d in other.terms:
-                out.append((tuple(a + b for a, b in zip(lam, mu)), c * d))
-        return GroupRingElem.from_terms(out)
+                key = tuple(map(operator.add, lam, mu))
+                cd = c * d
+                acc[key] = acc[key] + cd if key in acc else cd
+        out = object.__new__(GroupRingElem)
+        object.__setattr__(out, "terms", tuple(sorted(
+            (lam, c) for lam, c in acc.items() if not c.is_zero())))
+        return out
 
 
 def delta_half_val(datum: RootDatum, lam: Sequence[int]) -> Fraction:
@@ -137,6 +150,11 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
 
     from ``exact._twice_f_val_q`` and integer pairings on the cached 2*eta
     and the integer xi_L; the least one becomes the one ``Fraction`` built.
+    ``positive_roots`` (which raises for an infinite W), the dual datum and
+    2*eta are looked up once per call; each lambda^- is
+    ``antidominant_rep_cochar``'s chamber walk of -lambda on the dual datum,
+    negated, and one loop over the walked point gives both pairings.  A
+    lambda of the wrong length raises ValueError.
     The norm itself is q^(-value); for an antidominant monomial with unit
     coefficient the value is the q-valuation of the weight character at
     the corresponding torus point.
@@ -146,14 +164,19 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
         return INF
     if any(c.q != field.q for _, c in x.terms):
         raise ValueError(f"coefficient q does not match the field's q = {field.q}")
-    two_eta = _two_eta(datum)
+    positive_roots(datum)  # the walks end only for a finite W; this raises otherwise
+    dual, two_eta = _dual(datum), _two_eta(datum)
     xi_l = [sum(col) for col in zip(*xi.per_embedding)]
     deg, p, f = field.degree, field.p, field.f
     best = None
     for lam, c in x.terms:
-        anti = antidominant_rep_cochar(datum, lam)
-        shift = dot(two_eta, [a - b for a, b in zip(anti, lam)])
-        v = deg * _twice_f_val_q(c, p, f) + f * (deg * shift + 2 * dot(xi_l, anti))
+        if len(lam) != datum.rank:
+            raise ValueError("dimension mismatch in pairing")
+        shift = pair = 0  # <2*eta, lambda^- - lambda> and <xi_L, lambda^->
+        for e, w, neg, k in zip(two_eta, xi_l, _chamber_walk(dual, [-k for k in lam]), lam):
+            shift -= e * (neg + k)  # neg = -lambda^-, the walk's entry
+            pair -= w * neg
+        v = deg * _twice_f_val_q(c, p, f) + f * (deg * shift + 2 * pair)
         if best is None or v < best:
             best = v
     return Fraction(best, 2 * deg * f)

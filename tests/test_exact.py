@@ -180,6 +180,15 @@ def test_qsqrtq_mismatched_q():
         QSqrtQ.one(3) + QSqrtQ.one(5)
 
 
+def test_qsqrtq_scalar_must_be_rational():
+    # a product is built without the constructor's checks, so the scalar
+    # is checked on the way in
+    for product in (lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x * "2"):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            product(QSqrtQ.one(3))
+    assert QSqrtQ.one(3) * True == QSqrtQ.one(3) * 1 == QSqrtQ.one(3)
+
+
 # --- linear algebra --------------------------------------------------------
 
 
@@ -415,6 +424,66 @@ def test_farkas_certificate_matches_fraction_simplex(system):
     if y is not None:
         assert all(sum(v * a for v, a in zip(y, col)) <= 0 for col in zip(*rows))
         assert sum(v * b for v, b in zip(y, rhs)) > 0
+
+
+def _opens_degenerate(rows, rhs) -> bool:
+    """Whether the largest-entry rule's first pivot on the integer system
+    {x >= 0 : A x = b} is degenerate, computed apart from the simplex: its
+    entering column, the largest column sum of the rows signed so that
+    b >= 0 (the first on ties), has its least ratio b / a on a row with
+    b = 0.  The pivots after such a pivot follow Bland's rule."""
+    signed = [([-v for v in r], -b) if b < 0 else (r, b) for r, b in zip(rows, rhs)]
+    sums = [sum(col) for col in zip(*(r for r, _ in signed))]
+    if max(sums, default=0) <= 0:
+        return False
+    s = sums.index(max(sums))
+    return min(Fraction(b, r[s]) for r, b in signed if r[s] > 0) == 0
+
+
+def _assert_certificate(rows, rhs, y):
+    assert all(sum(v * a for v, a in zip(y, col)) <= 0 for col in zip(*rows))
+    assert sum(v * b for v, b in zip(y, rhs)) > 0
+
+
+@pytest.mark.parametrize("rows, rhs, feasible", [
+    # tied column sums: the first of them enters, its least ratio is on a
+    # zero rhs, and Bland's rule finishes the run
+    ([[1, 1], [1, 1]], [0, 2], False),
+    ([[1, 1, 0], [1, 1, 1]], [0, 2], True),
+    # zero rhs rows only: the origin, reached by degenerate pivots
+    ([[1, 0, 1], [0, 1, 1]], [0, 0], True),
+    ([[1, -1, 2], [-1, 1, 1], [1, 1, 1]], [0, 0, 0], True),
+    # a zero rhs row tied on its ratio with a second one
+    ([[1, 2, 0, 1], [2, 1, 1, 0], [1, 1, 1, 1]], [0, 0, 3], False),
+    ([[1, -1, 0], [1, 1, 1], [0, 1, -1]], [0, 2, 3], False),
+])
+def test_degenerate_pivots_hand_over_to_blands_rule(rows, rhs, feasible):
+    assert _opens_degenerate(rows, rhs)
+    y = farkas_certificate(rows, rhs)
+    assert (y is None) == feasible == _reference_lp(rows, rhs)
+    if y is not None:
+        _assert_certificate(rows, rhs, y)
+
+
+def test_farkas_certificate_after_the_switch_matches_fraction_simplex():
+    # random integer systems with many zero rhs rows, kept when the first
+    # pivot is degenerate: the answer and the certificate after the switch
+    rng = random.Random(53)
+    kept = feasible = 0
+    while kept < 400:
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(m)]
+        if not _opens_degenerate(rows, rhs):
+            continue
+        kept += 1
+        y = farkas_certificate(rows, rhs)
+        assert (y is None) == _reference_lp(rows, rhs), (rows, rhs)
+        if y is None:
+            feasible += 1
+        else:
+            _assert_certificate(rows, rhs, y)
+    assert 50 < feasible < 350
 
 
 def test_farkas_certificate_simplex():

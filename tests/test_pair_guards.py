@@ -211,8 +211,9 @@ PAIRS = {
          "wadm.rootdata.dot": VALIDATES_THE_WEIGHT,
          "wadm.exact.FieldData.degree": READS_THE_DEGREE,
          "wadm.rootdata.vec": READS_THE_POINT,
-         "wadm.exact._Frozen.__hash__": HASHES_THE_INPUTS,
+         "wadm.exact.FieldData.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
+         "wadm.rootdata.HighestWeight.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wadm.rootdata
 import wadm.satake
@@ -381,5 +383,80 @@ def test_group_ring_rejects_non_integral_cocharacters(build):
 def test_norm_rejects_mismatched_field_q():
     xi0 = HighestWeight.zero(GL2, QP)  # QP has q = 3
     x = GroupRingElem.monomial((1, 0), QSqrtQ.one(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficient q does not match the field's q = 3"):
         norm_xi_val(GL2, QP, xi0, x)
+
+
+@pytest.mark.parametrize("terms", [
+    [((1, 0, 0), QSqrtQ.one(3))],
+    [((1,), QSqrtQ.one(3))],
+    [((0, 1), QSqrtQ.one(3)), ((2, 0, 1), QSqrtQ.of(2, 1, 3))],  # the second term only
+], ids=["long", "short", "second-term"])
+def test_norm_rejects_a_cocharacter_of_the_wrong_length(terms):
+    xi0 = HighestWeight.zero(GL2, QP)
+    with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+        norm_xi_val(GL2, QP, xi0, GroupRingElem.from_terms(terms))
+
+
+def test_norm_raises_for_an_infinite_weyl_group():
+    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
+    x = GroupRingElem.monomial((1, -1), QSqrtQ.one(3))
+    with pytest.raises(wadm.rootdata.InfiniteWeylGroupError):
+        norm_xi_val(hyperbolic, QP, HighestWeight.zero(hyperbolic, QP), x)
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_weyl_element_rejects_a_cocharacter_of_the_wrong_length(lam):
+    # a short one used to give a wrong vector ((1,) -> (0, 1) under the
+    # swap), a long one an IndexError
+    x = GroupRingElem.monomial(lam, QSqrtQ.one(3))
+    for w in weyl_elements(GL2):
+        with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+            w.on_cochar(lam)
+        with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+            twisted_action(GL2, w, x)
+
+
+# --- sums and products against the public constructors ------------------------
+
+
+def _same_value(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+group_ring_terms = st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                                      st.tuples(small, small)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_ring_terms, group_ring_terms, st.sampled_from([3, 4, 5]), small)
+def test_sums_and_products_match_the_public_constructors(xterms, yterms, q, scalar):
+    # x * y, x + y and the QSqrtQ sums and products skip the checks that
+    # the constructors make; each equals, hashes and prints like the value
+    # built through QSqrtQ(...) and from_terms.  The small supports and
+    # coefficients make many sums cancel to zero.
+    x = GroupRingElem.from_terms((lam, QSqrtQ.of(a, b, q)) for lam, (a, b) in xterms)
+    y = GroupRingElem.from_terms((lam, QSqrtQ.of(a, b, q)) for lam, (a, b) in yterms)
+    for (_, c), (_, d) in itertools.product(x.terms, y.terms):
+        _same_value(c * d, QSqrtQ(c.a * d.a + q * c.b * d.b, c.a * d.b + c.b * d.a, q))
+        _same_value(c + d, QSqrtQ(c.a + d.a, c.b + d.b, q))
+        _same_value(c * scalar, QSqrtQ(c.a * scalar, c.b * scalar, q))
+        _same_value(scalar * c, QSqrtQ(scalar * c.a, scalar * c.b, q))
+    _same_value(x * y, GroupRingElem.from_terms(
+        ((lam[0] + mu[0], lam[1] + mu[1]),
+         QSqrtQ(c.a * d.a + q * c.b * d.b, c.a * d.b + c.b * d.a, q))
+        for (lam, c), (mu, d) in itertools.product(x.terms, y.terms)))
+    _same_value(x + y, GroupRingElem.from_terms(list(x.terms) + list(y.terms)))
+
+
+def test_products_that_cancel_drop_their_terms():
+    one, minus = QSqrtQ.one(3), QSqrtQ.of(-1, 0, 3)
+    x = GroupRingElem.from_terms([((0,), one), ((1,), one)])  # 1 + t
+    y = GroupRingElem.from_terms([((1,), one), ((0,), minus)])  # t - 1
+    _same_value(x * y, GroupRingElem.from_terms([((2,), one), ((0,), minus)]))  # t^2 - 1
+    root = GroupRingElem.monomial((0,), QSqrtQ.of(0, 1, 3))  # sqrt(q) * (t^2 - 1)
+    _same_value(root * (x * y), GroupRingElem.from_terms(
+        [((2,), QSqrtQ.of(0, 1, 3)), ((0,), QSqrtQ.of(0, -1, 3))]))
+    _same_value(x * GroupRingElem(()), GroupRingElem(()))
+    _same_value(x + x * GroupRingElem.monomial((0,), minus), GroupRingElem(()))

@@ -141,3 +141,25 @@ def test_verdict_default_checks_are_not_shared():
     first, second = Verdict("pass"), Verdict("pass")
     first.checks.append(CheckLine("x", True))
     assert second.checks == []
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: (FieldData(5, 2, 3), FieldData(p=5, e=2, f=3), FieldData(5, e=2, f=3)),
+                 id="FieldData"),
+    pytest.param(lambda: (HighestWeight.of([(0, 1), (-2, 3)]), HighestWeight(([0, 1], [-2, 3])),
+                          HighestWeight.of(iter([[Fraction(0), 1.0], (-2, Fraction(6, 2))]))),
+                 id="HighestWeight"),
+    pytest.param(lambda: (RootDatum.gl(3), RootDatum(3, ((-1, 1, 0), (0, -1, 1)),
+                                                     [[-1, 1, 0], [0, -1, 1]], "gl(3)")),
+                 id="RootDatum"),
+])
+def test_cached_hashes_agree_on_equal_values(build):
+    # the cache-key types hash once, at construction: equal values built
+    # any way, copied or unpickled, hash equal and find the same dict entry
+    values = build()
+    first = values[0]
+    for value in values + tuple(f(first) for f in (copy.copy, copy.deepcopy)) + (
+            pickle.loads(pickle.dumps(first)),):
+        assert value == first and hash(value) == hash(first)
+        assert {first: "entry"}[value] == "entry"
+    assert first._hash == hash(first) and "_hash" not in repr(first)
