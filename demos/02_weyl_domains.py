@@ -3,9 +3,10 @@
 The valuation image of the spectral domain attached to a dominant weight
 has two equivalent descriptions: a dominance-order inequality against
 eta_L + xi_L, and the convex hull of the Weyl translates
-w(eta_L + xi_L) - eta_L.  The first is decided by exact linear solving,
-the second by exact linear programming; this script sweeps a lattice box
-and watches them coincide.
+w(eta_L + xi_L) - eta_L.  The first is decided by integer cone forms (the
+root cone's inequalities, cached per root datum, with no solve), the
+second by exact linear programming; this script sweeps a lattice box and
+watches them coincide.
 """
 
 import itertools

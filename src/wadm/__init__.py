@@ -58,7 +58,6 @@ from .weildeligne import (
 from .checker import (
     Instance,
     Verdict,
-    central_char_integral,
     check_instance,
     exists_admissible,
     invariant_norm_inequalities,

@@ -1,6 +1,6 @@
-"""Top-level checker: weight/jump conversions, invariant-norm inequalities,
-central character integrality, existence verdicts with witnesses, and
-normalized spectral membership.
+"""Top-level checker: weight/jump conversions, invariant-norm inequalities
+(their total row is the central character's integrality), existence
+verdicts with witnesses, and normalized spectral membership.
 
 The existence criteria are evaluated in ``isocrystal`` (the partial-sum
 rows, the polygon rows, the chain oracle); this module picks the regime
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exact import FieldData, _Frozen, format_rat
 from .isocrystal import (
@@ -50,20 +50,19 @@ from .isocrystal import (
     Polygon,
     SteinbergChain,
     UnsupportedRegimeError,
+    _generic_flags,
     admissible_by_inequalities,
     block_polygons,
-    build_admissible_filtration,
     hodge_polygon,
     inequality_rows,
     newton_polygon,
-    polygon_dominates,
     polygon_rows,
     steinberg_filtration,
     t_H,
     t_N,
     weak_admissible,
 )
-from .rootdata import HighestWeight, RootDatum, in_Vxi
+from .rootdata import HighestWeight, RootDatum, _int_tuple, in_Vxi
 from .weildeligne import WDRep, block_decompose, f_semisimplify, mod_of_wd
 
 PASS = "pass"
@@ -78,10 +77,11 @@ UNDECIDED = "undecided"
 
 def jumps_from_weights(a_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Jump type of a highest weight: i_j = -a_{d+2-j} - (d+1-j), per
-    embedding (1-based j); the inverse of weights_from_jumps."""
+    embedding (1-based j); the inverse of weights_from_jumps.  An entry
+    that is not an integer raises ValueError, as in weights_from_jumps."""
     out = []
     for row in a_rows:
-        a = [int(v) for v in row]
+        a = list(_int_tuple(row))
         if any(x > y for x, y in zip(a, a[1:])):
             raise ValueError(f"weights must be nondecreasing, got {a}")
         d = len(a) - 1
@@ -94,7 +94,7 @@ def weights_from_jumps(i_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     embedding (1-based j)."""
     out = []
     for row in i_rows:
-        i = [int(v) for v in row]
+        i = list(_int_tuple(row))
         if any(x >= y for x, y in zip(i, i[1:])):
             raise ValueError(f"jumps must be strictly increasing, got {i}")
         d = len(i) - 1
@@ -165,8 +165,9 @@ class Verdict:
 class Instance(_Frozen):
     """One structured problem instance.
 
-    ``weights_a`` is the canonical highest-weight form (nondecreasing per
-    embedding); the jump form converts through jumps_from_weights.  The
+    ``weights_a`` is the canonical highest-weight form (integers,
+    nondecreasing per embedding); its jump type is converted through
+    jumps_from_weights once, here, which rejects any other rows.  The
     Galois side is either a tuple of arithmetic Frobenius valuations or a
     WDRep with declared summands (see the sign table above).  The group
     is GL(n), n the length of the weight rows.  The arithmetic valuations
@@ -174,7 +175,7 @@ class Instance(_Frozen):
     """
 
     _fields = ("ident", "field", "weights_a", "zeta_vals", "wd")
-    __slots__ = _fields + ("_arithmetic_vals",)
+    __slots__ = _fields + ("_jumps", "_arithmetic_vals")
 
     def __init__(self, ident: str, field: FieldData, weights_a: tuple[tuple[int, ...], ...],
                  zeta_vals: Optional[tuple[Fraction, ...]] = None,
@@ -195,6 +196,7 @@ class Instance(_Frozen):
             raise ValueError("an instance needs rank >= 1, got empty weight rows")
         if any(len(row) != n for row in weights_a):
             raise ValueError("weight rows must have equal length")
+        object.__setattr__(self, "_jumps", tuple(map(tuple, jumps_from_weights(weights_a))))
         if zeta_vals is not None and len(zeta_vals) != n:
             raise ValueError("zeta valuation count must match the weight length")
         if wd is not None and wd.dimension != n:
@@ -213,8 +215,8 @@ class Instance(_Frozen):
     def datum(self) -> RootDatum:
         return RootDatum.gl(self.dimension)
 
-    def jumps(self) -> list[list[int]]:
-        return jumps_from_weights(self.weights_a)
+    def jumps(self) -> tuple[tuple[int, ...], ...]:
+        return self._jumps
 
     def arithmetic_vals(self) -> list[Fraction]:
         """Arithmetic Frobenius valuations of the Galois side (sign table)."""
@@ -270,40 +272,14 @@ def invariant_norm_inequalities(zeta_vals: Sequence, a_rows: Sequence[Sequence[i
     return Verdict(PASS if ok_all else FAIL, checks)
 
 
-def central_char_integral(galois: Union[Sequence, WDRep], a_rows: Sequence[Sequence[int]],
-                          field: FieldData) -> bool:
-    """Whether the central character is integral: the weight-character
-    valuation plus the smooth-side central valuation must vanish.
-
-    Equivalent to the endpoint equality t_H = t_N of every polygon
-    verdict, which the acceptance suite checks.  Evaluated in integers:
-    the smooth side's modulus [L:Q_p] * d(d+1) / 2 is an integer, so the
-    determinant's valuation times ``scale``, the lcm of its terms'
-    denominators, is compared with ``scale`` times the weight-character
-    valuation plus that modulus.
-    """
-    if isinstance(galois, WDRep):
-        terms = [-tn for tn, _ in block_decompose(galois)]
-        n = galois.dimension
-    else:
-        terms = [v if type(v) is Fraction else Fraction(v) for v in galois]
-        n = len(terms)
-    if any(len(row) != n for row in a_rows) or len(a_rows) != field.degree:
-        raise ValueError("weight shape mismatch")
-    d = n - 1
-    scale = math.lcm(*[v.denominator for v in terms])
-    det_arith = sum(v.numerator * (scale // v.denominator) for v in terms)
-    chi_rho = sum(sum(row) for row in a_rows)
-    return det_arith == scale * (chi_rho + field.degree * d * (d + 1) // 2)
-
-
 def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
                       hodge: Polygon) -> Verdict:
-    """Existence via the partial-sum inequalities, with a witness built and
-    re-verified by the subobject oracle; distinct slopes required.  Past
-    the oracle's rank cap a passing witness cannot be re-verified, and a
-    witness the oracle rejects contradicts the inequalities; either way the
-    verdict is undecided, with the rows and polygons kept."""
+    """Existence via the partial-sum inequalities, decided once by the rows,
+    with a witness on the ``_generic_flags`` re-verified by the subobject
+    oracle; distinct slopes required.  Past the oracle's rank cap a passing
+    witness cannot be re-verified, and a witness the oracle rejects
+    contradicts the inequalities; either way the verdict is undecided, with
+    the rows and polygons kept."""
     jumps = instance.jumps()
     rows = inequality_rows(module, jumps)
     n = len(rows)
@@ -314,7 +290,7 @@ def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
     ok_all = all(ok for _, _, ok in rows)
     witness = None
     if ok_all:
-        witness = build_admissible_filtration(module, jumps)
+        witness = Filtration(jumps, _generic_flags(module))
         try:
             verified = weak_admissible(module, witness)
         except UnsupportedRegimeError as exc:
@@ -430,13 +406,14 @@ def translation_verdicts(instance: Instance) -> tuple[bool, bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def polygons_for_instance(instance: Instance) -> tuple[Polygon, Polygon, bool]:
-    """Newton/Hodge pair of an instance and whether the Hodge side is
-    dominated.  Unlike the existence verdict this is defined for repeated
-    raw valuations too (the polygons are purely numerical); it builds no
+def polygons_for_instance(instance: Instance) -> tuple[Polygon, Polygon, list[tuple]]:
+    """Newton/Hodge pair of an instance and its ``polygon_rows``, evaluated
+    once: the Hodge side is dominated when every row's ``ok`` holds.
+    Unlike the existence verdict this is defined for repeated raw
+    valuations too (the polygons are purely numerical); it builds no
     witness and runs no oracle."""
     newton, hodge = _polygon_pair(instance, *_regime(instance))
-    return newton, hodge, polygon_dominates(newton, hodge)
+    return newton, hodge, list(polygon_rows(newton, hodge))
 
 
 class InstanceResult:
@@ -458,10 +435,11 @@ class InstanceResult:
 
 def check_instance(instance: Instance) -> InstanceResult:
     """Run every named check on one instance; the overall status is the
-    existence verdict's, or undecided if membership and the norm disagree."""
+    existence verdict's, or undecided if membership and the norm disagree.
+    ``central_ok`` is the ``norm.eq.total`` row: equal totals, integral
+    central character."""
     vals = instance.arithmetic_vals()
     norm = invariant_norm_inequalities(vals, instance.weights_a, instance.field)
-    central = central_char_integral(vals, instance.weights_a, instance.field)
     adm = exists_admissible(instance)
     status = adm.status
     membership = membership_check(instance)
@@ -470,4 +448,4 @@ def check_instance(instance: Instance) -> InstanceResult:
     if not agree:
         membership.reason = "membership and the norm inequalities disagree"
         status = UNDECIDED
-    return InstanceResult(instance, norm, central, adm, membership, status)
+    return InstanceResult(instance, norm, norm.checks[-1].ok, adm, membership, status)

@@ -83,12 +83,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_polygon(args) -> int:
     inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
-    newton, hodge, dominates = polygons_for_instance(inst)
+    newton, hodge, rows = polygons_for_instance(inst)
     if args.plot:
         _write(args.plot + ".svg", svg_polygons(newton, hodge, title=inst.ident))
-        _write(args.plot + ".txt", polygon_vertex_table(newton, hodge))
-    _emit(render_polygon_report(inst.ident, newton, hodge, dominates), args.out)
-    return EXIT_PASS if dominates else EXIT_FAIL
+        _write(args.plot + ".txt", polygon_vertex_table(rows))
+    _emit(render_polygon_report(inst.ident, newton, hodge, rows), args.out)
+    return EXIT_PASS if all(ok for *_, ok in rows) else EXIT_FAIL
 
 
 def _cmd_satake_norm(args) -> int:

@@ -40,7 +40,7 @@ from typing import Optional
 
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
-from .isocrystal import Polygon, polygon_rows
+from .isocrystal import Polygon
 from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, positive_roots,
                        validate_highest_weight)
 from .satake import GroupRingElem
@@ -233,7 +233,7 @@ def _parse_weights(kv: KeyValues, field: FieldData,
 _WD_KV = re.compile(r"(\w+)=([^\s]+)")
 
 
-def _parse_wd_part(kv: KeyValues, key: str, value: str):
+def _parse_wd_part(kv: KeyValues, key: str, value: str, rank: int):
     tokens = value.split()
     if not tokens:
         raise kv.error(key, "empty summand")
@@ -244,16 +244,22 @@ def _parse_wd_part(kv: KeyValues, key: str, value: str):
             raise kv.error(key, f"{kind} summand needs {name}=")
         return rest[name]
 
+    def fits(dimension):  # checked before a default Jordan partition of mult ones is built
+        if dimension > rank:
+            raise kv.error(key, f"{kind} summand of dimension {dimension} exceeds "
+                                f"the weight length {rank}")
+
     try:
         if kind == "unramified":
             val = parse_rat(need("val"))
             mult = int(need("mult"))
             jordan = tuple(int(t) for t in rest.get("jordan", "").split(",") if t)
+            fits(mult)
             return Unramified(val, mult, jordan)
         if kind == "steinberg":
-            return SteinbergChain(
-                parse_rat(need("base")), int(need("dim")), int(need("len"))
-            )
+            base, dim, length = parse_rat(need("base")), int(need("dim")), int(need("len"))
+            fits(dim * length)
+            return SteinbergChain(base, dim, length)
     except InstanceError:  # need's positioned error, already prefixed
         raise
     except (ValueError, TypeError) as exc:
@@ -292,7 +298,8 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     if form == "zeta":
         zeta = tuple(kv.rational_list("galois.zeta_vals"))
     elif form == "wd":
-        parts = tuple(_parse_wd_part(kv, key, value) for key, value in kv.numbered("galois.wd."))
+        parts = tuple(_parse_wd_part(kv, key, value, len(weights[0]))
+                      for key, value in kv.numbered("galois.wd."))
         if not parts:
             raise InstanceError(kv.path, None, "galois.form wd needs galois.wd.<N> lines")
         wd = WDRep(field, parts, ramified=_parse_bool(kv, "galois.wd.ramified", False))
@@ -467,24 +474,25 @@ def render_check_report(result: InstanceResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_polygon_report(ident: str, newton: Polygon, hodge: Polygon, dominates: bool) -> str:
+def render_polygon_report(ident: str, newton: Polygon, hodge: Polygon, rows: list[tuple]) -> str:
+    """The polygon report, read off the pair's evaluated ``polygon_rows``."""
     lines = [
         "report: polygon",
         f"id: {ident}",
         f"newton.vertices: {_fmt_vertices(newton)}",
         f"hodge.vertices: {_fmt_vertices(hodge)}",
-        f"dominates: {'true' if dominates else 'false'}",
+        f"dominates: {'true' if all(ok for *_, ok in rows) else 'false'}",
     ]
     lines.append("table: x newton hodge")
-    for x, ny, hy, _ in polygon_rows(newton, hodge):
+    for x, ny, hy, _ in rows:
         lines.append(f"table.x={format_rat(x)}: newton={format_rat(ny)} hodge={format_rat(hy)}")
     return "\n".join(lines) + "\n"
 
 
-def polygon_vertex_table(newton: Polygon, hodge: Polygon) -> str:
-    """Plain-text vertex table (golden-testable plot companion)."""
+def polygon_vertex_table(rows: list[tuple]) -> str:
+    """Plain-text table of the ``polygon_rows`` (golden-testable plot companion)."""
     lines = ["x\tnewton\thodge"]
-    for x, ny, hy, _ in polygon_rows(newton, hodge):
+    for x, ny, hy, _ in rows:
         lines.append(f"{format_rat(x)}\t{format_rat(ny)}\t{format_rat(hy)}")
     return "\n".join(lines) + "\n"
 

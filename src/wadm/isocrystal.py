@@ -500,21 +500,11 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
     return True
 
 
-def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtration:
-    """Construct an explicit admissible filtration for the given jump type.
-
-    The flag vectors are f_j = e_{tau(n+1-j)} + sum_m x_j^(j-m) e_{tau(n+1-j+m)}
-    (1-based) with tau the stable sort of the zeta-valuations and x_j = j;
-    the resulting generalized Vandermonde minors are all nonzero, so the
-    flags are in generic position deterministically.  Requires the
-    partial-sum inequalities to hold and the distinct-slope regime.
-    """
-    if module.steinberg is not None or not module.has_distinct_unit_blocks():
-        raise UnsupportedRegimeError(
-            "explicit construction needs multiplicity-one blocks with distinct slopes"
-        )
-    if not admissible_by_inequalities(module, jumps):
-        raise ValueError("the partial-sum inequalities fail: no admissible filtration exists")
+def _generic_flags(module: PhiModule) -> tuple:
+    """Every embedding's flag vectors f_j = e_{tau(n+1-j)} + sum_m x_j^(j-m)
+    e_{tau(n+1-j+m)} (1-based), tau the stable sort of the zeta-valuations
+    and x_j = j: the generalized Vandermonde minors are all nonzero, so the
+    flags are in generic position deterministically."""
     n = module.rank
     vals = [-b.slope for b in module.blocks]
     tau = sorted(range(n), key=lambda i: (vals[i], i))
@@ -525,7 +515,20 @@ def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) ->
         for m in range(1, j):
             coeffs[tau[n - j + m]] = j ** (j - m)
         flag.append(tuple(coeffs))
-    return Filtration(jumps, (tuple(flag),) * module.field.degree)
+    return (tuple(flag),) * module.field.degree
+
+
+def build_admissible_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtration:
+    """Construct an explicit admissible filtration for the given jump type on
+    the ``_generic_flags``, once the distinct-slope regime and the
+    partial-sum inequalities are checked (the checker decides both itself)."""
+    if module.steinberg is not None or not module.has_distinct_unit_blocks():
+        raise UnsupportedRegimeError(
+            "explicit construction needs multiplicity-one blocks with distinct slopes"
+        )
+    if not admissible_by_inequalities(module, jumps):
+        raise ValueError("the partial-sum inequalities fail: no admissible filtration exists")
+    return Filtration(jumps, _generic_flags(module))
 
 
 def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtration:

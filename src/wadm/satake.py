@@ -66,7 +66,7 @@ class GroupRingElem(_Frozen):
 
     @classmethod
     def monomial(cls, lam: Sequence[int], coeff: QSqrtQ) -> "GroupRingElem":
-        return cls(((_int_tuple(lam), coeff),))
+        return cls(((lam, coeff),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -125,13 +125,15 @@ def cocycle_gamma_val(datum: RootDatum, w: WeylElement, lam: Sequence[int]) -> F
 
 def twisted_action(datum: RootDatum, w: WeylElement, x: GroupRingElem) -> GroupRingElem:
     """The twisted Weyl action w . sum c_lambda lambda = sum gamma(w,lambda)
-    c_lambda (w lambda), with gamma realized as the exact power q^val."""
+    c_lambda (w lambda), with gamma realized as the exact power q^val.  As w
+    is injective on cocharacters no two image terms merge, which the
+    constructor's duplicate-key check guards."""
     out = []
     for lam, c in x.terms:
         wlam = w.on_cochar(lam)
         scale = Fraction(c.q) ** _gamma_val(datum, lam, wlam)
         out.append((wlam, c * scale))
-    return GroupRingElem.from_terms(out)
+    return GroupRingElem(out)
 
 
 def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupRingElem):

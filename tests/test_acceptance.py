@@ -15,7 +15,7 @@ from pathlib import Path
 
 from wadm.checker import (
     Instance,
-    central_char_integral,
+    invariant_norm_inequalities,
     translation_verdicts,
     weights_from_jumps,
 )
@@ -238,7 +238,11 @@ def test_criterion_5_chain_filtration_iff_central_equality():
         filt = steinberg_filtration(module, jumps)
         equality = t_H(filt.jumps) == t_N(module)
         rep = WDRep(field, (SteinbergChain(base, piece, s + 1),))
-        central = central_char_integral(rep, weights_from_jumps(jumps), field)
+        # the central character's integrality is the norm total row, on the
+        # chain's arithmetic valuations
+        weights = weights_from_jumps(jumps)
+        vals = Instance("chain", field, tuple(map(tuple, weights)), wd=rep).arithmetic_vals()
+        central = invariant_norm_inequalities(vals, weights, field).checks[-1].ok
         got = weak_admissible(module, filt)
         assert got == equality == central, (module, jumps)
         passes += got

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wadm.checker
+import wadm.instances
+import wadm.isocrystal
 from wadm.checker import (
     FAIL,
     PASS,
     UNDECIDED,
     Instance,
-    central_char_integral,
     check_instance,
     exists_admissible,
     invariant_norm_inequalities,
@@ -24,7 +25,8 @@ from wadm.checker import (
     weights_from_jumps,
 )
 from wadm.exact import FieldData
-from wadm.isocrystal import PhiModule, admissible_by_inequalities, t_H, t_N
+from wadm.instances import parse_instance, render_check_report
+from wadm.isocrystal import PhiModule, admissible_by_inequalities, polygon_rows, t_H, t_N
 from wadm.cli import main
 from wadm.rootdata import HighestWeight, RootDatum, in_Vxi
 from wadm.weildeligne import SteinbergChain, Unramified, WDRep
@@ -57,6 +59,15 @@ def test_conversion_monotonicity_errors():
         jumps_from_weights([[1, 0]])
     with pytest.raises(ValueError):
         weights_from_jumps([[0, 0]])
+
+
+def test_conversions_reject_entries_that_are_not_integers():
+    # int() would truncate 1/2 to 0: (1/2, 1) used to read as the jumps (-2, 0)
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        jumps_from_weights([[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        weights_from_jumps([[-2, Fraction(1, 2)]])
+    assert jumps_from_weights([[Fraction(0), Fraction(2, 2)]]) == [[-2, 0]]
 
 
 # --- invariant norm inequalities -----------------------------------------------
@@ -133,7 +144,7 @@ def test_norm_rows_match_fraction_reference(data):
     assert got == _reference_norm_rows(vals, a, field)
     assert all(type(c.lhs) is Fraction and type(c.rhs) is Fraction for c in verdict.checks)
     assert verdict.passed == all(ok for _, ok, _, _ in got)
-    assert central_char_integral(vals, a, field) == _reference_central(vals, a, field)
+    assert _central(vals, a, field) == _reference_central(vals, a, field)
 
 
 def test_norm_rows_of_the_empty_module():
@@ -144,10 +155,21 @@ def test_norm_rows_of_the_empty_module():
 # --- central character ------------------------------------------------------------
 
 
+def _central(galois, a_rows, field=QP):
+    """Central character integrality, read where ``check_instance`` reads it:
+    the ``norm.eq.total`` row of the norm verdict on the arithmetic
+    valuations (a Weil-Deligne side's are read off its summands)."""
+    if isinstance(galois, WDRep):
+        galois = _wd_instance(galois, a_rows).arithmetic_vals()
+    row = invariant_norm_inequalities(galois, a_rows, field).checks[-1]
+    assert row.name == "norm.eq.total"
+    return row.ok
+
+
 def test_central_char_examples():
-    assert central_char_integral([0, 2], [[0, 1]], QP)
-    assert not central_char_integral([0, 3], [[0, 1]], QP)
-    assert central_char_integral([0], [[0]], QP)
+    assert _central([0, 2], [[0, 1]], QP)
+    assert not _central([0, 3], [[0, 1]], QP)
+    assert _central([0], [[0]], QP)
 
 
 def test_central_char_matches_endpoint_equality():
@@ -161,19 +183,69 @@ def test_central_char_matches_endpoint_equality():
         vals = [Fraction(rng.randint(-8, 8)) for _ in range(n)]
         jumps = j_of_a(a)
         module = PhiModule.of_slopes(field, [-v for v in vals])
-        assert central_char_integral(vals, a, field) == (t_H(jumps) == t_N(module))
+        assert _central(vals, a, field) == (t_H(jumps) == t_N(module))
 
 
 def test_central_char_wd_input():
     rep = WDRep(QP, (Unramified(0, 1), Unramified(-2, 1)))
     # geometric vals (0, -2) mean arithmetic vals (0, 2)
-    assert central_char_integral(rep, [[0, 1]], QP) == central_char_integral([0, 2], [[0, 1]], QP)
+    assert _central(rep, [[0, 1]], QP) == _central([0, 2], [[0, 1]], QP)
     # a half-slope chain: arithmetic vals (-1/2, -3/2) sum to -2
     chain = WDRep(QP, (SteinbergChain(Fraction(1, 2), 1, 2),))
-    assert central_char_integral(chain, [[-3, 0]], QP)
-    assert not central_char_integral(chain, [[-2, 0]], QP)
-    assert central_char_integral(chain, [[-3, 0]], QP) == _reference_central(
+    assert _central(chain, [[-3, 0]], QP)
+    assert not _central(chain, [[-2, 0]], QP)
+    assert _central(chain, [[-3, 0]], QP) == _reference_central(
         [Fraction(-1, 2), Fraction(-3, 2)], [[-3, 0]], QP)
+
+
+def _random_instance(rng):
+    """A random zeta or Weil-Deligne instance of rank 1-5, 1-2 embeddings;
+    half the zeta draws and the chain draws near the equal totals."""
+    field = FieldData(p=rng.choice((2, 3)), e=rng.randint(1, 2), f=rng.randint(1, 2))
+    n = rng.randint(1, 5)
+    a = [sorted(rng.randint(-4, 4) for _ in range(n)) for _ in range(field.degree)]
+    target = sum(sum(r) for r in a) + Fraction(field.degree * (n - 1) * n, 2)
+    if rng.random() < 0.5:
+        vals = [Fraction(rng.randint(-12, 12), rng.choice((1, 2))) for _ in range(n)]
+        if rng.random() < 0.5:
+            vals[-1] = target - sum(vals[:-1])
+        return _zeta_instance(vals, a, field)
+    parts, left = [], n
+    while left:
+        if left >= 2 and rng.random() < 0.4:
+            length = rng.randint(2, left)
+            parts.append(SteinbergChain(Fraction(rng.randint(-6, 6), rng.choice((1, 2))), 1, length))
+        else:
+            length = rng.randint(1, left)
+            parts.append(Unramified(Fraction(rng.randint(-6, 6), rng.choice((1, 2))), length))
+        left -= length
+    if len(parts) == 1 and isinstance(parts[0], SteinbergChain) and rng.random() < 0.5:
+        # the base that makes the totals equal, as in test_exists_chain_integrality_suffices
+        twist = field.degree * (n - 1) * n // 2
+        parts = [SteinbergChain(-(target + twist) / n, 1, n)]
+    return _wd_instance(WDRep(field, tuple(parts)), a)
+
+
+def test_central_line_is_the_norm_total_row():
+    # the report's central.integral line and the norm.eq.total row are one
+    # verdict, on every golden instance and on random zeta and
+    # Weil-Deligne instances, equal totals or not
+    insts = [parse_instance((GOLDEN / f"{name}.inst").read_text(), name)
+             for name in ("gl2_pass", "gl2_fail", "gl2_steinberg", "gl4_block")]
+    rng = random.Random(29)
+    insts += [_random_instance(rng) for _ in range(300)]
+    seen = set()
+    for inst in insts:
+        res = check_instance(inst)
+        total = res.norm.checks[-1]
+        assert total.name == "norm.eq.total"
+        lines = render_check_report(res).splitlines()
+        central = lines.index(f"central.integral: ok={'true' if total.ok else 'false'}")
+        assert lines[central - 2] == total.render()  # the norm.verdict line is between
+        assert res.central_ok is total.ok
+        assert total.ok == _reference_central(inst.arithmetic_vals(), inst.weights_a, inst.field)
+        seen.add((inst.wd is None, total.ok))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # --- existence routes ---------------------------------------------------------------
@@ -256,7 +328,7 @@ def test_exists_chain_integrality_suffices():
             base = Fraction(total - twist, n) + 1
         rep = WDRep(field, (SteinbergChain(base, piece, length),))
         inst = _wd_instance(rep, weights_from_jumps(jumps))
-        expect = central_char_integral(rep, inst.weights_a, field)
+        expect = _central(rep, inst.weights_a, field)
         assert exists_admissible(inst).passed == expect
 
 
@@ -319,7 +391,7 @@ def test_check_instance_ramified_undecided():
     res = check_instance(_wd_instance(rep, [[0, 0]]))
     assert res.status == UNDECIDED and "ramified" in res.adm.reason
     # the central character comes from the arithmetic valuations (0, -1)
-    assert res.central_ok == central_char_integral([0, -1], [[0, 0]], QP)
+    assert res.central_ok == _central([0, -1], [[0, 0]], QP)
 
 
 POLYGON_CASES = {
@@ -342,9 +414,11 @@ POLYGON_CASES = {
 def test_polygon_command_draws_the_verdict_polygons(name, monkeypatch):
     inst = POLYGON_CASES[name]
     with monkeypatch.context() as m:  # the polygons need no witness and no oracle
-        for fn in ("weak_admissible", "build_admissible_filtration"):
+        for fn in ("weak_admissible", "_generic_flags"):
             m.setattr(f"wadm.checker.{fn}", lambda *a, fn=fn: pytest.fail(f"{fn} called"))
-        newton, hodge, dominates = polygons_for_instance(inst)
+        newton, hodge, rows = polygons_for_instance(inst)
+    assert rows == list(polygon_rows(newton, hodge))
+    dominates = all(ok for *_, ok in rows)
     verdict = exists_admissible(inst)
     assert verdict.status != UNDECIDED
     assert (newton, hodge) == (verdict.newton, verdict.hodge)
@@ -437,6 +511,59 @@ def test_instance_validation():
             weights_a=((0, 1),),
             zeta_vals=(0, 1),
         )
+
+
+def test_instance_weights_convert_once_at_construction():
+    # weights (1/2, 1) used to be truncated, so the existence verdict read
+    # pass; weights (1, 0) constructed and then raised in the middle of
+    # check_instance.  Both are refused by the constructor now.
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        _zeta_instance([0, 2], [[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="weights must be nondecreasing"):
+        _zeta_instance([0, 2], [[1, 0]])
+    inst = _zeta_instance([0, 2], [[0, 1]])
+    assert inst.jumps() == ((-2, 0),) and inst.jumps() is inst.jumps()
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``isocrystal.<name>`` through every wadm module
+    binding of it."""
+    calls = []
+    real = getattr(wadm.isocrystal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (wadm.checker, wadm.instances, wadm.isocrystal):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_inequality_rows_evaluated_once_per_check(monkeypatch, capsys):
+    # the rows decide the inequalities once: the passing instance's witness
+    # is built without deciding them again
+    calls = _count_calls(monkeypatch, "inequality_rows")
+    files = [str(GOLDEN / f"{name}.inst") for name in ("gl2_pass", "gl2_fail")]
+    assert main(["check", *files]) == 1
+    assert "adm.witness.oracle: ok=true" in capsys.readouterr().out
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("plot", [False, True], ids=["report", "plot"])
+def test_polygon_rows_evaluated_once_per_polygon_command(plot, monkeypatch, tmp_path, capsys):
+    # the report, the plot's vertex table and the exit code read one pass
+    calls = _count_calls(monkeypatch, "polygon_rows")
+    for name, code in (("gl2_pass", 0), ("gl2_fail", 1), ("gl2_steinberg", 0), ("gl4_block", 0)):
+        calls.clear()
+        extra = ["--plot", str(tmp_path / name)] if plot else []
+        assert main(["polygon", str(GOLDEN / f"{name}.inst"), *extra]) == code
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        expected = GOLDEN / "expected" / f"{name}.polygon.txt"
+        if expected.exists():
+            assert out == expected.read_text()
 
 
 def _count_norm_calls(monkeypatch):

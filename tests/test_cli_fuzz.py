@@ -42,6 +42,8 @@ values = st.one_of(
     st.sampled_from([
         "", "1/0", "0 1/0", "lambda=1,0 a=1/0 b=0", "unramified val=1/0 mult=1",
         "steinberg base=1/0 dim=1 len=2",
+        # summands far longer than any weight row: refused before they are built
+        "unramified val=0 mult=1000000000000", "steinberg base=0 dim=1000000000000 len=2",
     ]),
 )
 

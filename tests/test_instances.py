@@ -289,6 +289,28 @@ def test_numbered_keys_with_the_same_number_are_an_input_error(name, tmp_path, c
     assert not captured.out
 
 
+@pytest.mark.parametrize("command", ["check", "polygon"])
+@pytest.mark.parametrize("summand, message", [
+    ("unramified val=0 mult=1000000000000",
+     "unramified summand of dimension 1000000000000 exceeds the weight length 2"),
+    ("steinberg base=0 dim=1000000000000 len=2",
+     "steinberg summand of dimension 2000000000000 exceeds the weight length 2"),
+], ids=["unramified", "steinberg"])
+def test_a_summand_longer_than_the_weights_is_refused_at_its_line(command, summand, message,
+                                                                   tmp_path, capsys):
+    # a default Jordan partition of 10^12 ones used to end in a MemoryError
+    # traceback (exit 1, read as "fail"); the declared dimension meets the
+    # weight length first
+    lines = (GOLDEN / "gl2_steinberg.inst").read_text().splitlines()
+    line = next(k for k, text in enumerate(lines, 1) if text.startswith("galois.wd.1:"))
+    lines[line - 1] = f"galois.wd.1: {summand}"
+    path = tmp_path / "huge.inst"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{path}:{line}: {message}\n")
+
+
 def test_check_reads_each_summands_blocks_once(monkeypatch):
     # a Weil-Deligne side's arithmetic valuations are read off its summands
     # once per instance, not again for each verdict and for the report

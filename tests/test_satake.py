@@ -450,6 +450,34 @@ def test_sums_and_products_match_the_public_constructors(xterms, yterms, q, scal
     _same_value(x + y, GroupRingElem.from_terms(list(x.terms) + list(y.terms)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+                          st.tuples(small, small)), max_size=5),
+       st.sampled_from(["gl(2)", "gl(3)", "sp(4)"]), st.data())
+def test_twisted_action_matches_the_image_built_from_terms(terms, group, data):
+    # the image is built by the checking constructor, not from_terms: a Weyl
+    # element is injective on cocharacters, so there is nothing to merge
+    datum = {"gl(2)": GL2, "gl(3)": GL3, "sp(4)": RootDatum.sp4()}[group]
+    x = GroupRingElem.from_terms((lam[:datum.rank], QSqrtQ.of(a, b, 3)) for lam, (a, b) in terms)
+    w = data.draw(st.sampled_from(weyl_elements(datum)))
+    image = []
+    for lam, c in x.terms:
+        wlam = w.on_cochar(lam)
+        image.append((wlam, c * Fraction(3) ** cocycle_gamma_val(datum, w, lam)))
+    _same_value(twisted_action(datum, w, x), GroupRingElem.from_terms(image))
+    bad = GroupRingElem.from_terms(list(x.terms) + [((0,) * (datum.rank + 1), QSqrtQ.one(3))])
+    with pytest.raises(ValueError, match="dimension mismatch in pairing"):
+        twisted_action(datum, w, bad)
+
+
+def test_monomial_keys_are_checked_int_tuples():
+    _same_value(GroupRingElem.monomial([Fraction(2), 1], QSqrtQ.one(3)),
+                GroupRingElem.from_terms([((2, 1), QSqrtQ.one(3))]))
+    assert type(GroupRingElem.monomial([Fraction(2), 1], QSqrtQ.one(3)).terms[0][0][0]) is int
+    with pytest.raises(ValueError, match="expected an integer entry, got 1/2"):
+        GroupRingElem.monomial([Fraction(1, 2), 1], QSqrtQ.one(3))
+
+
 def test_products_that_cancel_drop_their_terms():
     one, minus = QSqrtQ.one(3), QSqrtQ.of(-1, 0, 3)
     x = GroupRingElem.from_terms([((0,), one), ((1,), one)])  # 1 + t
