@@ -8,7 +8,8 @@ Each existence criterion is evaluated here once: ``inequality_rows`` and
 reports.  ``Block`` and ``SteinbergChain`` are also the two Weil-Deligne
 summand types.  Each input has one form: a jump type is, per embedding,
 the rank-many jumps sorted nondecreasingly, as ``t_H``,
-``hodge_polygon`` and every criterion take it; a ``Filtration`` is a jump
+``hodge_polygon`` and every criterion take it (each reads it once, through
+``_jump_lists``, as integers at one scale); a ``Filtration`` is a jump
 type with its explicit flag vectors, which the subobject oracle reads.
 
 Normalization, fixed once (see FieldData for the valuation conventions):
@@ -157,11 +158,15 @@ class PhiModule(_Frozen):
 
 
 def _jump_lists(jumps: Sequence[Sequence], rank: Optional[int] = None,
-                embeddings: Optional[int] = None) -> tuple[tuple[Fraction, ...], ...]:
-    """A jump type as Fractions, checked: ``embeddings`` lists if given, at
-    least one, each of ``rank`` jumps (default: as many as the first) and
-    sorted nondecreasingly."""
-    js = tuple(tuple(Fraction(j) for j in sigma) for sigma in jumps)
+                embeddings: Optional[int] = None) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(js, scale): a jump type, checked, as integers at one scale.
+
+    The checks: ``embeddings`` lists if given, at least one, each of
+    ``rank`` jumps (default: as many as the first) and sorted
+    nondecreasingly.  ``scale`` is the lcm of the jump denominators and
+    ``js[sigma][k]`` is ``scale`` times jump k, an ``int``.  An ``int``
+    jump is read as it is; any other entry goes through ``Fraction``."""
+    js = tuple(tuple(j if type(j) is int else Fraction(j) for j in sigma) for sigma in jumps)
     if embeddings is not None and len(js) != embeddings:
         raise ValueError(f"expected {embeddings} embeddings of jumps, got {len(js)}")
     if not js:
@@ -172,7 +177,9 @@ def _jump_lists(jumps: Sequence[Sequence], rank: Optional[int] = None,
             raise ValueError(f"each embedding needs {n} jumps, got {len(sigma)}")
         if any(a > b for a, b in zip(sigma, sigma[1:])):
             raise ValueError("jumps must be sorted nondecreasingly")
-    return js
+    scale = math.lcm(*[j.denominator for sigma in js for j in sigma])
+    return tuple(tuple(j.numerator * (scale // j.denominator) for j in sigma)
+                 for sigma in js), scale
 
 
 class Filtration(_Frozen):
@@ -184,19 +191,23 @@ class Filtration(_Frozen):
     the filtration step at jump j is the span of the vectors whose jump is
     >= j, so earlier vectors leave first.  Flag entries are kept as given
     (int or Fraction), so integral flags reach ``exact.rank`` as plain ints.
+    ``jumps`` holds ``Fraction``s, built once from ``_jump_lists``; each
+    distinct flag set is checked once, in order.
     """
 
     __slots__ = _fields = ("jumps", "flags")
 
     def __init__(self, jumps: Sequence[Sequence],
                  flags: Sequence[Sequence[Sequence[RatLike]]]) -> None:
-        object.__setattr__(self, "jumps", _jump_lists(jumps))
+        js, scale = _jump_lists(jumps)
+        object.__setattr__(self, "jumps", tuple(tuple(Fraction(j, scale) for j in sigma)
+                                                for sigma in js))
         n = self.rank
         flags = tuple(tuple(tuple(v) for v in sigma) for sigma in flags)
         object.__setattr__(self, "flags", flags)
         if len(flags) != self.embeddings:
             raise ValueError("flags must cover every embedding")
-        for sigma in flags:
+        for sigma in dict.fromkeys(flags):
             if len(sigma) != n or any(len(v) != n for v in sigma):
                 raise ValueError("each flag needs rank-many vectors of full length")
             if mat_rank(sigma) != n:
@@ -222,8 +233,10 @@ def t_N(module: PhiModule) -> Fraction:
 
 
 def t_H(jumps: Sequence[Sequence]) -> Fraction:
-    """Normalized Hodge number: the sum of every jump of a jump type."""
-    return sum((j for sigma in _jump_lists(jumps) for j in sigma), Fraction(0))
+    """Normalized Hodge number: the sum of every jump of a jump type, summed
+    as integers at the ``_jump_lists`` scale."""
+    js, scale = _jump_lists(jumps)
+    return Fraction(sum(map(sum, js)), scale)
 
 
 class Polygon(_Frozen):
@@ -279,22 +292,13 @@ def _lower_boundary(scaled: Sequence[int], scale: int) -> Polygon:
     return Polygon(tuple(pts))
 
 
-def _scaled_position_sums(jumps: Sequence[Sequence],
-                          rank: Optional[int] = None) -> tuple[list[int], int]:
-    """(sums, scale): a checked jump type's position-wise sums across
-    embeddings, each times ``scale``, the lcm of the jump denominators, as
-    integers.  The Hodge side's reading of a jump type."""
-    js = _jump_lists(jumps, rank)
-    scale = math.lcm(*[j.denominator for sigma in js for j in sigma])
-    return [sum(j.numerator * (scale // j.denominator) for j in column)
-            for column in zip(*js)], scale
-
-
 def hodge_polygon(jumps: Sequence[Sequence]) -> Polygon:
     """Lower boundary of a jump type's position-wise jump sums across
-    embeddings (slope k is the sum of every embedding's k-th jump); x
-    counts dimension and the endpoint is (rank, t_H)."""
-    return _lower_boundary(*_scaled_position_sums(jumps))
+    embeddings (slope k is the sum of every embedding's k-th jump), summed
+    as integers at the ``_jump_lists`` scale; x counts dimension and the
+    endpoint is (rank, t_H)."""
+    js, scale = _jump_lists(jumps)
+    return _lower_boundary(list(map(sum, zip(*js))), scale)
 
 
 def polygon_rows(newton: Polygon, hodge: Polygon):
@@ -358,22 +362,21 @@ def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]
 
     -(sum of the last i values of v) is the sum of the i smallest slopes,
     so both sides are running prefix sums, each in integers at its own
-    scale (the lcm of the jump denominators, and of the slope
+    scale (the ``_jump_lists`` scale, and the lcm of the slope
     denominators); a row compares them cross-multiplied and builds its
     two ``Fraction`` sides only for the caller.
     """
     if module.steinberg is not None:
         raise ValueError("the inequality test applies to modules without chain structure")
-    js = _jump_lists(jumps, module.rank, module.field.degree)
+    js, jump_scale = _jump_lists(jumps, module.rank, module.field.degree)
     n = module.rank
-    jump_scale = math.lcm(*[j.denominator for sigma in js for j in sigma])
     slopes = module.slopes_expanded()
     slope_scale = math.lcm(*[s.denominator for s in slopes])
     ascending = sorted(s.numerator * (slope_scale // s.denominator) for s in slopes)
     rows = []
     lhs = rhs = 0
     for i, column in enumerate(zip(*js), 1):
-        lhs += sum(j.numerator * (jump_scale // j.denominator) for j in column)
+        lhs += sum(column)
         rhs += ascending[i - 1]
         left, right = lhs * slope_scale, rhs * jump_scale
         rows.append((Fraction(lhs, jump_scale), Fraction(rhs, slope_scale),
@@ -386,40 +389,41 @@ def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> 
     return all(ok for _, _, ok in inequality_rows(module, jumps))
 
 
-def _tail_forms(filtration: Filtration, den: int) -> list[list[tuple]]:
-    """Per embedding, one ``(step, pivots, form)`` triple for each distinct
-    jump, where the filtration steps down:
+def _tail_forms(filtration: Filtration, den: int) -> list[tuple]:
+    """One ``(step, pivots, form)`` triple for each flag set and each
+    position k where the summed jumps of the embeddings with that flag set
+    step by a nonzero amount:
 
-    * ``step`` is ``den`` times (jump - the previous distinct jump), the
-      first one counted from 0 (``den`` must clear every jump's
-      denominator, so the steps are integers);
-    * ``form`` is ``exact._reduced_echelon`` of the flag tail from the
-      jump's first vector on, which spans that filtration step, and
+    * ``step`` is ``den`` times (sum of the k-th jumps - sum of the
+      (k-1)-th jumps), the first one counted from 0 (``den`` must clear
+      every jump's denominator, so the steps are integers);
+    * ``form`` is ``exact._reduced_echelon`` of the flag tail from vector
+      k on, which spans the filtration step at each of those jumps, and
       ``pivots`` is the set of its pivot columns.
 
-    The forms are keyed by (flags, start), so embeddings with equal flags
-    share them whatever their jumps."""
-    forms: dict = {}
-    tails = []
+    Grouping by flags is exact: t_H(S) = sum over sigma and k of
+    step_sigma,k * dim(F_k & V_S), and F_k depends only on the flags."""
+    groups: dict = {}
     for sigma, flags in zip(filtration.jumps, filtration.flags):
-        tail = []
-        for k, (prev, j) in enumerate(zip((0,) + sigma, sigma)):
-            if k and j == prev:
-                continue
-            if (flags, k) not in forms:
+        groups.setdefault(flags, []).append(sigma)
+    tails = []
+    for flags, sigmas in groups.items():
+        prev = 0
+        for k, column in enumerate(zip(*sigmas)):
+            total = sum(j.numerator * (den // j.denominator) for j in column)
+            if total != prev:
                 form = _reduced_echelon(flags[k:])
-                forms[flags, k] = (frozenset(c for c, _ in form), form)
-            tail.append((int((j - prev) * den), *forms[flags, k]))
-        tails.append(tail)
+                tails.append((total - prev, frozenset(c for c, _ in form), form))
+            prev = total
     return tails
 
 
-def _induced_t_H_on_subspace(filtration: Filtration, tails: Sequence[Sequence[tuple]],
+def _induced_t_H_on_subspace(filtration: Filtration, tails: Sequence[tuple],
                              coords: Sequence[int]) -> int:
     """``den`` times the t_H of the filtration induced on the coordinate
     subspace V_S (S = ``coords``), by exact intersection of the explicit
-    flags with that subspace; ``tails`` are the filtration's
-    ``_tail_forms`` at scale ``den``.
+    flags with that subspace; ``tails`` is the filtration's
+    ``_tail_forms`` at scale ``den``, walked once.
 
     A step F meets V_S in dimension dim F - rank(F restricted to the
     columns outside S).  With F in reduced echelon form with pivot columns
@@ -432,11 +436,10 @@ def _induced_t_H_on_subspace(filtration: Filtration, tails: Sequence[Sequence[tu
     inside = set(coords)
     comp = [i for i in range(filtration.rank) if i not in inside]
     total = 0
-    for tail in tails:
-        for step, pivots, form in tail:
-            cols = [c for c in comp if c not in pivots]
-            y = [[row[c] for c in cols] for pivot, row in form if pivot in inside]
-            total += step * (len(y) - mat_rank(y))
+    for step, pivots, form in tails:
+        cols = [c for c in comp if c not in pivots]
+        y = [[row[c] for c in cols] for pivot, row in form if pivot in inside]
+        total += step * (len(y) - mat_rank(y))
     return total
 
 
@@ -476,10 +479,12 @@ def weak_admissible(module: PhiModule, filtration: Filtration) -> bool:
 
     Both sides are compared as integers: once per call, ``den`` is the lcm
     of the denominators of every jump and every slope, and each
-    subobject's t_H and t_N are computed times ``den``.  Each flag tail
-    where the filtration steps down is brought to reduced echelon form
-    once per call (``_tail_forms``), so a subset ranks only the small
-    block of that form its step leaves over.
+    subobject's t_H and t_N are computed times ``den``.  The embeddings
+    with equal flags count as one filtration with their summed jumps, and
+    each flag tail where that filtration steps down is brought to reduced
+    echelon form once per call (``_tail_forms``), so a subset makes one
+    ``rank`` call per (flag set, nonzero step), on the small block of that
+    form the subset leaves over.
     """
     if filtration.rank != module.rank:
         raise ValueError("filtration rank does not match the module")
@@ -540,13 +545,13 @@ def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtra
     """
     if module.steinberg is None:
         raise ValueError("steinberg_filtration needs a chain module")
-    js = _jump_lists(jumps, module.rank, module.field.degree)
+    js, _ = _jump_lists(jumps, module.rank, module.field.degree)
     for sigma in js:
         if any(a >= b for a, b in zip(sigma, sigma[1:])):
             raise ValueError("chain filtration jumps must be strictly increasing")
     n = module.rank
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return Filtration(js, (identity,) * len(js))
+    return Filtration(jumps, (identity,) * len(js))
 
 
 def chain_sum_bounds(h: int, c, ivals: Sequence[int]) -> tuple[bool, bool]:
@@ -585,8 +590,8 @@ def block_polygons(blocks: Sequence[tuple], jumps: Sequence[Sequence]) -> tuple[
     data = [(Fraction(tn), int(d)) for tn, d in blocks]
     if any(d < 1 for _, d in data):
         raise ValueError("block dimensions must be >= 1")
-    agg, jump_scale = _scaled_position_sums(jumps, sum(d for _, d in data))
-    hodge_sums = list(itertools.accumulate(agg, initial=0))
+    js, jump_scale = _jump_lists(jumps, sum(d for _, d in data))
+    hodge_sums = list(itertools.accumulate(map(sum, zip(*js)), initial=0))
     newton_scale = math.lcm(*[tn.denominator for tn, _ in data])
     ordered = sorted(((tn.numerator * (newton_scale // tn.denominator), d) for tn, d in data),
                      key=lambda td: (td[0], -td[1]))

@@ -67,14 +67,19 @@ def _mutate(lines, op, index, key, value):
     return lines[:i] + [f"{head}: {value}" if sep else value] + lines[i + 1:]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(RUNS)), st.data(), st.lists(mutations, min_size=1, max_size=3))
-def test_mutated_inputs_keep_the_exit_contract(command, data, edits):
-    name = data.draw(st.sampled_from(RUNS[command]))
-    lines = (GOLDEN / f"{name}.inst").read_text().splitlines()
-    lines = [line for line in lines if not line.startswith("#")]
-    for edit in edits:
-        lines = _mutate(lines, *edit)
+# one summand line's value, either kind, with each field small, a zero
+# denominator, not a number, or far past any weight length
+size = st.sampled_from(["0", "1", "2", "3", "x", "1000000000000"])
+rat = st.sampled_from(["0", "-1", "1/2", "1/0"])
+summands = st.one_of(
+    st.builds("unramified val={} mult={}".format, rat, size),
+    st.builds("unramified val={} mult={} jordan={}".format, rat, size,
+              st.sampled_from(["1", "1,1"])),
+    st.builds("steinberg base={} dim={} len={}".format, rat, size, size),
+)
+
+
+def _assert_exit_contract(command, name, lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.inst"
         path.write_text("\n".join(lines) + "\n")
@@ -84,3 +89,31 @@ def test_mutated_inputs_keep_the_exit_contract(command, data, edits):
     assert code in (0, 1, 2, 3)
     if code == 3:
         assert err.getvalue().startswith(f"{path}:")
+
+
+def _golden_lines(name):
+    lines = (GOLDEN / f"{name}.inst").read_text().splitlines()
+    return [line for line in lines if not line.startswith("#")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(RUNS)), st.data(), st.lists(mutations, min_size=1, max_size=3))
+def test_mutated_inputs_keep_the_exit_contract(command, data, edits):
+    name = data.draw(st.sampled_from(RUNS[command]))
+    lines = _golden_lines(name)
+    for edit in edits:
+        lines = _mutate(lines, *edit)
+    _assert_exit_contract(command, name, lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["check", "polygon"]), st.sampled_from(["gl2_steinberg", "gl4_block"]),
+       st.integers(0, 2), summands)
+def test_rewritten_summand_lines_keep_the_exit_contract(command, name, index, value):
+    # one galois.wd.<N> line of a Weil-Deligne golden gets a drawn value; the
+    # whole-file mutations above seldom pick a summand line and a value together
+    lines = _golden_lines(name)
+    wd = [i for i, line in enumerate(lines) if line.startswith("galois.wd.")]
+    i = wd[index % len(wd)]
+    lines[i] = f"{lines[i].partition(':')[0]}: {value}"
+    _assert_exit_contract(command, name, lines)

@@ -209,30 +209,57 @@ def test_group_rank_mismatch_is_positioned(tmp_path, capsys):
     assert not captured.out
 
 
-# (file text, line of the offending key or None, message): an error raised
-# while a key is read is reported once, at that key's line
+# (command, file text, line of the offending key or None, message): an error
+# raised while a key is read is reported once, at that key's line, and an
+# error of the whole file once, at its path
 ONE_PREFIX = {
-    "missing-field-p": ("field.e: 1\nfield.f: 1\nweights.sigma1: 0 1\ngalois.form: zeta\n"
-                        "galois.zeta_vals: 0 2\n", None, "missing required key 'field.p'"),
-    "bad-field-e": ("id: x\n\nfield.p: 3\nfield.e: x\nfield.f: 1\nweights.sigma1: 0 1\n"
-                    "galois.form: zeta\ngalois.zeta_vals: 0 2\n", 4,
-                    "expected an integer, got 'x'"),
-    "wd-summand-without-val": ("field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
-                               "galois.form: wd\n# a summand with no valuation\n\n"
-                               "galois.wd.1: unramified mult=2\n", 8,
-                               "unramified summand needs val="),
-    "missing-zeta-vals": ("field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
-                          "galois.form: zeta\n", None,
-                          "missing required key 'galois.zeta_vals'"),
+    "missing-field-p": ("check", "field.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
+                                 "galois.form: zeta\ngalois.zeta_vals: 0 2\n",
+                        None, "missing required key 'field.p'"),
+    "bad-field-e": ("check", "id: x\n\nfield.p: 3\nfield.e: x\nfield.f: 1\nweights.sigma1: 0 1\n"
+                             "galois.form: zeta\ngalois.zeta_vals: 0 2\n",
+                    4, "expected an integer, got 'x'"),
+    "wd-summand-without-val": ("check", "field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
+                                        "galois.form: wd\n# a summand with no valuation\n\n"
+                                        "galois.wd.1: unramified mult=2\n",
+                               8, "unramified summand needs val="),
+    "missing-zeta-vals": ("check", "field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\n"
+                                   "galois.form: zeta\n",
+                          None, "missing required key 'galois.zeta_vals'"),
+    "weights-form": ("check", _HEAD + "weights.form: x\nweights.sigma1: 0 1\ngalois.form: zeta\n"
+                                      "galois.zeta_vals: 0 2\n",
+                     4, "weights.form must be 'a' or 'i', got 'x'"),
+    "empty-summand": ("check", _HEAD + "weights.sigma1: 0\ngalois.form: wd\ngalois.wd.1:\n",
+                      6, "empty summand"),
+    "wd-without-summands": ("check", _HEAD + "weights.sigma1: 0\ngalois.form: wd\n",
+                            None, "galois.form wd needs galois.wd.<N> lines"),
+    "galois-form-other": ("check", _HEAD + "weights.sigma1: 0 1\ngalois.form: other\n",
+                          5, "galois.form must be 'zeta' or 'wd', got 'other'"),
+    "ragged-weights": ("check", "field.p: 3\nfield.e: 2\nfield.f: 1\nweights.sigma1: 0 1\n"
+                                "weights.sigma2: 0 1 2\ngalois.form: zeta\ngalois.zeta_vals: 0 2\n",
+                       None, "weight rows must have equal length"),
+    "short-summands": ("check", _HEAD + "weights.sigma1: -1 0 1\ngalois.form: wd\n"
+                                        "galois.wd.1: unramified val=0 mult=1\n",
+                       None, "Weil-Deligne dimension must match the weight length"),
+    "long-zeta-vals": ("check", _HEAD + "weights.sigma1: 0 1\ngalois.form: zeta\n"
+                                        "galois.zeta_vals: 0 1 2\n",
+                       None, "zeta valuation count must match the weight length"),
+    "long-point": ("affinoid", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\npoint.vals: 0 0 0\n",
+                   6, "point length 3 != rank 2"),
+    "long-lambda": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n"
+                                           "element.1: lambda=1,0,0 a=1 b=0\n",
+                    6, "lambda length 3 != rank 2"),
+    "no-element": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n",
+                   None, "need at least one element.<N> line"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PREFIX))
 def test_key_errors_carry_one_prefix(name, tmp_path, capsys):
-    text, line, message = ONE_PREFIX[name]
+    command, text, line, message = ONE_PREFIX[name]
     path = tmp_path / "x.inst"
     path.write_text(text)
-    assert main(["check", str(path)]) == 3
+    assert main([command, str(path)]) == 3
     captured = capsys.readouterr()
     where = str(path) if line is None else f"{path}:{line}"
     assert captured.err == f"{where}: {message}\n"

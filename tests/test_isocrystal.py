@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wadm.isocrystal
-from wadm.exact import FieldData, rank as mat_rank
+from wadm.exact import FieldData, _reduced_echelon, rank as mat_rank
 from wadm.isocrystal import (
     Block,
     Filtration,
@@ -517,9 +517,10 @@ def test_weak_admissible_matches_fraction_reference():
 
 @pytest.mark.parametrize("shared", [True, False], ids=["equal-flags", "distinct-flags"])
 def test_tail_forms_are_shared_by_equal_flags_only(shared):
-    # two embeddings with different jumps, so their distinct jumps start at
-    # different flag indices; the forms are keyed by (flags, start), so
-    # equal flags share them and distinct flags must not
+    # two embeddings with different jumps: embeddings with equal flags are
+    # one filtration with their position-wise summed jumps, so equal flags
+    # give one triple per nonzero step of those sums, and distinct flags one
+    # group per embedding, each with a triple per nonzero step of its jumps
     rng = random.Random(15)
     field = FieldData(p=3, e=2, f=1)
     verdicts = []
@@ -541,10 +542,15 @@ def test_tail_forms_are_shared_by_equal_flags_only(shared):
                 continue
             filt = Filtration(jumps, flags * 2 if shared else flags)
         tails = _tail_forms(filt, 2)
-        starts = [{k for k, j in enumerate(sigma) if k == 0 or j != sigma[k - 1]}
-                  for sigma in filt.jumps]
-        forms = {id(form) for tail in tails for _, _, form in tail}
-        assert len(forms) == (len(starts[0] | starts[1]) if shared else sum(map(len, starts)))
+        groups = ([(filt.flags[0], [sum(column) for column in zip(*filt.jumps)])] if shared
+                  else list(zip(filt.flags, filt.jumps)))
+        expect = []
+        for flags, sums in groups:
+            for k, (prev, j) in enumerate(zip((0, *sums), sums)):
+                if j != prev:
+                    form = _reduced_echelon(flags[k:])
+                    expect.append((2 * (j - prev), frozenset(c for c, _ in form), form))
+        assert tails == expect, filt
         for size in range(n + 1):
             for coords in itertools.combinations(range(n), size):
                 got = _induced_t_H_on_subspace(filt, tails, coords)
@@ -552,6 +558,21 @@ def test_tail_forms_are_shared_by_equal_flags_only(shared):
         verdicts.append(weak_admissible(module, filt))
         assert verdicts[-1] == _reference_weak_admissible(module, filt), (slopes, filt)
     assert 5 < sum(verdicts) < len(verdicts) - 5
+
+
+def test_a_witness_checks_its_one_flag_set_once(monkeypatch):
+    # every embedding of a witness carries the same flags: Filtration ranks
+    # them once, not once per embedding
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return mat_rank(rows)
+
+    monkeypatch.setattr(wadm.isocrystal, "mat_rank", counted)
+    module = PhiModule.of_slopes(FieldData(p=3, e=2, f=1), [-2, 0, 2])
+    filt = build_admissible_filtration(module, [[-2, 0, 1], [0, 0, 1]])
+    assert filt.embeddings == 2 and len(calls) == 1
 
 
 def test_oracle_necessity_random_flags():
