@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: check, polygon, satake-norm, affinoid, convert-weights,
-sweep.  Exit codes: 0 pass, 1 fail, 2 undecided, 3 input error; for
-batches the worst (numerically largest) code wins.  All output is
-deterministic given the inputs and the seed; the sweep seed can also be
+sweep.  Exit codes: 0 pass, 1 fail, 2 undecided or out of memory, 3 input
+error; for batches the worst (numerically largest) code wins.  All output
+is deterministic given the inputs and the seed; the sweep seed can also be
 set through the WADM_SEED environment variable.
 """
 
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; input and output errors exit 3 with a
-    ``path[:line]: message`` line on stderr, unsupported regimes exit 2."""
+    ``path[:line]: message`` line on stderr; unsupported regimes exit 2, and
+    so does running out of memory, with a ``subcommand: out of memory`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except UnsupportedRegimeError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_UNDECIDED
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

@@ -17,14 +17,13 @@ The conversion constant is val_L = e*f*val_q = degree*val_q.
 No operation in this module ever rounds; the only non-rational value that
 can appear is ``INF``, the valuation of zero.  ``rank`` and
 ``_reduced_echelon`` share one fraction-free elimination (rows scaled to
-integers, then Bareiss), and ``farkas_certificate``, the one LP, pivots
-the same integer rows with the same exact step, by ``_phase_one``'s own
-rule.  When {x >= 0 : A x = b} is empty
-it returns the proof, a row y with y.A <= 0 and y.b > 0 (Farkas): the
-multiplier behind the final phase-1 objective row, mapped back to the rows
-as given.  ``_integer_rows`` copies an all-``int`` row (such as the
-oracle's flags) in one pass; only a row with a ``Fraction`` in it is
-scaled by the lcm of its denominators.  ``_reduced_echelon``
+integers, then Bareiss).  ``farkas_certificate``, the one LP, takes integer
+rows only and pivots them with the same exact step, by its own rule.  When
+{x >= 0 : A x = b} is empty it returns the proof, a row y with y.A <= 0
+and y.b > 0 (Farkas): the multiplier behind the final phase-1 objective
+row, signed back to the rows as given.  ``_integer_rows`` copies an
+all-``int`` row (such as the oracle's flags) in one pass; only a row with
+a ``Fraction`` in it is scaled by the lcm of its denominators.  ``_reduced_echelon``
 back-eliminates ``_echelon``'s rows in integers, for the subobject oracle
 and for root data's cone forms, so the linear algebra builds no
 ``Fraction``.
@@ -477,32 +476,33 @@ def _phase_one(a: list[list[int]], n: int) -> list[int]:
         d = p
 
 
-def farkas_certificate(rows: Matrix, rhs: Sequence[RatLike]) -> Optional[list[int]]:
+def farkas_certificate(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[list[int]]:
     """Decide whether {x >= 0 : A x = b} is nonempty, exactly: None when it
     is, and otherwise a Farkas certificate, an integer y with y.A <= 0 on
     every column and y.b > 0 (which no x >= 0 with A x = b can meet).
 
-    ``_phase_one`` runs on the integer rows A' of [A | b], each row scaled
-    by the lcm of its denominators and negated where b < 0.  The system is
-    feasible when the final w is 0.  Otherwise the same pivots run again
-    with an m-column identity block carried through them: it holds the
-    multiplier u of the rows behind each tableau row, so the final
+    A and b are read through ``operator.index``, so a ``Fraction`` or a
+    float raises ``TypeError`` and a ragged matrix ``ValueError``.
+    ``_phase_one`` runs on the rows A' of [A | b], each negated where b < 0.
+    The system is feasible when the final w is 0.  Otherwise the same pivots
+    run again with an m-column identity block carried through them: it
+    holds the multiplier u of the rows behind each tableau row, so the final
     objective row is u.A' <= 0 on every column and u.b' = d * w > 0.  u
-    times each row's scale and sign is y on the rows as given, returned
-    divided by its gcd.  The first run carries no block, since a feasible
-    system needs none.
+    with each row's sign is y on the rows as given, returned divided by its
+    gcd.  The first run carries no block, since a feasible system needs none.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/rhs dimension mismatch")
     if not rows:
         return None
-    given = [list(row) + [b] for row, b in zip(rows, rhs)]
-    a = [[-v for v in r] if r[-1] < 0 else r for r in _integer_rows(given)]
+    a = [[*map(operator.index, row), operator.index(b)] for row, b in zip(rows, rhs)]
     m, n = len(a), len(a[0]) - 1
+    if any(len(r) != n + 1 for r in a):
+        raise ValueError("ragged matrix")
+    a = [[-v for v in r] if r[n] < 0 else r for r in a]
     if _phase_one(a, n)[n] == 0:
         return None
     u = _phase_one([r + [int(i == j) for j in range(m)] for i, r in enumerate(a)], n)[n + 1:]
-    y = [v * (-1 if b < 0 else 1) * math.lcm(*[x.denominator for x in row])
-         for v, b, row in zip(u, rhs, given)]
+    y = [-v if b < 0 else v for v, b in zip(u, rhs)]
     g = math.gcd(*y)
     return [v // g for v in y]

@@ -41,8 +41,7 @@ from typing import Optional
 from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
 from .isocrystal import Polygon
-from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, positive_roots,
-                       validate_highest_weight)
+from .rootdata import HighestWeight, InfiniteWeylGroupError, RootDatum, validate_highest_weight
 from .satake import GroupRingElem
 from .weildeligne import SteinbergChain, Unramified, WDRep
 
@@ -191,9 +190,7 @@ def parse_group(spec: str) -> RootDatum:
                     isinstance(row, list) and all(type(v) is int for v in row) for row in matrix)):
                 raise ValueError(f"bad Cartan matrix literal {literal!r}: "
                                  "expected a list of integer lists")
-            datum = RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
-            positive_roots(datum)  # raises InfiniteWeylGroupError for an infinite type
-            return datum
+            return RootDatum.from_cartan(matrix, kind=kind, name=f"{prefix} {literal}")
     raise ValueError(f"unknown group {spec!r}")
 
 

@@ -12,7 +12,8 @@ element is stored as its integer matrix on cocharacters; on weights it
 acts by the inverse transpose, and weight orbits come from the simple
 reflections directly (``weyl_orbit``).  Positive roots, orbits and Weyl
 elements come from one closure (``_closure``), dominant representatives
-from one walk (``_chamber_walk``).  Every simple reflection is one step,
+from one walk (``_chamber_walk``); they end because W is finite, which a
+``RootDatum`` is by construction.  Every simple reflection is one step,
 ``_reflect``: x - c * v on v's nonzero entries, kept with the datum
 (``RootDatum.entries``).  On a weight, c = <x, alpha_i^vee> and v = alpha_i;
 on a cocharacter (a column of a Weyl element), c = <alpha_i, x> and
@@ -81,8 +82,8 @@ ORBIT_CAP = 10**6
 
 
 class InfiniteWeylGroupError(RuntimeError):
-    """The root closure of ``positive_roots`` outgrew the bound on a finite root
-    system of its rank, which proves the Weyl group infinite."""
+    """Raised where a ``RootDatum`` is built: its root closure (``positive_roots``)
+    outgrew the bound on a finite root system of its rank, so W is infinite."""
 
 
 class OrbitCapError(RuntimeError):
@@ -166,8 +167,10 @@ class RootDatum(_Frozen):
     ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
     a non-positive integer off it.  ``entries[i]`` holds the nonzero
     (index, value) entries of alpha_i^vee and of alpha_i, which every
-    reflection (``_reflect``) reads and moves along.  ``cartan`` and
-    ``entries`` are computed once, and neither compared nor printed.
+    reflection (``_reflect``) and ``cartan`` read.  ``cartan`` and
+    ``entries`` are computed once, and neither compared nor printed.  The
+    constructor ends with the cached root closure, ``positive_roots``, so
+    a datum with an infinite Weyl group raises ``InfiniteWeylGroupError``.
     """
 
     _fields = ("rank", "simple_roots", "simple_coroots", "name")
@@ -186,11 +189,12 @@ class RootDatum(_Frozen):
         for r in roots + coroots:
             if len(r) != rank:
                 raise ValueError("root/coroot length must equal the rank")
-        cartan = tuple(tuple(dot(alpha, cov) for cov in coroots) for alpha in roots)
+        entries = tuple(tuple(tuple((j, v) for j, v in enumerate(vector) if v) for vector in pair)
+                        for pair in zip(coroots, roots))
+        cartan = tuple(tuple(sum(v * cov[j] for j, v in alpha) for cov in coroots)
+                       for _, alpha in entries)
         object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "entries", tuple(
-            tuple(tuple((j, v) for j, v in enumerate(vector) if v) for vector in pair)
-            for pair in zip(coroots, roots)))
+        object.__setattr__(self, "entries", entries)
         for i, row in enumerate(cartan):
             for j, c in enumerate(row):
                 if i == j and c != 2:
@@ -203,6 +207,7 @@ class RootDatum(_Frozen):
         # is left out: equal data still hash equal, and a hash of ints
         # alone does not depend on the process's string hash seed.
         object.__setattr__(self, "_hash", hash((rank, roots, coroots)))
+        positive_roots(self)  # raises for an infinite W, so no other call has to
 
     def __hash__(self) -> int:
         return self._hash
@@ -309,7 +314,7 @@ def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     input, and a finite root system of rank r has at most r * max(2r, 30)
     roots (its Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8).
     So a closure of more than half that many roots proves the Weyl group
-    infinite.
+    infinite; ``RootDatum`` runs this when built, and raises there.
     """
     bound = datum.nsimple * max(2 * datum.nsimple, 30)
     error = InfiniteWeylGroupError(
@@ -347,10 +352,8 @@ def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by closure of the simple reflections acting
     on the left.  While the closure runs, an element w is held by its
     columns, cocharacters: s_i w sends each column x to
-    x - <alpha_i, x> alpha_i^vee.  Raises ``InfiniteWeylGroupError`` at once
-    when W is infinite, and ``OrbitCapError`` when the finite W has more
+    x - <alpha_i, x> alpha_i^vee.  Raises ``OrbitCapError`` when W has more
     than ``ORBIT_CAP`` elements."""
-    positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     error = OrbitCapError(f"Weyl group order exceeded cap {ORBIT_CAP}")
     closure = _closure([_identity(datum.rank)], lambda cols: (  # s_i w for each i
         tuple(_reflect(x, sum(x[j] * v for j, v in alpha), cov) for x in cols)
@@ -360,12 +363,10 @@ def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
 
 def weyl_orbit(datum: RootDatum, z: Sequence) -> frozenset:
     """The W-orbit of z (weight side), as a frozenset of vectors.  Raises
-    ``InfiniteWeylGroupError`` at once when W is infinite, and
     ``OrbitCapError`` when the orbit has more than ``ORBIT_CAP`` points."""
     start = vec(z)
     if len(start) != datum.rank:
         raise ValueError("vector length must equal the rank")
-    positive_roots(datum)  # the closure ends only for a finite W; this raises otherwise
     error = OrbitCapError(f"orbit size exceeded cap {ORBIT_CAP}")
     return frozenset(_closure([start], lambda z: _reflections(datum, z), ORBIT_CAP, error))
 
@@ -377,7 +378,7 @@ def _dual(datum: RootDatum) -> RootDatum:
 
 
 def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
-    """The dominant point of the W-orbit of x, W finite: reflecting at a
+    """The dominant point of the W-orbit of x: reflecting at a
     negative label c_i = <x, alpha_i^vee> subtracts c_i times Cartan row i
     from the labels; x is rebuilt once at the end.  s_i permutes the other
     positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps.
@@ -404,20 +405,17 @@ def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
 
 def dominant_rep(datum: RootDatum, z: Sequence) -> Vec:
     """The dominant point of the W-orbit of z (for GL_n, the nondecreasing
-    rearrangement); raises ``InfiniteWeylGroupError`` when W is infinite."""
+    rearrangement)."""
     if len(z) != datum.rank:
         raise ValueError("dimension mismatch in pairing")
-    positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
     return _chamber_walk(datum, vec(z))
 
 
 def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
     """The antidominant representative of a cocharacter: <alpha, lam> <= 0
-    for every simple root alpha, so -lam is dominant for the dual datum.
-    Raises ``InfiniteWeylGroupError`` when W is infinite."""
+    for every simple root alpha, so -lam is dominant for the dual datum."""
     if len(lam) != datum.rank:
         raise ValueError("dimension mismatch in pairing")
-    positive_roots(datum)  # the walk ends only for a finite W; this raises otherwise
     return tuple(-v for v in _chamber_walk(_dual(datum), [-v for v in _int_tuple(lam)]))
 
 
@@ -521,7 +519,6 @@ def _domain_bound(datum: RootDatum, field: FieldData, xi: HighestWeight) -> tupl
     """Twice eta_L and twice the domain bound eta_L + xi_L, as integers:
     [L:Q_p]*2*eta and that plus 2*xi_L.  Validates xi first."""
     validate_highest_weight(datum, field, xi)
-    # _two_eta goes through positive_roots, which raises for an infinite W
     el = tuple(field.degree * v for v in _two_eta(datum))
     return el, tuple(2 * sum(col) + e for col, e in zip(zip(*xi.per_embedding), el))
 
@@ -604,8 +601,8 @@ def in_hull(datum: RootDatum, field: FieldData, xi: HighestWeight, z: Sequence) 
     The LP is sum_j x_j P_j = z, sum_j x_j = 1, x >= 0 over the orbit
     points P_j.  Its coordinate rows are scaled by s * lcm(denominators of
     z): lcm times ``_hull_points``' cached integer columns s * P_j, and
-    s * lcm * z on the right.  Every row is then an integer row, which
-    ``farkas_certificate`` takes without reading a denominator.
+    s * lcm * z on the right.  Every row is then an integer row, the only
+    kind ``farkas_certificate`` takes.
 
     When the LP is infeasible, its certificate (y, c) (y on the coordinate
     rows, c on the ones row) gives the cut a = lcm * y: a . (s * P) + c <= 0

@@ -34,7 +34,6 @@ from .rootdata import (
     _int_tuple,
     _two_eta,
     dot,
-    positive_roots,
     validate_highest_weight,
 )
 
@@ -152,8 +151,7 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
 
     from ``exact._twice_f_val_q`` and integer pairings on the cached 2*eta
     and the integer xi_L; the least one becomes the one ``Fraction`` built.
-    ``positive_roots`` (which raises for an infinite W), the dual datum and
-    2*eta are looked up once per call; each lambda^- is
+    The dual datum and 2*eta are looked up once per call; each lambda^- is
     ``antidominant_rep_cochar``'s chamber walk of -lambda on the dual datum,
     negated, and one loop over the walked point gives both pairings.  A
     lambda of the wrong length raises ValueError.
@@ -166,7 +164,6 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
         return INF
     if any(c.q != field.q for _, c in x.terms):
         raise ValueError(f"coefficient q does not match the field's q = {field.q}")
-    positive_roots(datum)  # the walks end only for a finite W; this raises otherwise
     dual, two_eta = _dual(datum), _two_eta(datum)
     xi_l = [sum(col) for col in zip(*xi.per_embedding)]
     deg, p, f = field.degree, field.p, field.f

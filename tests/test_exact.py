@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: field laws, valuations, linear algebra."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -295,9 +296,21 @@ def test_rank_of_rank12_witness_flag():
         assert rank(restricted) == _reference_rank(restricted)
 
 
+def _scaled(rows, rhs):
+    """Each row and its rhs times the lcm of their denominators: integer
+    rows, the only form ``farkas_certificate`` takes.  A positive scale per
+    row changes neither the solution set nor the signs of y.A and y.b."""
+    scaled = []
+    for row, b in zip(rows, rhs):
+        s = math.lcm(*[Fraction(v).denominator for v in (*row, b)])
+        scaled.append([int(v * s) for v in (*row, b)])
+    return [r[:-1] for r in scaled], [r[-1] for r in scaled]
+
+
 def test_integer_rows_take_the_same_answers_in_every_entry_form():
     # all-int rows are copied as they are; bool entries, and rows with a
-    # Fraction in them, take the lcm path; both agree with the references
+    # Fraction in them, take the lcm path; both agree with the references.
+    # The LP takes the rows scaled to integers, and refuses a Fraction.
     rng = random.Random(47)
     for _ in range(200):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -305,9 +318,12 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
         rhs = [rng.randint(0, 3) for _ in range(m)]
         halves = [[Fraction(v, 2) if (i + j) % 2 else v for j, v in enumerate(row)]
                   for i, row in enumerate(ints)]
-        for rows in (ints, halves, [[Fraction(v) for v in row] for row in ints]):
+        fractions = [[Fraction(v) for v in row] for row in ints]
+        for rows in (ints, halves, fractions):
             assert rank(rows) == _reference_rank(rows)
-            assert (farkas_certificate(rows, rhs) is None) == _reference_lp(rows, rhs)
+            assert (farkas_certificate(*_scaled(rows, rhs)) is None) == _reference_lp(rows, rhs)
+        with pytest.raises(TypeError):
+            farkas_certificate(fractions, rhs)
     bools = [[True, False, True], [False, True, True]]
     assert rank(bools) == 2
     assert farkas_certificate(bools, [True, True]) is None
@@ -315,7 +331,7 @@ def test_integer_rows_take_the_same_answers_in_every_entry_form():
     for rows, rhs in (([[1, 2], [3, 4.5]], [1, 2]), ([[1, 2], [3, 4]], [1, 0.5])):
         with pytest.raises(AttributeError):
             rank(rows + [rhs])
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             farkas_certificate(rows, rhs)
 
 
@@ -418,12 +434,13 @@ def test_farkas_certificate_matches_fraction_simplex(system):
     # None exactly when the Fraction simplex finds {x >= 0 : A x = b}
     # nonempty; otherwise y proves it empty on the rows as given
     rows, rhs, feasible = system
-    y = farkas_certificate(rows, rhs)
+    int_rows, int_rhs = _scaled(rows, rhs)
+    y = farkas_certificate(int_rows, int_rhs)
     assert (y is None) == _reference_lp(rows, rhs)
     assert y is None or not feasible
     if y is not None:
-        assert all(sum(v * a for v, a in zip(y, col)) <= 0 for col in zip(*rows))
-        assert sum(v * b for v, b in zip(y, rhs)) > 0
+        assert all(sum(v * a for v, a in zip(y, col)) <= 0 for col in zip(*int_rows))
+        assert sum(v * b for v, b in zip(y, int_rhs)) > 0
 
 
 def _opens_degenerate(rows, rhs) -> bool:
@@ -499,8 +516,12 @@ def test_farkas_certificate_simplex():
     assert farkas_certificate([], []) is None
     assert farkas_certificate([[]], [0]) is None
     assert farkas_certificate([[]], [1]) == [1]
-    # the row is scaled by 2 and negated inside; y is on the row as given
-    assert farkas_certificate([[]], [Fraction(-1, 2)]) == [-1]
+    # the row is negated inside; y is on the row as given
+    assert farkas_certificate([[]], [-2]) == [-1]
+    # integer entries only: a Fraction, even an integral one, or a float raises
+    for rows, rhs in (([[]], [Fraction(-1, 2)]), ([[Fraction(1)]], [1]), ([[1]], [1.0])):
+        with pytest.raises(TypeError):
+            farkas_certificate(rows, rhs)
     with pytest.raises(ValueError, match="ragged matrix"):
         farkas_certificate([[1, 2], [3]], [1, 2])
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -509,11 +530,12 @@ def test_farkas_certificate_simplex():
 
 def test_farkas_certificate_matches_bruteforce_hull():
     # membership of a point in a segment via convex combination
-    # points (0,0) and (2,1); z = (1, 1/2) inside, (1, 1) outside
+    # points (0,0) and (2,1); z = (1, 1/2) inside, (1, 1) outside; the
+    # second coordinate row is scaled by 2, so that every entry is an integer
     pts = [(0, 0), (2, 1)]
-    a = [[p[0] for p in pts], [p[1] for p in pts], [1, 1]]
-    assert farkas_certificate(a, [1, Fraction(1, 2), 1]) is None
-    y = farkas_certificate(a, [1, 1, 1])
-    # the cut y . (x, y, 1) <= 0 holds at both points and fails at z
-    assert all(sum(v * c for v, c in zip(y, p + (1,))) <= 0 for p in pts)
-    assert sum(v * c for v, c in zip(y, (1, 1, 1))) > 0
+    a = [[p[0] for p in pts], [2 * p[1] for p in pts], [1, 1]]
+    assert farkas_certificate(a, [1, 1, 1]) is None
+    y = farkas_certificate(a, [1, 2, 1])
+    # the cut y . (x, 2y, 1) <= 0 holds at both points and fails at z
+    assert all(sum(v * c for v, c in zip(y, (p[0], 2 * p[1], 1))) <= 0 for p in pts)
+    assert sum(v * c for v, c in zip(y, (1, 2, 1))) > 0

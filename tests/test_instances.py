@@ -428,6 +428,23 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys):
         assert not captured.out
 
 
+@pytest.mark.parametrize("command, kernel, golden", [
+    ("affinoid", "in_Vxi", "affinoid_gl2.inst"),
+    ("check", "check_instance", "gl2_pass.inst"),
+])
+def test_cli_out_of_memory_exits_2(command, kernel, golden, monkeypatch, capsys):
+    # a query past the machine's memory is undecided, not a "fail" (exit 1)
+    # with a traceback; the kernel is replaced by one that raises, so that
+    # no test has to allocate that much
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"wadm.cli.{kernel}", exhausted)
+    assert main([command, str(GOLDEN / golden)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{command}: out of memory\n" and not captured.out
+
+
 @pytest.mark.parametrize("flag,value", [("--rank", "0"), ("--embeddings", "0"), ("--count", "-1")])
 def test_cli_sweep_rejects_bad_sizes(flag, value, capsys):
     assert main(["sweep", flag, value]) == 3

@@ -230,16 +230,9 @@ PAIRS = {
 # elimination reaches both sides of construction vs. oracle.  It goes once
 # the oracle runs its own elimination (ROADMAP, the depth-first oracle);
 # the guard then fails until this entry is dropped.
-#
-# A second known exception: the dominance side's cone forms
-# (``_cone_forms`` -> ``_reduced_echelon`` -> ``_echelon``) and the hull
-# side's LP (``farkas_certificate``) both scale their rows to integers in
-# ``_integer_rows``.  A common-mode fault in the row scaling reaches both
-# membership decisions of criterion 4.
 KNOWN_SHARED = {
     "construction-vs-oracle": {"wadm.exact.rank", "wadm.exact._echelon",
                                "wadm.exact._integer_rows"},
-    "dominance-vs-hull": {"wadm.exact._integer_rows"},
 }
 
 

@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -124,11 +125,26 @@ def test_eta_integrality_flag():
     assert not eta_integral(pgl2)
 
 
+# a hyperbolic Cartan matrix: its reflection closure never terminates
+HYPERBOLIC = [[2, -3], [-3, 2]]
+
+
+def _stand_in(cartan, kind):
+    """A plain record with the simple roots and coroots that
+    ``RootDatum.from_cartan(cartan, kind)`` would take, built without the
+    constructor, for the reference closures on a matrix it refuses."""
+    n = len(cartan)
+    rows = tuple(map(tuple, cartan))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    roots, coroots = (rows, ident) if kind == "simply_connected" else (ident, tuple(zip(*rows)))
+    return SimpleNamespace(rank=n, nsimple=n, simple_roots=roots, simple_coroots=coroots)
+
+
 def test_infinite_weyl_group_rejected():
-    # hyperbolic Cartan matrix: reflection closure never terminates
-    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
-    with pytest.raises(InfiniteWeylGroupError):
-        positive_roots(hyperbolic)
+    # the hyperbolic datum is refused where it is built, for both kinds
+    for kind in ("simply_connected", "adjoint"):
+        with pytest.raises(InfiniteWeylGroupError):
+            RootDatum.from_cartan(HYPERBOLIC, kind=kind, name="hyperbolic")
     # the affine matrix [[2,-2],[-2,2]] is rejected at construction time
     # (dependent simple roots)
     with pytest.raises(ValueError):
@@ -336,33 +352,48 @@ def test_chamber_walk_matches_reference(datum):
 
 
 def test_chamber_walk_rejects_infinite_weyl_group():
-    # the reference loops would grow entries without end on this datum
-    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
+    # the walks would grow entries without end on this datum; it is refused
+    # before a walk can start
     with pytest.raises(InfiniteWeylGroupError):
-        dominant_rep(hyperbolic, (-1, -1))
+        dominant_rep(RootDatum.from_cartan(HYPERBOLIC, name="hyperbolic"), (-1, -1))
     with pytest.raises(InfiniteWeylGroupError):
-        antidominant_rep_cochar(hyperbolic, (1, 1))
+        antidominant_rep_cochar(RootDatum.from_cartan(HYPERBOLIC, name="hyperbolic"), (1, 1))
 
 
 def test_closures_reject_infinite_weyl_group_at_once():
     # with the default cap the closures alone would run toward 10**6 elements
-    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
-    for closure in (lambda: weyl_orbit(hyperbolic, (1, 0)), lambda: weyl_elements(hyperbolic)):
+    for closure in (lambda: weyl_orbit(RootDatum.from_cartan(HYPERBOLIC), (1, 0)),
+                    lambda: weyl_elements(RootDatum.from_cartan(HYPERBOLIC))):
         start = time.perf_counter()
         with pytest.raises(InfiniteWeylGroupError):
             closure()
         assert time.perf_counter() - start < 1.0
 
 
+def test_infinite_weyl_group_raises_at_construction_within_a_second():
+    # no datum with an infinite W exists, so the closures (which would run
+    # toward 10**6 elements), the chamber walks and the norm (whose loops
+    # would not end) never meet one: the constructor raises, at once, for
+    # both kinds and for the direct constructor on the dual's roots and coroots
+    for build in (partial(RootDatum.from_cartan, HYPERBOLIC, kind="simply_connected"),
+                  partial(RootDatum.from_cartan, HYPERBOLIC, kind="adjoint"),
+                  partial(RootDatum, 2, ((1, 0), (0, 1)), HYPERBOLIC)):
+        start = time.perf_counter()
+        with pytest.raises(InfiniteWeylGroupError, match="; the Weyl group is infinite$"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+
 def test_closure_errors_match_reference(orbit_cap):
-    hyperbolic = RootDatum.from_cartan([[2, -3], [-3, 2]], name="hyperbolic")
-    for roots in (all_roots, _reference_all_roots):
-        with pytest.raises(InfiniteWeylGroupError):
-            roots(hyperbolic)
-    orbit_cap(500)
-    for elements in (weyl_elements, partial(_reference_weyl_elements, cap=500)):
-        with pytest.raises(InfiniteWeylGroupError):
-            elements(hyperbolic)
+    # an infinite W: the library refuses the datum where it is built, and the
+    # reference closures raise on a stand-in with the same roots and coroots
+    with pytest.raises(InfiniteWeylGroupError):
+        RootDatum.from_cartan(HYPERBOLIC, name="hyperbolic")
+    hyperbolic = _stand_in(HYPERBOLIC, "simply_connected")
+    with pytest.raises(InfiniteWeylGroupError):
+        _reference_all_roots(hyperbolic)
+    with pytest.raises(InfiniteWeylGroupError):
+        _reference_weyl_elements(hyperbolic, cap=500)
     # a finite W past the cap: |W(gl(8))| = 40320
     orbit_cap(100)
     for elements in (weyl_elements, partial(_reference_weyl_elements, cap=100)):
@@ -399,7 +430,8 @@ def test_two_eta_pairs_to_two_with_every_simple_coroot(datum):
 def test_root_closure_matches_reference_on_random_cartan_matrices():
     # 2x2 and 3x3 Cartan matrices with off-diagonal entries in
     # {0, -1, -2, -3}, of both kinds, finite and infinite types alike;
-    # a matrix whose simple roots are dependent is rejected at construction
+    # a matrix whose simple roots are dependent is rejected at construction,
+    # and so is an infinite type, which the reference meets on a stand-in
     rng = random.Random(2021)
     outcomes = set()
     for _ in range(250):
@@ -411,15 +443,17 @@ def test_root_closure_matches_reference_on_random_cartan_matrices():
                 datum = RootDatum.from_cartan(cartan, kind=kind)
             except ValueError:
                 continue
+            except InfiniteWeylGroupError:
+                datum = None
             try:
-                expected = _reference_all_roots(datum)
+                expected = _reference_all_roots(_stand_in(cartan, kind))
             except InfiniteWeylGroupError as exc:
                 outcomes.add("infinite")
-                for closure in (all_roots, positive_roots):
-                    with pytest.raises(InfiniteWeylGroupError, match=f"^{exc}, "):
-                        closure(datum)
+                with pytest.raises(InfiniteWeylGroupError, match=f"^{exc}, "):
+                    RootDatum.from_cartan(cartan, kind=kind)
                 continue
             outcomes.add("finite")
+            assert datum is not None, cartan
             assert all_roots(datum) == expected, cartan
             assert positive_roots(datum) == _reference_positive_roots(datum), cartan
     assert outcomes == {"finite", "infinite"}
