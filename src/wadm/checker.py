@@ -63,7 +63,7 @@ from .isocrystal import (
     weak_admissible,
 )
 from .rootdata import HighestWeight, RootDatum, _int_tuple, in_Vxi
-from .weildeligne import WDRep, block_decompose, f_semisimplify, mod_of_wd
+from .weildeligne import WDRep, block_decompose, mod_of_wd
 
 PASS = "pass"
 FAIL = "fail"
@@ -333,7 +333,7 @@ def _regime(instance: Instance):
     gives "ineq" only with distinct multiplicity-one summands."""
     if instance.zeta_vals is not None:
         return "ineq", PhiModule.of_slopes(instance.field, [-v for v in instance.zeta_vals])
-    rep = f_semisimplify(instance.wd)
+    rep = instance.wd
     if rep.ramified:
         raise UnsupportedRegimeError("ramified Galois data is outside the decidable regimes")
     if len(rep.parts) == 1 and isinstance(rep.parts[0], SteinbergChain):

@@ -227,41 +227,52 @@ def _parse_weights(kv: KeyValues, field: FieldData,
     return tuple(tuple(row) for row in parsed)
 
 
-_WD_KV = re.compile(r"(\w+)=([^\s]+)")
+_FIELD = re.compile(r"(\w+)=(\S*)")
+_WD_FIELDS = {"unramified": ("val", "mult", "jordan"), "steinberg": ("base", "dim", "len")}
+
+
+def _line_fields(kv: KeyValues, key: str, tokens: list[str], names, what: str) -> dict:
+    """The ``name=value`` tokens of a summand or element line, each name
+    one of ``names`` and given once, else an error at the line; a field
+    with an empty value counts as not given."""
+    fields = {}
+    for tok in tokens:
+        m = _FIELD.fullmatch(tok)
+        if m is None:
+            raise kv.error(key, f"{what} has a stray token {tok!r}")
+        if m[1] not in names or m[1] in fields:
+            raise kv.error(key, f"{what} {'repeats' if m[1] in fields else 'takes no'} {m[1]}=")
+        fields[m[1]] = m[2]
+    return {name: value for name, value in fields.items() if value}
 
 
 def _parse_wd_part(kv: KeyValues, key: str, value: str, rank: int):
     tokens = value.split()
     if not tokens:
         raise kv.error(key, "empty summand")
-    kind, rest = tokens[0], dict(_WD_KV.findall(" ".join(tokens[1:])))
-
-    def need(name):
-        if name not in rest:
-            raise kv.error(key, f"{kind} summand needs {name}=")
-        return rest[name]
+    kind = tokens[0]
+    if kind not in _WD_FIELDS:
+        raise kv.error(key, f"unknown summand kind {kind!r}")
+    rest = _line_fields(kv, key, tokens[1:], _WD_FIELDS[kind], f"{kind} summand")
 
     def fits(dimension):  # checked before a default Jordan partition of mult ones is built
         if dimension > rank:
-            raise kv.error(key, f"{kind} summand of dimension {dimension} exceeds "
-                                f"the weight length {rank}")
+            raise ValueError(f"{kind} summand of dimension {dimension} exceeds "
+                             f"the weight length {rank}")
 
     try:
         if kind == "unramified":
-            val = parse_rat(need("val"))
-            mult = int(need("mult"))
+            val, mult = parse_rat(rest["val"]), int(rest["mult"])
             jordan = tuple(int(t) for t in rest.get("jordan", "").split(",") if t)
             fits(mult)
             return Unramified(val, mult, jordan)
-        if kind == "steinberg":
-            base, dim, length = parse_rat(need("base")), int(need("dim")), int(need("len"))
-            fits(dim * length)
-            return SteinbergChain(base, dim, length)
-    except InstanceError:  # need's positioned error, already prefixed
-        raise
+        base, dim, length = parse_rat(rest["base"]), int(rest["dim"]), int(rest["len"])
+        fits(dim * length)
+        return SteinbergChain(base, dim, length)
+    except KeyError as exc:  # a required field not given
+        raise kv.error(key, f"{kind} summand needs {exc.args[0]}=") from None
     except (ValueError, TypeError) as exc:
         raise kv.error(key, str(exc)) from None
-    raise kv.error(key, f"unknown summand kind {kind!r}")
 
 
 def _parse_bool(kv: KeyValues, key: str, default: bool) -> bool:
@@ -319,10 +330,12 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     return inst
 
 
-def _query_weight(kv: KeyValues, field: FieldData) -> tuple[RootDatum, HighestWeight]:
-    """The group of a query (gl(n) by default) and its highest weight, one
-    dominant weight of the group's rank per embedding.  The first weight's
-    length is compared with the rank before the datum is built."""
+def _query_weight(text: str, path: str) -> tuple[KeyValues, FieldData, RootDatum, HighestWeight]:
+    """A query's keys and field, its group (gl(n) by default) and its highest
+    weight, one dominant weight of the group's rank per embedding.  The first
+    weight's length is compared with the rank before the datum is built."""
+    kv = KeyValues.parse(text, path)
+    field = kv.field()
     group, rank, build = kv.group() or (None, None, None)
     weights = _parse_weights(kv, field, group)
     xi = HighestWeight.of(weights)
@@ -336,15 +349,13 @@ def _query_weight(kv: KeyValues, field: FieldData) -> tuple[RootDatum, HighestWe
         validate_highest_weight(datum, field, xi)
     except ValueError as exc:
         raise kv.error("weights.sigma1", str(exc)) from None
-    return datum, xi
+    return kv, field, datum, xi
 
 
 def parse_point_query(text: str, path: str = "<string>", default_id: str = "query"):
     """Parse a spectral membership query: group, weights (as the dominant
     weight per embedding), point.vals, options.normalized."""
-    kv = KeyValues.parse(text, path)
-    field = kv.field()
-    datum, xi = _query_weight(kv, field)
+    kv, field, datum, xi = _query_weight(text, path)
     point = tuple(kv.rational_list("point.vals"))
     if len(point) != datum.rank:
         raise InstanceError(kv.path, kv.lineno("point.vals"),
@@ -361,12 +372,10 @@ def parse_point_query(text: str, path: str = "<string>", default_id: str = "quer
 
 def parse_norm_query(text: str, path: str = "<string>", default_id: str = "query"):
     """Parse a norm query: group, weights, and element.N term lines."""
-    kv = KeyValues.parse(text, path)
-    field = kv.field()
-    datum, xi = _query_weight(kv, field)
+    kv, field, datum, xi = _query_weight(text, path)
     terms = []
     for key, value in kv.numbered("element."):
-        rest = dict(_WD_KV.findall(value))
+        rest = _line_fields(kv, key, value.split(), ("lambda", "a", "b"), "element line")
         if not {"lambda", "a", "b"} <= set(rest):
             raise kv.error(key, "element lines need lambda=, a=, b=")
         try:

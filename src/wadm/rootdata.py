@@ -22,11 +22,11 @@ v = alpha_i^vee.  The chamber walk writes the same step out on one list.
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
 its point once, by twice the lcm of its denominators; twice eta_L and
 twice the bound eta_L + xi_L are integer vectors cached per (datum, field,
-xi) in ``_domain_bound``, next to the cached validation of xi, so a point
-only multiplies them by its lcm.  The chamber walk and the dominance test
-(``_in_root_cone``, integer dot products with forms read once per datum
-off a reduced echelon form, ``_cone_forms``) then see integer vectors and
-build no ``Fraction``.
+xi) in ``_domain_bound`` (which validates xi once per entry, and which the
+norm ``satake.norm_xi_val`` reads too), so a point only multiplies them by
+its lcm.  The chamber walk and the dominance test (``_in_root_cone``,
+integer dot products with forms read once per datum off a reduced echelon
+form, ``_cone_forms``) then see integer vectors and build no ``Fraction``.
 ``dominance_leq`` scales z2 - z to integers and calls the same test.  Both
 are invariant under positive scaling, so the verdicts are those of the
 rational vectors.  The hull side runs on integers too, by its own scaling:
@@ -499,12 +499,9 @@ class HighestWeight(_Frozen):
 _XI_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_XI_CACHE_SIZE)
 def validate_highest_weight(datum: RootDatum, field: FieldData, xi: HighestWeight) -> None:
     """Raise ValueError unless xi has [L:Q_p] dominant weights of the
-    datum's rank.  Cached: all three arguments are frozen and hash by
-    value, and a raised error is not cached, so a bad xi raises on every
-    call."""
+    datum's rank; it runs once per ``_domain_bound`` or ``_hull_points`` entry."""
     if xi.embeddings != field.degree:
         raise ValueError(f"expected {field.degree} embeddings, got {xi.embeddings}")
     for w in xi.per_embedding:

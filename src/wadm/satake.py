@@ -30,11 +30,11 @@ from .rootdata import (
     RootDatum,
     WeylElement,
     _chamber_walk,
+    _domain_bound,
     _dual,
     _int_tuple,
     _two_eta,
     dot,
-    validate_highest_weight,
 )
 
 Cochar = tuple[int, ...]
@@ -147,35 +147,33 @@ def norm_xi_val(datum: RootDatum, field: FieldData, xi: HighestWeight, x: GroupR
     read from ``field``, whose q every coefficient must share), each term
     times 2*d*f is the integer
 
-        d * 2f*val_q(c_lambda) + f * (d*<2*eta, lambda^- - lambda> + 2*<xi_L, lambda^->)
+        d * 2f*val_q(c_lambda) + f * (<2*(eta_L + xi_L), lambda^-> - <2*eta_L, lambda>)
 
-    from ``exact._twice_f_val_q`` and integer pairings on the cached 2*eta
-    and the integer xi_L; the least one becomes the one ``Fraction`` built.
-    The dual datum and 2*eta are looked up once per call; each lambda^- is
-    ``antidominant_rep_cochar``'s chamber walk of -lambda on the dual datum,
-    negated, and one loop over the walked point gives both pairings.  A
-    lambda of the wrong length raises ValueError.
+    from ``exact._twice_f_val_q`` and integer pairings on ``_domain_bound``'s
+    cached 2*eta_L and 2*(eta_L + xi_L), the spectral domain's bound, read
+    once per call with the dual datum; the least one becomes the one
+    ``Fraction`` built.  Each lambda^- is ``antidominant_rep_cochar``'s walk
+    of -lambda on the dual datum, negated, and one loop over the walked point
+    gives both pairings.  A bad xi or lambda length raises ValueError.
     The norm itself is q^(-value); for an antidominant monomial with unit
     coefficient the value is the q-valuation of the weight character at
     the corresponding torus point.
     """
-    validate_highest_weight(datum, field, xi)
+    two_el, two_bound = _domain_bound(datum, field, xi)
     if x.is_zero():
         return INF
     if any(c.q != field.q for _, c in x.terms):
         raise ValueError(f"coefficient q does not match the field's q = {field.q}")
-    dual, two_eta = _dual(datum), _two_eta(datum)
-    xi_l = [sum(col) for col in zip(*xi.per_embedding)]
+    dual = _dual(datum)
     deg, p, f = field.degree, field.p, field.f
     best = None
     for lam, c in x.terms:
         if len(lam) != datum.rank:
             raise ValueError("dimension mismatch in pairing")
-        shift = pair = 0  # <2*eta, lambda^- - lambda> and <xi_L, lambda^->
-        for e, w, neg, k in zip(two_eta, xi_l, _chamber_walk(dual, [-k for k in lam]), lam):
-            shift -= e * (neg + k)  # neg = -lambda^-, the walk's entry
-            pair -= w * neg
-        v = deg * _twice_f_val_q(c, p, f) + f * (deg * shift + 2 * pair)
+        pair = 0  # <2*(eta_L + xi_L), lambda^-> - <2*eta_L, lambda>
+        for b, e, neg, k in zip(two_bound, two_el, _chamber_walk(dual, [-k for k in lam]), lam):
+            pair -= b * neg + e * k  # neg = -lambda^-, the walk's entry
+        v = deg * _twice_f_val_q(c, p, f) + f * pair
         if best is None or v < best:
             best = v
     return Fraction(best, 2 * deg * f)

@@ -107,13 +107,8 @@ def wd_of_mod(module: PhiModule) -> WDRep:
 def f_semisimplify(rep: WDRep) -> WDRep:
     """Replace every Jordan partition by all-1 parts; chain descriptors
     (the nilpotent data) are preserved."""
-    parts = []
-    for p in rep.parts:
-        if isinstance(p, Unramified):
-            parts.append(Unramified(p.val, p.mult, (1,) * p.mult))
-        else:
-            parts.append(p)
-    return WDRep(rep.field, tuple(parts), rep.ramified)
+    parts = tuple(Unramified(p.val, p.mult) if isinstance(p, Unramified) else p for p in rep.parts)
+    return WDRep(rep.field, parts, rep.ramified)
 
 
 def block_decompose(rep: WDRep) -> tuple[tuple[Fraction, int], ...]:

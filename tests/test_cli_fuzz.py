@@ -117,3 +117,31 @@ def test_rewritten_summand_lines_keep_the_exit_contract(command, name, index, va
     i = wd[index % len(wd)]
     lines[i] = f"{lines[i].partition(':')[0]}: {value}"
     _assert_exit_contract(command, name, lines)
+
+
+# one element line's value: lambda of any length, huge entries or not a
+# number, coefficients zero, huge or with a zero denominator, the fields in
+# any order, and now and then a repeated, unknown, empty or stray field
+lambdas = st.sampled_from(["", "1", "1,0", "0,-1", "0,1,2", "1000000000000,-1000000000000", "x"])
+coeffs = st.sampled_from(["0", "1", "-1/2", "25", "1/0", "1000000000000", "x"])
+extras = st.sampled_from(["", "", " a=1", " b=0", " lambda=1", " c=3", " bogus", " a="])
+
+
+def _element(lam, a, b, order, extra):
+    fields = [f"lambda={lam}", f"a={a}", f"b={b}"]
+    return " ".join(fields[i] for i in order) + extra
+
+
+elements = st.builds(_element, lambdas, coeffs, coeffs, st.permutations(range(3)), extras)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["satake_norm_gl2", "satake_norm_pgl2"]), st.integers(0, 2), elements)
+def test_rewritten_element_lines_keep_the_exit_contract(name, index, value):
+    # one element.<N> line of a norm golden gets a drawn value, as the
+    # summand test above does for the Weil-Deligne lines
+    lines = _golden_lines(name)
+    terms = [i for i, line in enumerate(lines) if line.startswith("element.")]
+    i = terms[index % len(terms)]
+    lines[i] = f"{lines[i].partition(':')[0]}: {value}"
+    _assert_exit_contract("satake-norm", name, lines)

@@ -251,6 +251,26 @@ ONE_PREFIX = {
                     6, "lambda length 3 != rank 2"),
     "no-element": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n",
                    None, "need at least one element.<N> line"),
+    # summand and element fields are read strictly: the last of a repeated
+    # field, an unknown field and a stray token used to pass unread
+    "wd-repeated-field": ("check", _HEAD + "weights.sigma1: 0\ngalois.form: wd\n"
+                                           "galois.wd.1: unramified val=0 mult=1 val=7\n",
+                          6, "unramified summand repeats val="),
+    "wd-unknown-field": ("check", _HEAD + "weights.sigma1: 0 1\ngalois.form: wd\n"
+                                          "galois.wd.1: steinberg base=0 dim=1 len=2 jordan=1\n",
+                         6, "steinberg summand takes no jordan="),
+    "wd-stray-token": ("check", _HEAD + "weights.sigma1: 0\ngalois.form: wd\n"
+                                        "galois.wd.1: unramified val=0 mult=1 bogus\n",
+                       6, "unramified summand has a stray token 'bogus'"),
+    "element-repeated-field": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n"
+                                                      "element.1: lambda=1,0 a=1 b=0 a=2\n",
+                               6, "element line repeats a="),
+    "element-unknown-field": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n"
+                                                     "element.1: lambda=1,0 a=1 b=0 bogus=3\n",
+                              6, "element line takes no bogus="),
+    "element-stray-token": ("satake-norm", _HEAD + "group: gl(2)\nweights.sigma1: 0 0\n"
+                                                   "element.1: lambda=1,0 a=1 b=0 +\n",
+                            6, "element line has a stray token '+'"),
 }
 
 

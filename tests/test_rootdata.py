@@ -1017,7 +1017,7 @@ def test_bad_highest_weight_raises_on_every_call(name):
             call()
 
 
-def test_equal_highest_weights_share_verdicts_and_cache_entries():
+def test_equal_highest_weights_share_verdicts_and_cache_entries(monkeypatch):
     datum, field = RootDatum.sp4(), FieldData(p=2, e=2, f=1)
     xi = HighestWeight.of([(2, 1), (1, 1)])
     points = [tuple(Fraction(a, 2) for a in z)
@@ -1031,16 +1031,22 @@ def test_equal_highest_weights_share_verdicts_and_cache_entries():
                 [in_hull(datum, field, weight, z) for z in points],
                 [norm_xi_val(datum, field, weight, x) for x in elems])
 
-    wadm.rootdata.validate_highest_weight.cache_clear()
+    validated = []
+    validate = wadm.rootdata.validate_highest_weight
+    monkeypatch.setattr(wadm.rootdata, "validate_highest_weight",
+                        lambda *args: validated.append(args) or validate(*args))
     wadm.rootdata._domain_bound.cache_clear()
+    wadm.rootdata._hull_points.cache_clear()
     expected = verdicts(xi)
     assert {True, False} <= set(expected[0]) and {True, False} <= set(expected[1])
     fresh = HighestWeight.of([[2, 1], [1, 1]])
     assert fresh is not xi and fresh == xi
     assert verdicts(fresh) == expected
-    # one validation and one domain bound for both equal weights
-    assert wadm.rootdata.validate_highest_weight.cache_info().misses == 1
+    # one domain bound and one hull for both equal weights, and one
+    # validation per entry built
     assert wadm.rootdata._domain_bound.cache_info().misses == 1
+    assert wadm.rootdata._hull_points.cache_info().misses == 1
+    assert validated == [(datum, field, xi)] * 2
 
 
 def test_equal_data_share_a_hash_and_cache_entries():
@@ -1075,10 +1081,11 @@ def test_in_vxi_and_in_hull_read_the_same_point_forms():
 
 def test_highest_weight_caches_are_bounded():
     datum = RootDatum.gl(2)
-    caches = (wadm.rootdata.validate_highest_weight, wadm.rootdata._domain_bound,
-              wadm.rootdata._hull_points)
+    caches = (wadm.rootdata._domain_bound, wadm.rootdata._hull_points)
     size = caches[0].cache_info().maxsize
     assert size is not None and all(c.cache_info().maxsize == size for c in caches)
+    # validation runs only where an entry is built, so it keeps no cache
+    assert not hasattr(wadm.rootdata.validate_highest_weight, "cache_info")
     for k in range(size + 40):  # more distinct weights than the caches hold
         xi = HighestWeight.of([(k, k + 1)])
         in_Vxi(datum, QP, xi, (k, k + 1))
