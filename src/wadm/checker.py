@@ -1,6 +1,7 @@
-"""Top-level checker: weight/jump conversions, invariant-norm inequalities
-(their total row is the central character's integrality), existence
-verdicts with witnesses, and normalized spectral membership.
+"""Top-level checker: invariant-norm inequalities (their total row is the
+central character's integrality), existence verdicts with witnesses, and
+normalized spectral membership.  The weight/jump conversions are
+``rootdata``'s; this module re-exports them.
 
 The existence criteria are evaluated in ``isocrystal`` (the partial-sum
 rows, the polygon rows, the chain oracle); this module picks the regime
@@ -43,13 +44,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FieldData, _Frozen, format_rat
+from .exact import FieldData, UnsupportedRegimeError, _Frozen, format_rat
 from .isocrystal import (
     Filtration,
     PhiModule,
     Polygon,
     SteinbergChain,
-    UnsupportedRegimeError,
     _generic_flags,
     admissible_by_inequalities,
     block_polygons,
@@ -62,44 +62,12 @@ from .isocrystal import (
     t_N,
     weak_admissible,
 )
-from .rootdata import HighestWeight, RootDatum, _int_tuple, in_Vxi
+from .rootdata import HighestWeight, RootDatum, in_Vxi, jumps_from_weights, weights_from_jumps
 from .weildeligne import WDRep, block_decompose, mod_of_wd
 
 PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
-
-
-# ---------------------------------------------------------------------------
-# Weight conversions
-# ---------------------------------------------------------------------------
-
-
-def jumps_from_weights(a_rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Jump type of a highest weight: i_j = -a_{d+2-j} - (d+1-j), per
-    embedding (1-based j); the inverse of weights_from_jumps.  An entry
-    that is not an integer raises ValueError, as in weights_from_jumps."""
-    out = []
-    for row in a_rows:
-        a = list(_int_tuple(row))
-        if any(x > y for x, y in zip(a, a[1:])):
-            raise ValueError(f"weights must be nondecreasing, got {a}")
-        d = len(a) - 1
-        out.append([-a[d - j] - (d - j) for j in range(d + 1)])
-    return out
-
-
-def weights_from_jumps(i_rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Highest weight of a jump type: a_j = -i_{d+2-j} - (j-1), per
-    embedding (1-based j)."""
-    out = []
-    for row in i_rows:
-        i = list(_int_tuple(row))
-        if any(x >= y for x, y in zip(i, i[1:])):
-            raise ValueError(f"jumps must be strictly increasing, got {i}")
-        d = len(i) - 1
-        out.append([-i[d - j] - j for j in range(d + 1)])
-    return out
 
 
 # ---------------------------------------------------------------------------

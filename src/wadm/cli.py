@@ -4,7 +4,10 @@ Subcommands: check, polygon, satake-norm, affinoid, convert-weights,
 sweep.  Exit codes: 0 pass, 1 fail, 2 undecided or out of memory, 3 input
 error; for batches the worst (numerically largest) code wins.  All output
 is deterministic given the inputs and the seed; the sweep seed can also be
-set through the WADM_SEED environment variable.
+set through the WADM_SEED environment variable.  ``check``, ``polygon`` and
+``sweep`` import the checker where they run, so that the queries and
+``convert-weights`` load none of the check side (checker, isocrystal,
+weildeligne).
 """
 
 from __future__ import annotations
@@ -16,18 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .checker import (
-    FAIL,
-    PASS,
-    UNDECIDED,
-    Instance,
-    check_instance,
-    jumps_from_weights,
-    polygons_for_instance,
-    translation_verdicts,
-    weights_from_jumps,
-)
-from .exact import INF, FieldData, format_rat
+from .exact import INF, FieldData, UnsupportedRegimeError, format_rat
 from .instances import (
     InstanceError,
     parse_instance,
@@ -38,16 +30,13 @@ from .instances import (
     render_polygon_report,
     svg_polygons,
 )
-from .isocrystal import UnsupportedRegimeError
-from .rootdata import in_Vxi
+from .rootdata import in_Vxi, jumps_from_weights, weights_from_jumps
 from .satake import norm_xi_val
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
-
-_STATUS_CODE = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNDECIDED: EXIT_UNDECIDED}
 
 
 def _write(path: str, text: str) -> None:
@@ -72,16 +61,21 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .checker import FAIL, PASS, UNDECIDED, check_instance
+
+    status_code = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNDECIDED: EXIT_UNDECIDED}
     instances = [
         parse_instance(_read(path), path, default_id=Path(path).stem) for path in args.files
     ]
     results = sorted(map(check_instance, instances), key=lambda r: r.instance.ident)
     text = "\n".join(render_check_report(r) for r in results)
     _emit(text, args.out)
-    return max((_STATUS_CODE[r.status] for r in results), default=EXIT_PASS)
+    return max((status_code[r.status] for r in results), default=EXIT_PASS)
 
 
 def _cmd_polygon(args) -> int:
+    from .checker import polygons_for_instance
+
     inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
     newton, hodge, rows = polygons_for_instance(inst)
     if args.plot:
@@ -154,6 +148,8 @@ def _cmd_convert_weights(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .checker import Instance, translation_verdicts
+
     for flag, value, low in (("--rank", args.rank, 1), ("--embeddings", args.embeddings, 1),
                              ("--count", args.count, 0)):
         if value < low:

@@ -51,6 +51,16 @@ INF = float("inf")
 RatLike = Union[int, Fraction]
 
 
+class UnsupportedRegimeError(RuntimeError):
+    """The module is outside the subobject-enumerable regimes.
+
+    Raised instead of returning a possibly wrong verdict: with repeated
+    eigenvalue labels and no declared chain structure the set of stable
+    subobjects is not finite.  Defined here, with no other dependency, so
+    that the command line catches it without loading the oracle.
+    """
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse the decimal-free "n/d" (or "n") form of a rational; d != 0."""
     text = text.strip()

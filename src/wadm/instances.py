@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .checker import Instance, InstanceResult, Verdict, jumps_from_weights, weights_from_jumps
 from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
-from .isocrystal import Polygon
-from .rootdata import HighestWeight, InfiniteWeylGroupError, RootDatum, validate_highest_weight
+from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, jumps_from_weights,
+                       validate_highest_weight, weights_from_jumps)
 from .satake import GroupRingElem
-from .weildeligne import SteinbergChain, Unramified, WDRep
+
+if TYPE_CHECKING:  # the check side is imported where a check object is built or read
+    from .checker import Instance, InstanceResult, Verdict
+    from .isocrystal import Polygon
 
 
 class InstanceError(ValueError):
@@ -247,6 +249,8 @@ def _line_fields(kv: KeyValues, key: str, tokens: list[str], names, what: str) -
 
 
 def _parse_wd_part(kv: KeyValues, key: str, value: str, rank: int):
+    from .weildeligne import SteinbergChain, Unramified
+
     tokens = value.split()
     if not tokens:
         raise kv.error(key, "empty summand")
@@ -291,6 +295,9 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     membership queries for other presets, or in the unnormalized domain, go
     through the affinoid query format.
     """
+    from .checker import Instance
+    from .weildeligne import WDRep
+
     kv = KeyValues.parse(text, path)
     field = kv.field()
     group, rank, _ = kv.group() or (None, None, None)
@@ -412,6 +419,8 @@ def _fmt_vertices(poly: Polygon) -> str:
 
 def format_wd_part(part) -> str:
     """Instance-file syntax of a Weil-Deligne summand."""
+    from .weildeligne import Unramified
+
     if isinstance(part, Unramified):
         jordan = ",".join(str(p) for p in part.jordan)
         return f"unramified val={format_rat(part.val)} mult={part.mult} jordan={jordan}"

@@ -39,18 +39,10 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import FieldData, RatLike, _Frozen, _reduced_echelon, rank as mat_rank
+from .exact import (FieldData, RatLike, UnsupportedRegimeError, _Frozen, _reduced_echelon,
+                    rank as mat_rank)
 
 SUBOBJECT_ENUM_CAP = 12
-
-
-class UnsupportedRegimeError(RuntimeError):
-    """The module is outside the subobject-enumerable regimes.
-
-    Raised instead of returning a possibly wrong verdict: with repeated
-    eigenvalue labels and no declared chain structure the set of stable
-    subobjects is not finite.
-    """
 
 
 class Block(_Frozen):
@@ -199,7 +191,11 @@ class Filtration(_Frozen):
 
     def __init__(self, jumps: Sequence[Sequence],
                  flags: Sequence[Sequence[Sequence[RatLike]]]) -> None:
-        js, scale = _jump_lists(jumps)
+        self._set(*_jump_lists(jumps), flags)
+
+    def _set(self, js: Sequence[Sequence[int]], scale: int,
+             flags: Sequence[Sequence[Sequence[RatLike]]]) -> None:
+        """The fields, from a jump type that ``_jump_lists`` has read."""
         object.__setattr__(self, "jumps", tuple(tuple(Fraction(j, scale) for j in sigma)
                                                 for sigma in js))
         n = self.rank
@@ -545,13 +541,15 @@ def steinberg_filtration(module: PhiModule, jumps: Sequence[Sequence]) -> Filtra
     """
     if module.steinberg is None:
         raise ValueError("steinberg_filtration needs a chain module")
-    js, _ = _jump_lists(jumps, module.rank, module.field.degree)
+    js, scale = _jump_lists(jumps, module.rank, module.field.degree)
     for sigma in js:
         if any(a >= b for a, b in zip(sigma, sigma[1:])):
             raise ValueError("chain filtration jumps must be strictly increasing")
     n = module.rank
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return Filtration(jumps, (identity,) * len(js))
+    filt = object.__new__(Filtration)
+    filt._set(js, scale, (identity,) * len(js))  # the jump type read once, above
+    return filt
 
 
 def chain_sum_bounds(h: int, c, ivals: Sequence[int]) -> tuple[bool, bool]:

@@ -58,6 +58,11 @@ Conventions, fixed once for the whole library:
   {z : z^dom <= eta_L + xi_L}.  The unnormalized domain equals the
   convex hull of the Weyl translates w(eta_L + xi_L) - eta_L, which
   ``in_hull`` decides independently by exact linear programming.
+* The general-linear weight dictionary: a highest weight a_1 <= ... <=
+  a_{d+1} of GL_{d+1} per embedding has the jump type
+  i_j = -a_{d+2-j} - (d+1-j) (``jumps_from_weights``, inverted by
+  ``weights_from_jumps``).  It lives here, with the weights, so that the
+  query parsers and ``wadm convert-weights`` read it without the checker.
 """
 
 from __future__ import annotations
@@ -492,6 +497,33 @@ class HighestWeight(_Frozen):
         """Coordinate-wise sum over the embeddings (the valuation of xi)."""
         n = len(self.per_embedding[0])
         return tuple(Fraction(sum(w[i] for w in self.per_embedding)) for i in range(n))
+
+
+def jumps_from_weights(a_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Jump type of a highest weight: i_j = -a_{d+2-j} - (d+1-j), per
+    embedding (1-based j); the inverse of weights_from_jumps.  An entry
+    that is not an integer raises ValueError, as in weights_from_jumps."""
+    out = []
+    for row in a_rows:
+        a = list(_int_tuple(row))
+        if any(x > y for x, y in zip(a, a[1:])):
+            raise ValueError(f"weights must be nondecreasing, got {a}")
+        d = len(a) - 1
+        out.append([-a[d - j] - (d - j) for j in range(d + 1)])
+    return out
+
+
+def weights_from_jumps(i_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Highest weight of a jump type: a_j = -i_{d+2-j} - (j-1), per
+    embedding (1-based j)."""
+    out = []
+    for row in i_rows:
+        i = list(_int_tuple(row))
+        if any(x >= y for x, y in zip(i, i[1:])):
+            raise ValueError(f"jumps must be strictly increasing, got {i}")
+        d = len(i) - 1
+        out.append([-i[d - j] - j for j in range(d + 1)])
+    return out
 
 
 # Bound for the per-(datum, field, xi) caches below: a sweep over many

@@ -29,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .exact import FieldData, _Frozen
-from .isocrystal import Block, PhiModule, SteinbergChain, UnsupportedRegimeError
+from .exact import FieldData, UnsupportedRegimeError, _Frozen
+from .isocrystal import Block, PhiModule, SteinbergChain
 
 # An unramified summand (geometric Frobenius valuation ``val``, multiplicity,
 # Jordan partition) carries exactly a Frobenius block's data.

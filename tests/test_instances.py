@@ -455,11 +455,13 @@ def test_cli_unwritable_output_exits_3(tmp_path, capsys):
 def test_cli_out_of_memory_exits_2(command, kernel, golden, monkeypatch, capsys):
     # a query past the machine's memory is undecided, not a "fail" (exit 1)
     # with a traceback; the kernel is replaced by one that raises, so that
-    # no test has to allocate that much
+    # no test has to allocate that much.  ``check`` imports its kernel from
+    # the checker when it runs, so it is replaced there.
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(f"wadm.cli.{kernel}", exhausted)
+    home = "wadm.checker" if kernel == "check_instance" else "wadm.cli"
+    monkeypatch.setattr(f"{home}.{kernel}", exhausted)
     assert main([command, str(GOLDEN / golden)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"{command}: out of memory\n" and not captured.out

@@ -628,6 +628,30 @@ def test_steinberg_filtration_shape_mismatch():
         steinberg_filtration(PhiModule.of_slopes(QP, [0, 1]), [F(0, 1)])
 
 
+def test_steinberg_filtration_reads_its_jump_type_once(monkeypatch):
+    # the strictness check and the Filtration it builds share one read
+    calls = []
+    real = wadm.isocrystal._jump_lists
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wadm.isocrystal, "_jump_lists", counted)
+    field = FieldData(p=2, e=1, f=2)
+    module = PhiModule.chain(field, piece_rank=2, s=1, base_slope=Fraction(1, 2))
+    filt = steinberg_filtration(module, [F(-3, -1, 0, 2), F(-2, 0, 1, 4)])
+    assert len(calls) == 1
+    assert filt == Filtration([F(-3, -1, 0, 2), F(-2, 0, 1, 4)], filt.flags)
+    for jumps, message in (([F(0, 0, 1, 2)] * 2, "strictly increasing"),
+                           ([F(0, 1, 2, 3)], "expected 2 embeddings"),
+                           ([F(0, 1, 2)] * 2, "needs 4 jumps")):
+        calls.clear()
+        with pytest.raises(ValueError, match=message):
+            steinberg_filtration(module, jumps)
+        assert len(calls) == 1
+
+
 def test_steinberg_admissible_iff_central_equality():
     rng = random.Random(37)
     hits = 0

@@ -1,8 +1,10 @@
-"""The library's value types: a cold ``import wadm.cli`` stays light, and
-every value class keeps its construction, equality, hashing, immutability
-and repr."""
+"""The library's package and value types: a cold ``import wadm.cli`` stays
+light, a query loads none of the check side, every name ``wadm`` exports
+resolves to its module's object, and every value class keeps its
+construction, equality, hashing, immutability and repr."""
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -24,17 +26,77 @@ from wadm.weildeligne import WDRep
 SRC = str(Path(wadm.__file__).parent.parent)
 
 
-def test_cold_import_leaves_out_dataclasses_inspect_and_ast():
-    # a fresh interpreter: what the import adds to sys.modules, past what
-    # the interpreter's own start-up already loaded
-    script = ("import sys; before = set(sys.modules); import wadm.cli; "
+GOLDEN = Path(__file__).parent / "golden"
+CHECK_SIDE = {"wadm.checker", "wadm.isocrystal", "wadm.weildeligne"}
+
+
+def _loaded(code: str) -> set:
+    """What ``code`` adds to sys.modules in a fresh interpreter, past what
+    the interpreter's own start-up already loaded."""
+    script = (f"import sys; before = set(sys.modules); {code}; "
               "print(' '.join(sorted(set(sys.modules) - before)))")
     path = [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_cold_import_leaves_out_dataclasses_inspect_and_ast():
+    assert {name for name in _loaded("import wadm") if name.startswith("wadm")} == {"wadm"}
+    loaded = _loaded("import wadm.cli")
     assert "wadm.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast"} & set(loaded)
+    assert not {"dataclasses", "inspect", "ast"} & loaded
+    assert not CHECK_SIDE & loaded, sorted(CHECK_SIDE & loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["affinoid", str(GOLDEN / "affinoid_gl2.inst")],
+    ["satake-norm", str(GOLDEN / "satake_norm_gl2.inst")],
+    ["convert-weights", "--form", "i", "--values", "-2 0"],
+], ids=lambda argv: argv[0])
+def test_cold_query_leaves_out_the_check_side(argv):
+    loaded = _loaded(f"from wadm.cli import main; assert main({argv!r}) == 0")
+    assert {"wadm.rootdata", "wadm.satake"} <= loaded
+    assert not CHECK_SIDE & loaded, sorted(CHECK_SIDE & loaded)
+
+
+# every name the package bound before it resolved names lazily, by the
+# module that defined or re-exported it then
+EXPORTS = {
+    "exact": "INF FieldData QSqrtQ val_q",
+    "isocrystal": "Block Filtration PhiModule Polygon SteinbergChain UnsupportedRegimeError "
+                  "admissible_by_inequalities block_polygons build_admissible_filtration "
+                  "chain_sum_bounds hodge_polygon inequality_rows newton_polygon "
+                  "polygon_dominates steinberg_filtration t_H t_N weak_admissible",
+    "rootdata": "HighestWeight RootDatum dominance_leq dominant_rep half_sum_positive_roots "
+                "in_hull in_Vxi weyl_elements weyl_orbit",
+    "satake": "GroupRingElem cocycle_gamma_val delta_half_val norm_xi_val twisted_action",
+    "weildeligne": "Unramified WDRep block_decompose f_semisimplify mod_of_wd wd_of_mod",
+    "checker": "Instance Verdict check_instance exists_admissible invariant_norm_inequalities "
+               "jumps_from_weights membership_check weights_from_jumps",
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+
+@pytest.mark.parametrize("module, name", EXPORTED)
+def test_exported_name_is_its_modules_object(module, name):
+    assert getattr(wadm, name) is getattr(importlib.import_module(f"wadm.{module}"), name)
+    assert getattr(wadm, module) is importlib.import_module(f"wadm.{module}")
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from wadm import *", namespace)
+    for module, name in EXPORTED:
+        assert namespace.get(name) is getattr(importlib.import_module(f"wadm.{module}"), name)
+    assert wadm.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_MODULE", "Check_instance"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(wadm, name)
 
 
 F3 = FieldData(3, 1, 1)
