@@ -2,6 +2,7 @@
 golden outputs, determinism, exit codes."""
 
 import collections
+import gc
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from wadm.checker import Instance, check_instance, jumps_from_weights
+import wadm.cli as wadm_cli
 from wadm.cli import main
 from wadm.exact import FieldData
 from wadm.instances import (
@@ -465,6 +467,122 @@ def test_cli_out_of_memory_exits_2(command, kernel, golden, monkeypatch, capsys)
     assert main([command, str(GOLDEN / golden)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"{command}: out of memory\n" and not captured.out
+
+
+def _batch_files(tmp_path):
+    """Check files with their ids, in command-line order: a file given twice,
+    two files sharing the id gl2-fail (one of them passes) and an undecided
+    one, so the worst exit code is 2."""
+    twin = tmp_path / "twin.inst"
+    twin.write_text((GOLDEN / "gl2_pass.inst").read_text().replace("id: gl2-pass", "id: gl2-fail"))
+    undecided = tmp_path / "undecided.inst"
+    undecided.write_text(
+        "field.p: 3\nfield.e: 1\nfield.f: 1\nweights.form: a\nweights.sigma1: 0 1\n"
+        "galois.form: zeta\ngalois.zeta_vals: 1 1\n"
+    )
+    return [(str(GOLDEN / "gl4_block.inst"), "gl4-block"), (str(twin), "gl2-fail"),
+            (str(GOLDEN / "gl2_pass.inst"), "gl2-pass"), (str(undecided), "undecided"),
+            (str(GOLDEN / "gl2_fail.inst"), "gl2-fail"), (str(GOLDEN / "gl4_block.inst"), "gl4-block")]
+
+
+def test_check_keeps_one_verdict_alive_and_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # each report is rendered as its instance is checked: when a report is
+    # rendered, no earlier verdict graph is still alive.  InstanceResult has
+    # __slots__ and no __weakref__, so the live ones are counted through gc.
+    from wadm.checker import InstanceResult
+
+    render, alive = wadm_cli.render_check_report, []
+
+    def counting(result):
+        gc.collect()
+        alive.append(sum(type(obj) is InstanceResult for obj in gc.get_objects()))
+        return render(result)
+
+    files = _batch_files(tmp_path)
+    monkeypatch.setattr("wadm.cli.render_check_report", counting)
+    assert main(["check", *(path for path, _ in files)]) == 2
+    batch = capsys.readouterr().out
+    assert len(alive) == len(files) and max(alive) == 1
+    # the same bytes as the single-file reports joined in id order, equal ids
+    # in command-line order (sorted() is stable)
+    singles = []
+    for path, ident in files:
+        main(["check", path])
+        singles.append((ident, capsys.readouterr().out))
+    assert batch == "\n".join(out for _, out in sorted(singles, key=lambda pair: pair[0]))
+    assert batch.index("id: gl2-fail\n") < batch.index("verdict: pass") < batch.index("verdict: fail")
+    out = tmp_path / "batch.txt"
+    assert main(["check", *(path for path, _ in files), "--out", str(out)]) == 2
+    assert out.read_bytes() == batch.encode("utf-8") and not capsys.readouterr().out
+
+
+def test_check_exit_contract_under_the_render_loop(tmp_path, monkeypatch, capsys):
+    # out of memory at the third instance: two reports are rendered by then,
+    # but the output is written only at the end, so stdout stays empty
+    from wadm import checker
+
+    check, calls, rendered = checker.check_instance, [], []
+
+    def third_exhausts(inst):
+        calls.append(inst)
+        if len(calls) == 3:
+            raise MemoryError
+        return check(inst)
+
+    render = wadm_cli.render_check_report
+    monkeypatch.setattr("wadm.checker.check_instance", third_exhausts)
+    monkeypatch.setattr("wadm.cli.render_check_report", lambda r: rendered.append(r) or render(r))
+    files = [path for path, _ in _batch_files(tmp_path)]
+    assert main(["check", *files]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, len(rendered)) == ("", "check: out of memory\n", 2)
+    # every file is parsed before any check: a parse error in the last file
+    # exits 3 with no instance checked
+    bad = tmp_path / "bad.inst"
+    bad.write_text("nonsense\n")
+    checked = []
+    monkeypatch.setattr("wadm.checker.check_instance", checked.append)
+    assert main(["check", *files, str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert (checked, captured.out) == ([], "") and captured.err.startswith(f"{bad}:")
+
+
+def _wadm(*argv, **kwargs):
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "wadm", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["check", "sweep"])
+def test_stdout_closed_early_keeps_the_verdict(name, tmp_path):
+    # a reader that stops after one line (`wadm check ... | head -1`) has what
+    # it wanted: no traceback, and the exit code is still the verdict's.  Each
+    # run prints well past the 64 KB pipe buffer: 60 batches of six reports
+    # of 0.6-0.9 KB, one undecided (exit 2, not a traceback's 1), or 3,000
+    # sweep lines of about 100 bytes.
+    if name == "check":
+        argv, verdict = ["check", *[path for path, _ in _batch_files(tmp_path)] * 60], 2
+    else:
+        argv, verdict = ["sweep", "--count", "3000"], 0
+    proc = _wadm(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == f"report: {name}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (verdict, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["check", str(GOLDEN / "gl2_pass.inst")], ["sweep", "--count", "3000"]],
+                         ids=["check", "sweep"])
+def test_unwritable_stdout_exits_3(argv):
+    # a stdout that cannot take the output is an input/output error (3) with
+    # one line, not a traceback with exit 1, which reads as "fail"
+    with open("/dev/full", "w") as full:
+        proc = _wadm(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 3
+    assert err.startswith("<stdout>: cannot write output: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--rank", "0"), ("--embeddings", "0"), ("--count", "-1")])
