@@ -14,9 +14,12 @@ weildeligne).
 report is rendered as its instance is checked, so a batch holds per file
 the parsed instance and the report text (about 2.5 KB on the benchmark's
 batch), not the verdicts; the output is written at the end, so nothing
-reaches stdout after an input error or running out of memory.  A reader
-that closes stdout early leaves the verdict's exit code; an unwritable
-stdout exits 3.
+reaches stdout after an input error or running out of memory.
+
+A subcommand returns its verdict's exit code or raises; only ``main`` turns
+an error into an exit code and one stderr line.  A reader that closes
+stdout early leaves the verdict's exit code; a closed or unwritable stdout
+exits 3.  A closed or unwritable stderr loses the line, not the code.
 """
 
 from __future__ import annotations
@@ -48,9 +51,21 @@ EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
 
 
+def _to_devnull(stream) -> None:
+    """Point the descriptor of ``stream``, whose write just failed, at
+    os.devnull, so that the interpreter's final flush of what is still
+    buffered cannot fail again (a failed flush at exit makes the code 120)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _write(path: str | None, *pieces: str) -> None:
     """Write ``pieces`` in order to the file ``path``, or to stdout when
-    there is none, without joining them into one copy."""
+    there is none, without joining them into one copy.  A file that cannot
+    be written, and a closed or unwritable stdout, raise ``InstanceError``;
+    a reader that closed the pipe early has all it wanted, so that is no
+    error and the exit code stays the verdict's."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as handle:
@@ -58,16 +73,13 @@ def _write(path: str | None, *pieces: str) -> None:
         except OSError as exc:
             raise InstanceError(path, None, f"cannot write file: {exc}") from None
         return
+    if sys.stdout is None:
+        raise InstanceError("<stdout>", None, "cannot write output: stdout is closed")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except OSError as exc:
-        # Point stdout at os.devnull, so that the interpreter's final flush
-        # of what is still buffered cannot fail again.  A reader that closed
-        # the pipe early has all it wanted: the exit code stays the verdict's.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         if not isinstance(exc, BrokenPipeError):
             raise InstanceError("<stdout>", None, f"cannot write output: {exc}") from None
 
@@ -160,8 +172,7 @@ def _cmd_convert_weights(args) -> int:
             weights = weights_from_jumps(rows)
             jumps = rows
     except ValueError as exc:
-        print(f"convert-weights: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InstanceError("convert-weights", None, str(exc)) from None
     lines = ["report: convert-weights", f"input.form: {args.form}"]
     for k, (a, i) in enumerate(zip(weights, jumps), 1):
         lines.append(f"sigma{k}.a: " + " ".join(str(v) for v in a))
@@ -176,16 +187,15 @@ def _cmd_sweep(args) -> int:
     for flag, value, low in (("--rank", args.rank, 1), ("--embeddings", args.embeddings, 1),
                              ("--count", args.count, 0)):
         if value < low:
-            print(f"sweep: {flag} must be >= {low}, got {value}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InstanceError("sweep", None, f"{flag} must be >= {low}, got {value}")
     seed = args.seed
     if seed is None:
         env_seed = os.environ.get("WADM_SEED", "0")
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"sweep: WADM_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InstanceError("sweep", None,
+                                f"WADM_SEED must be an integer, got {env_seed!r}") from None
     rng = random.Random(seed)
     field = FieldData(p=3, e=args.embeddings, f=1)
     n = args.rank
@@ -279,21 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; input and output errors exit 3 with a
-    ``path[:line]: message`` line on stderr; unsupported regimes exit 2, and
-    so does running out of memory, with a ``subcommand: out of memory`` line."""
+    """Run one subcommand and return its exit code.  This is the one place
+    that maps an error to its code and writes its one stderr line: input
+    and output errors exit 3 with a ``path[:line]: message`` line;
+    unsupported regimes exit 2, and so does running out of memory, with a
+    ``subcommand: out of memory`` line.  A closed or unwritable stderr
+    drops the line and keeps the code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+        code, line = EXIT_INPUT, str(exc)
     except UnsupportedRegimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNDECIDED
+        code, line = EXIT_UNDECIDED, str(exc)
     except MemoryError:
-        print(f"{args.command}: out of memory", file=sys.stderr)
-        return EXIT_UNDECIDED
+        code, line = EXIT_UNDECIDED, f"{args.command}: out of memory"
+    if sys.stderr is not None:  # None when started with stderr closed
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

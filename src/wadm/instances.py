@@ -49,7 +49,9 @@ if TYPE_CHECKING:  # the check side is imported where a check object is built or
 
 
 class InstanceError(ValueError):
-    """A malformed instance file, with file/line position."""
+    """An input or output error (exit 3): a malformed instance file with its
+    file/line position, an unwritable output, or an argument that the
+    subcommand named in place of the path refuses."""
 
     def __init__(self, path: str, lineno: Optional[int], message: str):
         self.path = path

@@ -126,7 +126,7 @@ class PhiModule(_Frozen):
     @classmethod
     def of_slopes(cls, field: FieldData, slopes: Sequence) -> "PhiModule":
         """Multiplicity-one blocks, one per listed slope."""
-        return cls(field, tuple(Block(Fraction(s), 1) for s in slopes))
+        return cls(field, tuple(Block(s, 1) for s in slopes))  # Block makes each a Fraction
 
     @classmethod
     def chain(cls, field: FieldData, piece_rank: int, s: int, base_slope) -> "PhiModule":

@@ -74,8 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import (FieldData, _Frozen, _integer_rows, _reduced_echelon, farkas_certificate,
-                    rank as mat_rank)
+from .exact import FieldData, _Frozen, _integer_rows, _reduced_echelon, farkas_certificate
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -206,12 +205,14 @@ class RootDatum(_Frozen):
                     raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {c}, expected 2")
                 if i != j and c > 0:
                     raise ValueError(f"<alpha_{i}, alpha_{j}^vee> = {c} > 0 off the diagonal")
-        if roots and mat_rank(list(zip(*roots))) != len(roots):
-            raise ValueError("simple roots must be linearly independent")
         # Hashed once, not on every cache lookup keyed by a datum.  The name
         # is left out: equal data still hash equal, and a hash of ints
         # alone does not depend on the process's string hash seed.
         object.__setattr__(self, "_hash", hash((rank, roots, coroots)))
+        # The cached echelon form that dominance reads pivots on every root
+        # column exactly when the roots are independent.
+        if len(_cone_forms(self)[0]) != len(roots):
+            raise ValueError("simple roots must be linearly independent")
         positive_roots(self)  # raises for an infinite W, so no other call has to
 
     def __hash__(self) -> int:
@@ -428,9 +429,9 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
 def _cone_forms(datum: RootDatum) -> tuple[IntMatrix, IntMatrix]:
     """``(forms, annihilators)``, integer rows read off the reduced echelon
     form of [simple-root columns | I].  Each row there is [u C | u] for the
-    columns C; the simple roots being independent, row i < nsimple pivots
-    on root i, so u C = g_i e_i with g_i > 0 and u . diff = g_i c_i for
-    diff = C c.  A row pivoting in the identity block has u C = 0: these
+    columns C; the simple roots being independent (the constructor checks
+    that on these rows), row i < nsimple pivots on root i, so u C = g_i e_i
+    with g_i > 0 and u . diff = g_i c_i for diff = C c.  A row pivoting in the identity block has u C = 0: these
     rows span the forms that vanish on the roots' span."""
     m = datum.nsimple
     rows = _reduced_echelon([[r[i] for r in datum.simple_roots] + list(unit)

@@ -412,11 +412,14 @@ def test_cli_bad_query_exits_3(name, command, tmp_path, capsys):
     assert re.match(rf"{re.escape(str(path))}:\d+: ", captured.err) and not captured.out
 
 
+RAMIFIED = (_HEAD + "weights.sigma1: 0 0\ngalois.form: wd\n"
+            "galois.wd.1: unramified val=0 mult=1\ngalois.wd.2: unramified val=1 mult=1\n"
+            "galois.wd.ramified: true\n")
+
+
 def test_cli_ramified_check_is_undecided(tmp_path, capsys):
     path = tmp_path / "ramified.inst"
-    path.write_text(_HEAD + "weights.sigma1: 0 0\ngalois.form: wd\n"
-                    "galois.wd.1: unramified val=0 mult=1\ngalois.wd.2: unramified val=1 mult=1\n"
-                    "galois.wd.ramified: true\n")
+    path.write_text(RAMIFIED)
     assert main(["check", str(path)]) == 2
     out = capsys.readouterr().out
     assert "adm.reason: ramified" in out and out.endswith("verdict: undecided\n")
@@ -583,6 +586,62 @@ def test_unwritable_stdout_exits_3(argv):
         err = proc.communicate(timeout=60)[1]
     assert proc.returncode == 3
     assert err.startswith("<stdout>: cannot write output: ") and err.count("\n") == 1
+
+
+_CLOSED_STDOUT = "<stdout>: cannot write output: stdout is closed\n"
+
+
+# (argv, $WADM_SEED, stdout, stderr, exit code, stderr text or None when not
+# read).  A stream is "pipe" (read by the test), "full" (/dev/full) or
+# "closed" (its descriptor is closed in the child before Python starts, so
+# Python sets the stream to None).
+BROKEN_STREAMS = {
+    "check-malformed-stderr-full": (["check", "{bad}"], None, "pipe", "full", 3, None),
+    "check-malformed-stderr-closed": (["check", "{bad}"], None, "pipe", "closed", 3, None),
+    "polygon-ramified-stderr-full": (["polygon", "{ramified}"], None, "pipe", "full", 2, None),
+    "convert-weights-stderr-full": (["convert-weights", "--form", "a", "--values", "1 0"], None,
+                                    "pipe", "full", 3, None),
+    "sweep-rank-0-stderr-full": (["sweep", "--rank", "0"], None, "pipe", "full", 3, None),
+    "sweep-env-seed-stderr-full": (["sweep"], "abc", "pipe", "full", 3, None),
+    "check-stdout-closed": (["check", "{gl2}"], None, "closed", "pipe", 3, _CLOSED_STDOUT),
+    "sweep-stdout-closed": (["sweep", "--count", "3000"], None, "closed", "pipe", 3, _CLOSED_STDOUT),
+    "check-out-stdout-closed": (["check", "{gl2}", "--out", "{out}"], None, "closed", "pipe", 0, ""),
+    "check-both-full": (["check", "{gl2}"], None, "full", "full", 3, None),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_STREAMS))
+def test_broken_streams_keep_the_exit_code(name, tmp_path, monkeypatch):
+    # only main writes an error line, and a stderr that cannot take it loses
+    # the line, not the exit code (a traceback would exit 1, "fail"); a closed
+    # stdout is an output error.  A real interpreter, since its final flush of
+    # a failed stream could change the code too.
+    argv, seed, out, err, code, message = BROKEN_STREAMS[name]
+    if "full" in (out, err) and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    (tmp_path / "bad.inst").write_text("nonsense\n")
+    (tmp_path / "ramified.inst").write_text(RAMIFIED)
+    paths = dict(bad=tmp_path / "bad.inst", ramified=tmp_path / "ramified.inst",
+                 gl2=GOLDEN / "gl2_pass.inst", out=tmp_path / "F")
+    argv = [arg.format(**paths) for arg in argv]
+    if seed is None:
+        monkeypatch.delenv("WADM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("WADM_SEED", seed)
+    closed = [fd for fd, mode in ((1, out), (2, err)) if mode == "closed"]
+    with open(os.devnull if "full" not in (out, err) else "/dev/full", "w") as full:
+        streams = [{"pipe": subprocess.PIPE, "full": full, "closed": subprocess.DEVNULL}[mode]
+                   for mode in (out, err)]
+        proc = _wadm(*argv, stdout=streams[0], stderr=streams[1], text=True,
+                     preexec_fn=lambda: [os.close(fd) for fd in closed])
+        got_out, got_err = proc.communicate(timeout=120)
+    assert proc.returncode == code
+    if out == "pipe":
+        assert got_out == ""  # an error line never moves to stdout
+    if message is not None:
+        assert got_err == message
+    if "--out" in argv:
+        assert paths["out"].read_text() == (GOLDEN / "expected" / "gl2_pass.check.txt").read_text()
 
 
 @pytest.mark.parametrize("flag,value", [("--rank", "0"), ("--embeddings", "0"), ("--count", "-1")])

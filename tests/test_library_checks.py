@@ -76,6 +76,9 @@ CHECKS = {
                               "<alpha_0, alpha_0^vee> = 1, expected 2"),
     "datum-cartan-off-diagonal": (lambda: RootDatum.from_cartan([[2, 1], [1, 2]]), ValueError,
                                   "<alpha_0, alpha_1^vee> = 1 > 0 off the diagonal"),
+    # Cartan [[2,-2],[-2,2]] passes both Cartan checks and has a finite closure
+    "datum-dependent-roots": (lambda: RootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 0))),
+                              ValueError, "simple roots must be linearly independent"),
     "datum-sl1": (lambda: RootDatum.sl(1), ValueError, "n must be >= 2"),
     "cartan-not-square": (lambda: RootDatum.from_cartan([[2, -1]]), ValueError,
                           "Cartan matrix must be square"),
