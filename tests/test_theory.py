@@ -13,6 +13,14 @@ these tests check both against the theory.
 * Newton above Hodge is necessary for weak admissibility (Mazur's
   inequality), so a tensor product of passing (slopes, jump type) pairs
   passes the partial-sum criterion at any rank, with no oracle cap.
+* The criterion is compatible with unramified functoriality (Rapoport and
+  Richartz, Compositio Math. 103, 1996; Kottwitz, Compositio Math. 109,
+  1997): with b = eta_L + xi_L, a point z lies in the normalized domain iff
+  every form that vanishes on the roots reads the same on z and b, and
+  max over the W-orbit of each fundamental coweight w_i of <z, lambda> is
+  at most <b, w_i>.  This reaches the domain through coweight orbits, not
+  through a chamber walk and cone forms; for gl(n) the orbit maximum is a
+  sum of the largest entries, so it runs at ranks no orbit enumeration can.
 
 Only public entry points are called.
 """
@@ -24,13 +32,19 @@ from fractions import Fraction
 from wadm import (
     FieldData,
     Filtration,
+    HighestWeight,
     PhiModule,
+    RootDatum,
     admissible_by_inequalities,
     build_admissible_filtration,
+    dominant_rep,
+    half_sum_positive_roots,
     hodge_polygon,
+    in_Vxi,
     newton_polygon,
     polygon_dominates,
     weak_admissible,
+    weyl_orbit,
 )
 
 FIELDS = [FieldData(p=3, e=1, f=1), FieldData(p=2, e=2, f=1)]
@@ -185,3 +199,125 @@ def test_negating_slopes_and_jumps_keeps_the_verdict():
         assert polygon_dominates(newton_polygon(negated), hodge_polygon(flipped)) == verdict
         verdicts.append(verdict)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+# --- functoriality on the Weyl side ------------------------------------------
+
+# C[i][j] = <alpha_i, alpha_j^vee>
+FUNCTORIALITY_CARTANS = {
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -2], [-1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+}
+
+
+def _pair(x, y):
+    return sum(Fraction(a) * b for a, b in zip(x, y))
+
+
+def _random_xi(rng, datum, field):
+    """A dominant integral weight per embedding: the dominant point of the
+    orbit of a small random integer vector."""
+    return HighestWeight.of(
+        [int(v) for v in dominant_rep(datum, [rng.randint(-2, 2) for _ in range(datum.rank)])]
+        for _ in range(field.degree))
+
+
+def _bound(datum, field, xi, eta=None):
+    """b = eta_L + xi_L, with eta the half sum of positive roots."""
+    eta = half_sum_positive_roots(datum) if eta is None else eta
+    return tuple(field.degree * e + x for e, x in zip(eta, xi.xi_L()))
+
+
+def _near(rng, datum, b, off_span):
+    """A random point near the orbit of b: b minus a random combination of
+    the simple roots (coefficients in halves from -1 to 2), moved by random
+    simple reflections; with ``off_span`` it is also shifted off b + the
+    roots' span by a small multiple of ``off_span``."""
+    z = list(b)
+    for alpha in datum.simple_roots:
+        t = Fraction(rng.randint(-2, 4), 2)
+        z = [v - t * a for v, a in zip(z, alpha)]
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randrange(len(datum.simple_roots))
+        c = _pair(z, datum.simple_coroots[i])
+        z = [v - c * a for v, a in zip(z, datum.simple_roots[i])]
+    if off_span and rng.random() < 0.3:
+        shift = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        z = [v + shift * u for v, u in zip(z, off_span)]
+    return tuple(z)
+
+
+def _by_coweight_orbits(datum):
+    """The test for a datum whose simple roots span: the fundamental
+    coweights are the columns of the inverse of the simple-root matrix, and
+    their orbits come from ``weyl_orbit`` on the dual datum (roots and
+    coroots swapped)."""
+    inverse = _inverse(datum.simple_roots)
+    dual = RootDatum(datum.rank, datum.simple_coroots, datum.simple_roots)
+    coweights = [tuple(row[i] for row in inverse) for i in range(len(inverse))]
+    orbits = [weyl_orbit(dual, w) for w in coweights]
+
+    def inside(z, b):
+        return all(max(_pair(z, lam) for lam in orbit) <= _pair(b, w)
+                   for w, orbit in zip(coweights, orbits))
+    return inside
+
+
+def _by_sorted_sums(z, b):
+    """The test for gl(n): the only form vanishing on the roots is the
+    total, and the orbit of w_i = e_{i+1} + ... + e_n is every 0/1 vector
+    with n - i ones, so its maximum on z sums z's n - i largest entries."""
+    top_z, top_b = sorted(z, reverse=True), sorted(b, reverse=True)
+    return sum(z) == sum(b) and all(
+        sum(top_z[:k]) <= sum(top_b[:k]) for k in range(1, len(z)))
+
+
+FIELDS_1_2 = [FieldData(p=3, e=1, f=1), FieldData(p=2, e=2, f=1)]
+
+
+def test_normalized_domain_is_read_off_the_coweight_orbits():
+    rng = random.Random(79)
+    data = [RootDatum.sp4()] + [
+        RootDatum.from_cartan(cartan, kind=kind, name=f"{name}-{kind}")
+        for name, cartan in sorted(FUNCTORIALITY_CARTANS.items())
+        for kind in ("simply_connected", "adjoint")]
+    verdicts = []
+    for datum in data:
+        inside = _by_coweight_orbits(datum)
+        for field in FIELDS_1_2:
+            for _ in range(20):
+                xi = _random_xi(rng, datum, field)
+                b = _bound(datum, field, xi)
+                for _ in range(15):
+                    z = _near(rng, datum, b, None)
+                    verdict = in_Vxi(datum, field, xi, z, normalized=True)
+                    assert verdict == inside(z, b), (datum.name, field, xi, z)
+                    verdicts.append(verdict)
+    assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
+
+
+def test_normalized_domain_of_gl_n_is_majorization():
+    # gl(3) and gl(4), and ranks whose orbits (n! points) no enumeration
+    # reaches; eta is (-d/2, ..., d/2) for gl(d + 1), written out here
+    rng = random.Random(83)
+    verdicts = []
+    for n, draws in ((3, 300), (4, 300), (40, 40), (64, 25)):
+        datum = RootDatum.gl(n)
+        eta = [Fraction(2 * k - n + 1, 2) for k in range(n)]
+        for field in FIELDS_1_2:
+            for _ in range(draws // 5):
+                xi = HighestWeight.of(sorted(rng.randint(-3, 3) for _ in range(n))
+                                      for _ in range(field.degree))
+                b = _bound(datum, field, xi, eta)
+                for _ in range(5):
+                    z = _near(rng, datum, b, (1,) * n)
+                    verdict = in_Vxi(datum, field, xi, z, normalized=True)
+                    assert verdict == _by_sorted_sums(z, b), (n, field, xi, z)
+                    verdicts.append((verdict, sum(z) == sum(b)))
+    assert sum(v for v, _ in verdicts) >= 200
+    assert sum(not v and same for v, same in verdicts) >= 200
+    assert sum(not same for _, same in verdicts) >= 100
