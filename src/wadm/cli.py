@@ -236,10 +236,12 @@ def _cmd_sweep(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors exiting 3 (input error) instead of 2,
     which would read as "undecided"; the message stays argparse's, and
-    the subcommand parsers inherit the class."""
+    the subcommand parsers inherit the class.  With stderr closed the usage
+    is skipped, since argparse would print it to stdout."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
+        if sys.stderr is not None:
+            self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 

@@ -667,6 +667,16 @@ def test_cli_usage_errors_exit_3(argv, message, capsys):
     assert not captured.out
 
 
+def test_cli_usage_error_with_stderr_closed_keeps_stdout_empty(capsys, monkeypatch):
+    # Python sets sys.stderr to None when started with stderr closed, and
+    # argparse prints a usage to stdout when its file is None
+    monkeypatch.setattr(sys, "stderr", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--rank", "abc"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_help_exits_0(capsys):
     for argv in (["--help"], ["check", "--help"]):
         with pytest.raises(SystemExit) as exc:
