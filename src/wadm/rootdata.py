@@ -13,7 +13,9 @@ acts by the inverse transpose, and weight orbits come from the simple
 reflections directly (``weyl_orbit``).  Positive roots, orbits and Weyl
 elements come from one closure (``_closure``), dominant representatives
 from one walk (``_chamber_walk``); they end because W is finite, which a
-``RootDatum`` is by construction.  Every simple reflection is one step,
+``RootDatum`` is by construction: its constructor reads finiteness off the
+Cartan matrix, in the leaf elimination that also solves for 2*eta
+(``_two_eta``), with no root list.  Every simple reflection is one step,
 ``_reflect``: x - c * v on v's nonzero entries, kept with the datum
 (``RootDatum.entries``).  On a weight, c = <x, alpha_i^vee> and v = alpha_i;
 on a cocharacter (a column of a Weyl element), c = <alpha_i, x> and
@@ -86,8 +88,9 @@ ORBIT_CAP = 10**6
 
 
 class InfiniteWeylGroupError(RuntimeError):
-    """Raised where a ``RootDatum`` is built: its root closure (``positive_roots``)
-    outgrew the bound on a finite root system of its rank, so W is infinite."""
+    """Raised where a ``RootDatum`` is built: its Cartan matrix is not of
+    finite type (``_two_eta`` names the check that failed), so W is
+    infinite."""
 
 
 class OrbitCapError(RuntimeError):
@@ -120,7 +123,8 @@ def dot(x: Sequence, y: Sequence) -> Union[int, Fraction]:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _closure(seeds: Iterable, images: Callable, bound: int, error: Exception) -> tuple:
+def _closure(seeds: Iterable, images: Callable, bound: float = math.inf,
+             error: Exception | None = None) -> tuple:
     """Breadth-first closure of ``seeds`` under ``images(x)``, in the order
     found; raises ``error`` once it holds more than ``bound`` elements."""
     order = list(seeds)
@@ -168,13 +172,15 @@ class RootDatum(_Frozen):
 
     ``simple_roots[i]`` has integer coordinates in the character lattice,
     ``simple_coroots[i]`` in the cocharacter lattice; the Cartan pairing
-    ``cartan[i][j]`` = <alpha_i, alpha_j^vee> must be 2 on the diagonal and
-    a non-positive integer off it.  ``entries[i]`` holds the nonzero
+    a_ij = <alpha_i, alpha_j^vee> must be 2 on the diagonal and a
+    non-positive integer off it.  ``entries[i]`` holds the nonzero
     (index, value) entries of alpha_i^vee and of alpha_i, which every
-    reflection (``_reflect``) and ``cartan`` read.  ``cartan`` and
-    ``entries`` are computed once, and neither compared nor printed.  The
-    constructor ends with the cached root closure, ``positive_roots``, so
-    a datum with an infinite Weyl group raises ``InfiniteWeylGroupError``.
+    reflection (``_reflect``) and ``cartan`` read.  ``cartan[i]`` is Cartan
+    row i, sparse: its (j, a_ij) entries with a_ij != 0, and the diagonal.
+    ``cartan`` and ``entries`` are computed once, and neither compared nor
+    printed.  The constructor ends with the cached ``_two_eta``, whose leaf
+    elimination of the Cartan matrix proves W finite, so a datum with an
+    infinite Weyl group raises ``InfiniteWeylGroupError``.
     """
 
     _fields = ("rank", "simple_roots", "simple_coroots", "name")
@@ -195,12 +201,13 @@ class RootDatum(_Frozen):
                 raise ValueError("root/coroot length must equal the rank")
         entries = tuple(tuple(tuple((j, v) for j, v in enumerate(vector) if v) for vector in pair)
                         for pair in zip(coroots, roots))
-        cartan = tuple(tuple(sum(v * cov[j] for j, v in alpha) for cov in coroots)
-                       for _, alpha in entries)
+        cartan = tuple(tuple((j, c) for j, cov in enumerate(coroots)
+                             if (c := sum(v * cov[k] for k, v in alpha)) or i == j)
+                       for i, (_, alpha) in enumerate(entries))
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "entries", entries)
         for i, row in enumerate(cartan):
-            for j, c in enumerate(row):
+            for j, c in row:
                 if i == j and c != 2:
                     raise ValueError(f"<alpha_{i}, alpha_{i}^vee> = {c}, expected 2")
                 if i != j and c > 0:
@@ -213,7 +220,7 @@ class RootDatum(_Frozen):
         # column exactly when the roots are independent.
         if len(_cone_forms(self)[0]) != len(roots):
             raise ValueError("simple roots must be linearly independent")
-        positive_roots(self)  # raises for an infinite W, so no other call has to
+        _two_eta(self)  # raises for an infinite W, so no other call has to
 
     def __hash__(self) -> int:
         return self._hash
@@ -314,23 +321,11 @@ def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     """The positive roots, sorted: the closure of the simple roots under
     ``_reflections``, never entering a negated simple root.  s_i sends
     alpha_i to -alpha_i and permutes the other positive roots (Humphreys,
-    Lemma 10.2B), so the closure holds exactly the positive roots.
-
-    The closure and its negatives hold W applied to the simple roots for any
-    input, and a finite root system of rank r has at most r * max(2r, 30)
-    roots (its Coxeter numbers are at most 2r for B_r and C_r, 30 for E_8).
-    So a closure of more than half that many roots proves the Weyl group
-    infinite; ``RootDatum`` runs this when built, and raises there.
-    """
-    bound = datum.nsimple * max(2 * datum.nsimple, 30)
-    error = InfiniteWeylGroupError(
-        f"root closure passed {bound} roots, more than a finite root system "
-        f"of rank {datum.nsimple} can have; the Weyl group is infinite"
-    )
+    Lemma 10.2B), so the closure holds exactly the positive roots, and it
+    ends because W is finite.  No query path and no constructor reads it."""
     negated = {tuple(-v for v in r) for r in datum.simple_roots}
     return tuple(sorted(_closure(
-        datum.simple_roots, lambda b: (r for r in _reflections(datum, b) if r not in negated),
-        bound // 2, error)))
+        datum.simple_roots, lambda b: (r for r in _reflections(datum, b) if r not in negated))))
 
 
 @lru_cache(maxsize=None)
@@ -343,8 +338,65 @@ def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
 
 @lru_cache(maxsize=None)
 def _two_eta(datum: RootDatum) -> IntVec:
-    """The sum of the positive roots (2*eta), as integers."""
-    return tuple(sum(col) for col in zip(*positive_roots(datum))) or (0,) * datum.rank
+    """The sum of the positive roots (2*eta), as integers, from the Cartan
+    matrix A alone; the constructor calls it, since it proves W finite.
+
+    W is finite iff A has finite type (Kac, Infinite-dimensional Lie
+    algebras, Ch. 4), which three checks decide, each raising
+    ``InfiniteWeylGroupError`` with its own message: a_ij = 0 exactly when
+    a_ji = 0; the Dynkin graph is a forest (pruning leaves removes every
+    vertex); and the leaves, eliminated in pruning order from pivots 2 by
+    p_u -= a_uv a_vu / p_v, all get a pivot > 0.  On a forest these pivots
+    are d_v times those of the symmetrized matrix DA, so the last check
+    tests that DA is positive definite.
+
+    2*eta = sum_j c_j alpha_j pairs to 2 with every simple coroot:
+    A^T c = 2 * 1, which the same elimination solves, back-substituting in
+    reverse pruning order (for gl(n), c_j = j(n - j), counting j from 1).
+    A non-integral c_j raises ``ArithmeticError``."""
+    links = [dict(row) for row in datum.cartan]
+    for i, row in enumerate(links):
+        for j, a in row.items():
+            if i not in links[j]:
+                raise InfiniteWeylGroupError(
+                    f"<alpha_{i}, alpha_{j}^vee> = {a} but <alpha_{j}, alpha_{i}^vee> = 0; "
+                    "the Weyl group is infinite")
+    degree = [len(row) - 1 for row in links]  # neighbours not yet pruned
+    leaves = [v for v, d in enumerate(degree) if d <= 1]
+    order = []  # (leaf, its neighbour left when it is pruned, or None)
+    while leaves:
+        v = leaves.pop()
+        degree[v] = -1
+        u = next((u for u in links[v] if degree[u] >= 0), None)
+        order.append((v, u))
+        if u is not None:
+            degree[u] -= 1
+            if degree[u] == 1:
+                leaves.append(u)
+    if len(order) < len(links):
+        v = degree.index(max(degree))
+        raise InfiniteWeylGroupError(
+            f"the Dynkin graph has a cycle: alpha_{v} is left after pruning its leaves; "
+            "the Weyl group is infinite")
+    pivot, rhs = [Fraction(2)] * len(links), [Fraction(2)] * len(links)
+    for v, u in order:
+        if pivot[v] <= 0:
+            raise InfiniteWeylGroupError(
+                f"the Cartan matrix is not of finite type: pivot {pivot[v]} at alpha_{v}; "
+                "the Weyl group is infinite")
+        if u is not None:
+            pivot[u] -= links[u][v] * links[v][u] / pivot[v]
+            rhs[u] -= links[v][u] * rhs[v] / pivot[v]
+    c = [Fraction(0)] * len(links)
+    for v, u in reversed(order):
+        c[v] = (rhs[v] - (links[u][v] * c[u] if u is not None else 0)) / pivot[v]
+    two_eta = [0] * datum.rank
+    for j, (x, (_, alpha)) in enumerate(zip(c, datum.entries)):
+        if x.denominator != 1:
+            raise ArithmeticError(f"2*eta has the non-integral coefficient {x} on alpha_{j}")
+        for k, v in alpha:
+            two_eta[k] += x.numerator * v
+    return tuple(two_eta)
 
 
 @lru_cache(maxsize=None)
@@ -384,23 +436,38 @@ def _dual(datum: RootDatum) -> RootDatum:
 
 
 def _chamber_walk(datum: RootDatum, x: Sequence) -> tuple:
-    """The dominant point of the W-orbit of x: reflecting at a
-    negative label c_i = <x, alpha_i^vee> subtracts c_i times Cartan row i
-    from the labels; x is rebuilt once at the end.  s_i permutes the other
-    positive roots (Humphreys, Lemma 10.2B): any order ends in |Phi+| steps.
-    The labels and the rebuild read only the datum's ``entries``, so x must
-    have the datum's rank (the callers check)."""
-    labels = []
+    """The dominant point of the W-orbit of x.  The labels
+    c_i = <x, alpha_i^vee> are read once, and every index with a negative
+    label goes on a stack.  A popped index whose label is no longer
+    negative is skipped; reflecting at one whose label c_i is negative
+    adds c_i to its coefficient and subtracts c_i times Cartan row i from
+    the labels on that row's nonzero entries only, pushing each label it
+    leaves negative.  Reflecting at negative labels in any order reaches
+    the orbit's unique dominant point (Humphreys, Section 10.3), in
+    |Phi+| steps at most, as s_i permutes the other positive roots
+    (Lemma 10.2B); x is rebuilt once at the end.  The labels and the
+    rebuild read only the datum's ``entries``, so x must have the datum's
+    rank (the callers check)."""
+    labels, stack = [], []
     for cov, _ in datum.entries:  # a plain loop: no comprehension frame per coroot
         c = 0
         for j, v in cov:
             c += x[j] * v
+        if c < 0:
+            stack.append(len(labels))
         labels.append(c)
     coeffs = [0] * datum.nsimple
-    while (c := min(labels, default=0)) < 0:
-        i = labels.index(c)
-        coeffs[i] += c
-        labels = [a - c * b if b else a for a, b in zip(labels, datum.cartan[i])]
+    cartan = datum.cartan
+    while stack:
+        i = stack.pop()
+        c = labels[i]
+        if c < 0:
+            coeffs[i] += c
+            for k, a in cartan[i]:
+                b = labels[k] - c * a
+                labels[k] = b
+                if b < 0:
+                    stack.append(k)
     x = list(x)  # _reflect's step, written out on one list for every k
     for k, (_, alpha) in zip(coeffs, datum.entries):
         if k:

@@ -167,9 +167,8 @@ BUILDS_THE_OUTPUT_ROWS = ("constructs the report rows and the verdict, the outpu
 VALIDATES_THE_WEIGHT = "validates the highest weight, the input both sides take"
 READS_THE_POINT = "reads the point, the input both sides take"
 HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cache keys"
-READS_THE_ROOT_SYSTEM = ("the datum's root closure (the positive roots by reflection closure "
-                         "of the simple roots, and their sum 2*eta), which both domains are "
-                         "built from")
+READS_THE_ROOT_SYSTEM = ("the datum's 2*eta, solved once from its Cartan matrix, which both "
+                         "domains are built from")
 
 # pair -> (side a, side b, {shared reader: why it may be shared}, functions
 # each side must be seen to call)
@@ -214,11 +213,6 @@ PAIRS = {
          "wadm.exact.FieldData.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.HighestWeight.__hash__": HASHES_THE_INPUTS,
-         "wadm.rootdata.positive_roots": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata._closure": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata._reflections": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata._reflect": READS_THE_ROOT_SYSTEM,
-         "wadm.rootdata.RootDatum.nsimple": READS_THE_ROOT_SYSTEM,
          "wadm.rootdata._two_eta": READS_THE_ROOT_SYSTEM},
         ("wadm.rootdata.in_Vxi", "wadm.rootdata.in_hull"),
     ),

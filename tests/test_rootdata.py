@@ -107,7 +107,7 @@ def test_eta_gl1_no_roots():
 
 
 def test_eta_gln_formula():
-    for n in range(2, 7):
+    for n in (*range(2, 7), 50):
         eta = half_sum_positive_roots(RootDatum.gl(n))
         d = n - 1
         assert eta == tuple(Fraction(-d, 2) + k for k in range(n))
@@ -174,7 +174,6 @@ CARTANS = {
 def test_positive_roots_of_finite_types(name, kind):
     cartan, npos = CARTANS[name]
     datum = RootDatum.from_cartan(cartan, kind=kind, name=name)
-    # E8 has 240 = 8 * 30 roots, exactly the closure bound, which must not raise
     assert len(all_roots(datum)) == 2 * npos
     assert len(positive_roots(datum)) == npos
     # eta pairs to 1 with every simple coroot, however the roots were found
@@ -351,6 +350,19 @@ def test_chamber_walk_matches_reference(datum):
         assert antidominant_rep_cochar(datum, lam) == _reference_antidominant_rep_cochar(datum, lam)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 200])
+def test_chamber_walk_sorts_for_gl_n(n):
+    # for gl(n) the dominant point is the nondecreasing rearrangement and the
+    # antidominant cocharacter the nonincreasing one; at large n the walk
+    # pops many labels that an earlier step already made positive again
+    datum, rng = RootDatum.gl(n), random.Random(n)
+    for _ in range(10):
+        z = tuple(Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3))) for _ in range(n))
+        assert dominant_rep(datum, z) == tuple(sorted(z))
+        lam = tuple(rng.randint(-50, 50) for _ in range(n))
+        assert antidominant_rep_cochar(datum, lam) == tuple(sorted(lam, reverse=True))
+
+
 def test_chamber_walk_rejects_infinite_weyl_group():
     # the walks would grow entries without end on this datum; it is refused
     # before a walk can start
@@ -374,12 +386,26 @@ def test_infinite_weyl_group_raises_at_construction_within_a_second():
     # no datum with an infinite W exists, so the closures (which would run
     # toward 10**6 elements), the chamber walks and the norm (whose loops
     # would not end) never meet one: the constructor raises, at once, for
-    # both kinds and for the direct constructor on the dual's roots and coroots
-    for build in (partial(RootDatum.from_cartan, HYPERBOLIC, kind="simply_connected"),
-                  partial(RootDatum.from_cartan, HYPERBOLIC, kind="adjoint"),
-                  partial(RootDatum, 2, ((1, 0), (0, 1)), HYPERBOLIC)):
+    # both kinds and for the direct constructor on the dual's roots and
+    # coroots, and the message names the check of the Cartan matrix that failed
+    not_positive = "^the Cartan matrix is not of finite type: pivot "
+    for build, message in (
+            (partial(RootDatum.from_cartan, HYPERBOLIC, kind="simply_connected"),
+             not_positive + "-5/2 at alpha_0"),
+            (partial(RootDatum.from_cartan, HYPERBOLIC, kind="adjoint"),
+             not_positive + "-5/2 at alpha_0"),
+            (partial(RootDatum, 2, ((1, 0), (0, 1)), HYPERBOLIC), not_positive + "-5/2 at alpha_0"),
+            # affine A1, adjoint: independent roots, a pivot of exactly 0
+            (partial(RootDatum.from_cartan, [[2, -2], [-2, 2]], kind="adjoint"),
+             not_positive + "0 at alpha_0"),
+            # affine A2, adjoint: a triangle, with no leaf to prune
+            (partial(RootDatum.from_cartan, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+                     kind="adjoint"),
+             "^the Dynkin graph has a cycle: alpha_0 is left after pruning its leaves"),
+            (partial(RootDatum.from_cartan, [[2, -1], [0, 2]]),
+             r"^<alpha_0, alpha_1\^vee> = -1 but <alpha_1, alpha_0\^vee> = 0")):
         start = time.perf_counter()
-        with pytest.raises(InfiniteWeylGroupError, match="; the Weyl group is infinite$"):
+        with pytest.raises(InfiniteWeylGroupError, match=message + "; the Weyl group is infinite$"):
             build()
         assert time.perf_counter() - start < 1.0
 
@@ -420,43 +446,77 @@ def test_closure_errors_match_reference(orbit_cap):
     ids=lambda d: d.name,
 )
 def test_two_eta_pairs_to_two_with_every_simple_coroot(datum):
-    # s_i permutes the positive roots other than alpha_i (Humphreys, Lemma
-    # 10.2B), so s_i(2 eta) = 2 eta - 2 alpha_i: a closure that misses a
-    # positive root, or keeps a negative one, breaks this identity
+    # 2*eta is solved from A^T c = 2 * 1, so this identity checks the
+    # elimination and its back-substitution; the sum of the reference
+    # closure's positive roots is the independent check
     two_eta = wadm.rootdata._two_eta(datum)
     assert all(dot(two_eta, cov) == 2 for cov in datum.simple_coroots)
+    reference = tuple(map(sum, zip(*_reference_positive_roots(datum)))) or (0,) * datum.rank
+    assert two_eta == reference and all(type(v) is int for v in two_eta)
+
+
+# infinite types the random draws below must meet: a cycle (affine A2,
+# adjoint: the simply connected roots are dependent), one-sided zeros, and
+# affine A1 and a hyperbolic matrix with a pivot of 0 and < 0
+INFINITE_CARTANS = [
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+    [[2, -1], [0, 2]],
+    [[2, 0, -1], [-1, 2, -1], [0, -1, 2]],
+    [[2, -2], [-2, 2]],
+    HYPERBOLIC,
+]
+
+
+def _random_cartan(rng, r):
+    """An r x r Cartan matrix with off-diagonal entries in {0, -1, -2, -3}:
+    each pair i < j is zero both ways, nonzero both ways, or (one time in
+    ten) nonzero one way only, so that forests, cycles and one-sided zeros
+    all come up, and finite types at every rank."""
+    cartan = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j in itertools.combinations(range(r), 2):
+        u = rng.random()
+        if 0.45 <= u < 0.9:
+            cartan[i][j], cartan[j][i] = (rng.choice((-1, -1, -1, -2, -3)) for _ in range(2))
+        elif u >= 0.9:
+            a, b = rng.choice(((i, j), (j, i)))
+            cartan[a][b] = rng.choice((-1, -2, -3))
+    return cartan
 
 
 def test_root_closure_matches_reference_on_random_cartan_matrices():
-    # 2x2 and 3x3 Cartan matrices with off-diagonal entries in
-    # {0, -1, -2, -3}, of both kinds, finite and infinite types alike;
-    # a matrix whose simple roots are dependent is rejected at construction,
-    # and so is an infinite type, which the reference meets on a stand-in
+    # 210 random Cartan matrices of rank 2 to 5 and INFINITE_CARTANS, of both
+    # kinds: the constructor refuses exactly those whose reference closure
+    # outgrows a finite root system, and every check of the Cartan matrix
+    # refuses some; a matrix whose simple roots are dependent is rejected at
+    # construction, and so is an infinite type, which the reference closure
+    # meets on a stand-in
     rng = random.Random(2021)
-    outcomes = set()
-    for _ in range(250):
-        r = rng.choice((2, 3))
-        cartan = [[2 if i == j else rng.choice((0, -1, -2, -3)) for j in range(r)]
-                  for i in range(r)]
+    outcomes, checks = set(), set()
+    draws = [_random_cartan(rng, r) for r in [2] * 40 + [3] * 50 + [4] * 60 + [5] * 60]
+    for cartan in INFINITE_CARTANS + draws:
+        r = len(cartan)
         for kind in ("simply_connected", "adjoint"):
             try:
                 datum = RootDatum.from_cartan(cartan, kind=kind)
             except ValueError:
                 continue
-            except InfiniteWeylGroupError:
+            except InfiniteWeylGroupError as exc:
+                checks.add(str(exc).split()[1])  # alpha_i, Dynkin or Cartan
                 datum = None
             try:
                 expected = _reference_all_roots(_stand_in(cartan, kind))
-            except InfiniteWeylGroupError as exc:
-                outcomes.add("infinite")
-                with pytest.raises(InfiniteWeylGroupError, match=f"^{exc}, "):
+            except InfiniteWeylGroupError:
+                outcomes.add(("infinite", r))
+                with pytest.raises(InfiniteWeylGroupError, match="; the Weyl group is infinite$"):
                     RootDatum.from_cartan(cartan, kind=kind)
                 continue
-            outcomes.add("finite")
+            outcomes.add(("finite", r))
             assert datum is not None, cartan
             assert all_roots(datum) == expected, cartan
             assert positive_roots(datum) == _reference_positive_roots(datum), cartan
-    assert outcomes == {"finite", "infinite"}
+    assert outcomes == {(kind, r) for kind in ("finite", "infinite") for r in range(2, 6)}
+    assert {"Dynkin", "Cartan"} < checks and any(c.startswith("alpha_") for c in checks)
 
 
 @pytest.mark.parametrize(
@@ -1144,5 +1204,5 @@ def test_integral_entries_become_int():
     assert all(type(v) is int for v in xi.per_embedding[0])
     anti = antidominant_rep_cochar(RootDatum.gl(2), (0, Fraction(4, 2)))
     assert anti == (2, 0) and all(type(v) is int for v in anti)
-    assert RootDatum(rank=2, simple_roots=((Fraction(-1), 1),), simple_coroots=((-1, 1),)).cartan == ((2,),)
+    assert RootDatum(rank=2, simple_roots=((Fraction(-1), 1),), simple_coroots=((-1, 1),)).cartan == (((0, 2),),)
     assert [lam for lam, _ in GroupRingElem.monomial((Fraction(2), 1.0), QSqrtQ.one(3)).terms] == [(2, 1)]
