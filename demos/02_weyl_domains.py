@@ -4,9 +4,9 @@ The valuation image of the spectral domain attached to a dominant weight
 has two equivalent descriptions: a dominance-order inequality against
 eta_L + xi_L, and the convex hull of the Weyl translates
 w(eta_L + xi_L) - eta_L.  The first is decided by integer cone forms (the
-root cone's inequalities, cached per root datum, with no solve), the
-second by exact linear programming; this script sweeps a lattice box and
-watches them coincide.
+root cone's inequalities, solved once per root datum from its Cartan
+matrix), the second by exact linear programming over the Weyl orbit; this
+script sweeps a lattice box and watches them coincide.
 """
 
 import itertools

@@ -24,9 +24,8 @@ and y.b > 0 (Farkas): the multiplier behind the final phase-1 objective
 row, signed back to the rows as given.  ``_integer_rows`` copies an
 all-``int`` row (such as the oracle's flags) in one pass; only a row with
 a ``Fraction`` in it is scaled by the lcm of its denominators.  ``_reduced_echelon``
-back-eliminates ``_echelon``'s rows in integers, for the subobject oracle
-and for root data's cone forms, so the linear algebra builds no
-``Fraction``.
+back-eliminates ``_echelon``'s rows in integers, for the subobject oracle,
+so the linear algebra builds no ``Fraction``.
 
 The library's frozen value types (``FieldData``, ``QSqrtQ``, root data,
 highest weights, modules, filtrations, Weil-Deligne data) derive from

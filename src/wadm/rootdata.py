@@ -14,34 +14,35 @@ reflections directly (``weyl_orbit``).  Positive roots, orbits and Weyl
 elements come from one closure (``_closure``), dominant representatives
 from one walk (``_chamber_walk``); they end because W is finite, which a
 ``RootDatum`` is by construction: its constructor reads finiteness off the
-Cartan matrix, in the leaf elimination that also solves for 2*eta
-(``_two_eta``), with no root list.  Every simple reflection is one step,
-``_reflect``: x - c * v on v's nonzero entries, kept with the datum
-(``RootDatum.entries``).  On a weight, c = <x, alpha_i^vee> and v = alpha_i;
-on a cocharacter (a column of a Weyl element), c = <alpha_i, x> and
-v = alpha_i^vee.  The chamber walk writes the same step out on one list.
+Cartan matrix in a leaf elimination, root data's one linear algebra, which
+also solves for 2*eta and the dominance forms (``_cartan_solve``).  Every
+simple reflection is one step, ``_reflect``: x - c * v on v's nonzero
+entries, kept with the datum (``RootDatum.entries``).  On a weight,
+c = <x, alpha_i^vee> and v = alpha_i; on a cocharacter (a column of a Weyl
+element), c = <alpha_i, x> and v = alpha_i^vee.  The chamber walk writes
+the same step out on one list.
 
 The dominance side of membership runs on integers only.  ``in_Vxi`` scales
-its point once, by twice the lcm of its denominators; twice eta_L and
-twice the bound eta_L + xi_L are integer vectors cached per (datum, field,
-xi) in ``_domain_bound`` (which validates xi once per entry, and which the
-norm ``satake.norm_xi_val`` reads too), so a point only multiplies them by
-its lcm.  The chamber walk and the dominance test (``_in_root_cone``,
-integer dot products with forms read once per datum off a reduced echelon
-form, ``_cone_forms``) then see integer vectors and build no ``Fraction``.
+its point once, by twice the lcm of its denominators; twice eta_L and twice
+the bound eta_L + xi_L are integer vectors cached per (datum, field, xi) in
+``_domain_bound`` (which validates xi once per entry, and which the norm
+``satake.norm_xi_val`` reads too), so a point only multiplies them by its
+lcm.  The chamber walk and the dominance test (``_in_root_cone``, integer
+dot products with forms solved once per datum from the Cartan matrix,
+``_cone_forms``) then see integer vectors and build no ``Fraction``.
 ``dominance_leq`` scales z2 - z to integers and calls the same test.  Both
 are invariant under positive scaling, so the verdicts are those of the
-rational vectors.  The hull side runs on integers too, by its own scaling:
-``_hull_points`` caches the orbit points per (datum, field, xi) as integer
-columns, s times the points for s the lcm of their denominators, and
-``in_hull`` multiplies them by the lcm of its point's denominators, so its
-LP gets integer rows and builds no ``Fraction``.  An outside point needs
-only one separating inequality: when the LP is infeasible its Farkas
-certificate is such a cut, valid on the whole hull, and ``in_hull`` keeps
-it (checked against every orbit point) in the hull's cached value, at most
-as many cuts as the hull has points.  A point is first tested against the
-kept cuts, one integer dot product each, and the LP runs only when none
-separates it.
+rational vectors.  The hull side (eta summed off the root closure) runs on
+integers too: ``_hull_points`` caches the orbit points per (datum, field,
+xi) as integer columns, s times the points for s the lcm of their
+denominators, and ``in_hull`` multiplies them by the lcm of its point's
+denominators, so its LP gets integer rows and builds no ``Fraction``.  An
+outside point needs only one separating inequality: when the LP is
+infeasible its Farkas certificate is such a cut, valid on the whole hull,
+and ``in_hull`` keeps it (checked against every orbit point) in the hull's
+cached value, at most as many cuts as the hull has points.  A point is first
+tested against the kept cuts, one integer dot product each, and the LP runs
+only when none separates it.
 
 Conventions, fixed once for the whole library:
 
@@ -76,7 +77,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import FieldData, _Frozen, _integer_rows, _reduced_echelon, farkas_certificate
+from .exact import FieldData, _Frozen, _integer_rows, farkas_certificate, rank as mat_rank
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -89,7 +90,7 @@ ORBIT_CAP = 10**6
 
 class InfiniteWeylGroupError(RuntimeError):
     """Raised where a ``RootDatum`` is built: its Cartan matrix is not of
-    finite type (``_two_eta`` names the check that failed), so W is
+    finite type (``_cartan_solve`` names the check that failed), so W is
     infinite."""
 
 
@@ -178,9 +179,9 @@ class RootDatum(_Frozen):
     reflection (``_reflect``) and ``cartan`` read.  ``cartan[i]`` is Cartan
     row i, sparse: its (j, a_ij) entries with a_ij != 0, and the diagonal.
     ``cartan`` and ``entries`` are computed once, and neither compared nor
-    printed.  The constructor ends with the cached ``_two_eta``, whose leaf
-    elimination of the Cartan matrix proves W finite, so a datum with an
-    infinite Weyl group raises ``InfiniteWeylGroupError``.
+    printed.  The constructor ends with ``_two_eta``, whose leaf elimination
+    proves W finite (an infinite W raises ``InfiniteWeylGroupError``) and A
+    invertible, so the roots are independent; only a refused datum is ranked.
     """
 
     _fields = ("rank", "simple_roots", "simple_coroots", "name")
@@ -216,11 +217,12 @@ class RootDatum(_Frozen):
         # is left out: equal data still hash equal, and a hash of ints
         # alone does not depend on the process's string hash seed.
         object.__setattr__(self, "_hash", hash((rank, roots, coroots)))
-        # The cached echelon form that dominance reads pivots on every root
-        # column exactly when the roots are independent.
-        if len(_cone_forms(self)[0]) != len(roots):
-            raise ValueError("simple roots must be linearly independent")
-        _two_eta(self)  # raises for an infinite W, so no other call has to
+        try:
+            _two_eta(self)  # raises for an infinite W, so no other call has to
+        except InfiniteWeylGroupError:
+            if mat_rank(roots) < len(roots):
+                raise ValueError("simple roots must be linearly independent") from None
+            raise
 
     def __hash__(self) -> int:
         return self._hash
@@ -322,7 +324,7 @@ def positive_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     ``_reflections``, never entering a negated simple root.  s_i sends
     alpha_i to -alpha_i and permutes the other positive roots (Humphreys,
     Lemma 10.2B), so the closure holds exactly the positive roots, and it
-    ends because W is finite.  No query path and no constructor reads it."""
+    ends because W is finite.  Only the hull side's eta reads it."""
     negated = {tuple(-v for v in r) for r in datum.simple_roots}
     return tuple(sorted(_closure(
         datum.simple_roots, lambda b: (r for r in _reflections(datum, b) if r not in negated))))
@@ -336,10 +338,18 @@ def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     return tuple(sorted(pos + tuple(tuple(-v for v in r) for r in pos)))
 
 
-@lru_cache(maxsize=None)
-def _two_eta(datum: RootDatum) -> IntVec:
-    """The sum of the positive roots (2*eta), as integers, from the Cartan
-    matrix A alone; the constructor calls it, since it proves W finite.
+def _row_step(a: Fraction, x: tuple, b: Fraction, y: tuple) -> tuple[list[int], int]:
+    """a * x + b * y on (integer vector, denominator) rows, reduced last by their gcd."""
+    d = math.lcm(xd := a.denominator * x[1], yd := b.denominator * y[1])
+    fx, fy = a.numerator * (d // xd), b.numerator * (d // yd)
+    v = [fx * p + fy * q for p, q in zip(x[0], y[0])]
+    g = math.gcd(d, *v)
+    return [w // g for w in v], d // g
+
+
+def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """``(s, s * X)``: X solves A^T X = B, A the Cartan matrix, B the integer
+    rows ``rhs`` (one per simple root), s > 0 the lcm of X's denominators.
 
     W is finite iff A has finite type (Kac, Infinite-dimensional Lie
     algebras, Ch. 4), which three checks decide, each raising
@@ -348,12 +358,9 @@ def _two_eta(datum: RootDatum) -> IntVec:
     vertex); and the leaves, eliminated in pruning order from pivots 2 by
     p_u -= a_uv a_vu / p_v, all get a pivot > 0.  On a forest these pivots
     are d_v times those of the symmetrized matrix DA, so the last check
-    tests that DA is positive definite.
-
-    2*eta = sum_j c_j alpha_j pairs to 2 with every simple coroot:
-    A^T c = 2 * 1, which the same elimination solves, back-substituting in
-    reverse pruning order (for gl(n), c_j = j(n - j), counting j from 1).
-    A non-integral c_j raises ``ArithmeticError``."""
+    tests that DA is positive definite.  The leaf order has no fill-in
+    (Rose, J. Math. Anal. Appl. 32, 1970); B's rows take the same steps,
+    then back-substitute in reverse pruning order, by ``_row_step``."""
     links = [dict(row) for row in datum.cartan]
     for i, row in enumerate(links):
         for j, a in row.items():
@@ -378,31 +385,43 @@ def _two_eta(datum: RootDatum) -> IntVec:
         raise InfiniteWeylGroupError(
             f"the Dynkin graph has a cycle: alpha_{v} is left after pruning its leaves; "
             "the Weyl group is infinite")
-    pivot, rhs = [Fraction(2)] * len(links), [Fraction(2)] * len(links)
+    pivot, rows, one = [Fraction(2)] * len(links), [(list(b), 1) for b in rhs], Fraction(1)
     for v, u in order:
         if pivot[v] <= 0:
             raise InfiniteWeylGroupError(
                 f"the Cartan matrix is not of finite type: pivot {pivot[v]} at alpha_{v}; "
                 "the Weyl group is infinite")
         if u is not None:
-            pivot[u] -= links[u][v] * links[v][u] / pivot[v]
-            rhs[u] -= links[v][u] * rhs[v] / pivot[v]
-    c = [Fraction(0)] * len(links)
-    for v, u in reversed(order):
-        c[v] = (rhs[v] - (links[u][v] * c[u] if u is not None else 0)) / pivot[v]
+            f = links[v][u] / pivot[v]
+            pivot[u] -= links[u][v] * f
+            rows[u] = _row_step(one, rows[u], -f, rows[v])
+    for v, u in reversed(order):  # rows[u] holds u's solution row by now
+        a = links[u][v] if u is not None else 0
+        rows[v] = _row_step(1 / pivot[v], rows[v], -a / pivot[v], rows[v if u is None else u])
+    s = math.lcm(*[d for _, d in rows])
+    return s, tuple(tuple(w * (s // d) for w in x) for x, d in rows)
+
+
+@lru_cache(maxsize=None)
+def _two_eta(datum: RootDatum) -> IntVec:
+    """2*eta = sum_j c_j alpha_j as integers, c solving A^T c = 2 * 1 (for
+    gl(n), c_j = j(n - j), j from 1); the constructor calls it, as the solve
+    proves W finite.  A non-integral c_j raises ``ArithmeticError``."""
+    s, c = _cartan_solve(datum, [(2,)] * datum.nsimple)
     two_eta = [0] * datum.rank
-    for j, (x, (_, alpha)) in enumerate(zip(c, datum.entries)):
-        if x.denominator != 1:
-            raise ArithmeticError(f"2*eta has the non-integral coefficient {x} on alpha_{j}")
+    for j, ((x,), (_, alpha)) in enumerate(zip(c, datum.entries)):
+        if x % s:
+            raise ArithmeticError(
+                f"2*eta has the non-integral coefficient {Fraction(x, s)} on alpha_{j}")
         for k, v in alpha:
-            two_eta[k] += x.numerator * v
+            two_eta[k] += x // s * v
     return tuple(two_eta)
 
 
 @lru_cache(maxsize=None)
 def half_sum_positive_roots(datum: RootDatum) -> Vec:
-    """Half the sum of the positive roots (eta); (-d/2,...,d/2) for GL_{d+1}."""
-    return tuple(Fraction(v, 2) for v in _two_eta(datum))
+    """Half the sum of the ``positive_roots`` (eta); (-d/2,...,d/2) for GL_{d+1}."""
+    return tuple(Fraction(v, 2) for v in map(sum, zip((0,) * datum.rank, *positive_roots(datum))))
 
 
 @lru_cache(maxsize=None)
@@ -494,17 +513,21 @@ def antidominant_rep_cochar(datum: RootDatum, lam: Sequence[int]) -> IntVec:
 
 @lru_cache(maxsize=None)
 def _cone_forms(datum: RootDatum) -> tuple[IntMatrix, IntMatrix]:
-    """``(forms, annihilators)``, integer rows read off the reduced echelon
-    form of [simple-root columns | I].  Each row there is [u C | u] for the
-    columns C; the simple roots being independent (the constructor checks
-    that on these rows), row i < nsimple pivots on root i, so u C = g_i e_i
-    with g_i > 0 and u . diff = g_i c_i for diff = C c.  A row pivoting in the identity block has u C = 0: these
-    rows span the forms that vanish on the roots' span."""
-    m = datum.nsimple
-    rows = _reduced_echelon([[r[i] for r in datum.simple_roots] + list(unit)
-                             for i, unit in enumerate(_identity(datum.rank))])
-    return (tuple(tuple(row[m:]) for c, row in rows if c < m),
-            tuple(tuple(row[m:]) for c, row in rows if c >= m))
+    """``(forms, annihilators)``, integer rows.  The forms are the rows u_i of
+    s * A^-T C, C the simple coroots as rows (``_cartan_solve``): as C alpha_j
+    is column j of A, u_i . diff = s * c_i for diff = sum_i c_i alpha_i.  The
+    q_k = s * e_k - sum_i alpha_i[k] u_i read 0 on every root and span every
+    form that does; the annihilators are the first rank - nsimple of them
+    that ``exact.rank`` finds independent of those before."""
+    s, forms = _cartan_solve(datum, datum.simple_coroots)
+    annihilators, k = [], 0
+    while len(annihilators) < datum.rank - datum.nsimple:
+        col = [(u, alpha[k]) for u, alpha in zip(forms, datum.simple_roots) if alpha[k]]
+        q = [s * (j == k) - sum(c * u[j] for u, c in col) for j in range(datum.rank)]
+        if mat_rank(annihilators + [q]) > len(annihilators):
+            annihilators.append(tuple(q))
+        k += 1
+    return forms, tuple(annihilators)
 
 
 def _in_root_cone(datum: RootDatum, diff: IntVec) -> bool:

@@ -20,7 +20,7 @@ from wadm.isocrystal import (
     weak_admissible,
     _jump_lists,
 )
-from wadm.rootdata import RootDatum, dot, weyl_orbit
+from wadm.rootdata import InfiniteWeylGroupError, RootDatum, dot, weyl_orbit
 from wadm.satake import GroupRingElem
 from wadm.weildeligne import Unramified, WDRep, block_decompose
 
@@ -79,6 +79,12 @@ CHECKS = {
     # Cartan [[2,-2],[-2,2]] passes both Cartan checks and has a finite closure
     "datum-dependent-roots": (lambda: RootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 0))),
                               ValueError, "simple roots must be linearly independent"),
+    # independent roots whose Cartan matrix [[2,-2],[-2,2]] is singular: W is infinite
+    "datum-singular-cartan": (lambda: RootDatum(3, ((1, 0, 0), (0, 1, 0)),
+                                                ((2, -2, 1), (-2, 2, 1))),
+                              InfiniteWeylGroupError,
+                              "the Cartan matrix is not of finite type: pivot 0 at alpha_0; "
+                              "the Weyl group is infinite"),
     "datum-sl1": (lambda: RootDatum.sl(1), ValueError, "n must be >= 2"),
     "cartan-not-square": (lambda: RootDatum.from_cartan([[2, -1]]), ValueError,
                           "Cartan matrix must be square"),

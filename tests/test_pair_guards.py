@@ -167,8 +167,6 @@ BUILDS_THE_OUTPUT_ROWS = ("constructs the report rows and the verdict, the outpu
 VALIDATES_THE_WEIGHT = "validates the highest weight, the input both sides take"
 READS_THE_POINT = "reads the point, the input both sides take"
 HASHES_THE_INPUTS = "hashes the frozen datum, field and weight as per-datum cache keys"
-READS_THE_ROOT_SYSTEM = ("the datum's 2*eta, solved once from its Cartan matrix, which both "
-                         "domains are built from")
 
 # pair -> (side a, side b, {shared reader: why it may be shared}, functions
 # each side must be seen to call)
@@ -212,8 +210,7 @@ PAIRS = {
          "wadm.rootdata.vec": READS_THE_POINT,
          "wadm.exact.FieldData.__hash__": HASHES_THE_INPUTS,
          "wadm.rootdata.RootDatum.__hash__": HASHES_THE_INPUTS,
-         "wadm.rootdata.HighestWeight.__hash__": HASHES_THE_INPUTS,
-         "wadm.rootdata._two_eta": READS_THE_ROOT_SYSTEM},
+         "wadm.rootdata.HighestWeight.__hash__": HASHES_THE_INPUTS},
         ("wadm.rootdata.in_Vxi", "wadm.rootdata.in_hull"),
     ),
 }

@@ -453,6 +453,8 @@ def test_two_eta_pairs_to_two_with_every_simple_coroot(datum):
     assert all(dot(two_eta, cov) == 2 for cov in datum.simple_coroots)
     reference = tuple(map(sum, zip(*_reference_positive_roots(datum)))) or (0,) * datum.rank
     assert two_eta == reference and all(type(v) is int for v in two_eta)
+    # the hull's eta sums the root closure, a procedure independent of the solve
+    assert tuple(2 * v for v in half_sum_positive_roots(datum)) == two_eta
 
 
 # infinite types the random draws below must meet: a cycle (affine A2,
@@ -722,6 +724,11 @@ CONE_DATA = [RootDatum.gl(n) for n in range(2, 6)] + [
     RootDatum.sp4(),
     RootDatum.sl(3),
     RootDatum.from_cartan(CARTANS["G2"][0], kind="adjoint", name="G2-adjoint"),
+    # two annihilators each: the first two q_k of either datum are equal
+    RootDatum(3, ((1, 2, 2),), ((-2, 2, 0),), name="A1-in-rank-3"),
+    RootDatum(4, ((1, -1, 0, 0), (0, 1, -1, 0)), ((1, -1, 0, 0), (0, 1, -1, 0)),
+              name="A2-in-rank-4"),
+    RootDatum.gl(40),
 ]
 
 
@@ -742,7 +749,12 @@ def test_root_cone_boundary():
     for datum in CONE_DATA:
         k = datum.nsimple
         assert _in_root_cone(datum, [0] * datum.rank)
-        for support in itertools.product((0, 1), repeat=k):
+        if k <= 8:
+            supports = itertools.product((0, 1), repeat=k)
+        else:  # the single roots, all roots but one, and all of them
+            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            supports = units + [tuple(1 - v for v in u) for u in units] + [(1,) * k]
+        for support in supports:
             face = _combination(datum, support)
             assert _in_root_cone(datum, face) and _cone_by_solve(datum, face)
             if any(support):
@@ -768,6 +780,85 @@ def test_integer_root_cone_matches_fraction_signs(datum, data):
         if kind == "off-span":  # outside the span on gl(n), where the total moves
             diff[data.draw(st.integers(0, datum.rank - 1))] += data.draw(st.sampled_from([-1, 1]))
     assert _in_root_cone(datum, diff) == _cone_by_solve(datum, diff)
+
+
+def _fraction_rank(rows):
+    """The rank of an integer matrix by Fraction elimination."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _random_finite_data(count):
+    """``count`` distinct random Cartan matrices of finite type, rank 1-5,
+    as data of both kinds."""
+    rng, data, seen = random.Random(32), [], set()
+    while len(data) < 2 * count:
+        cartan = _random_cartan(rng, rng.randint(1, 5))
+        if str(cartan) in seen:
+            continue
+        seen.add(str(cartan))
+        try:
+            data += [RootDatum.from_cartan(cartan, kind=kind)
+                     for kind in ("simply_connected", "adjoint")]
+        except (ValueError, InfiniteWeylGroupError):  # dependent roots, or W infinite
+            pass
+    return data
+
+
+def _check_cone_forms(datum):
+    """u_i . alpha_j = s * delta_ij, with s the lcm of A^-T C's denominators
+    found here by Fraction elimination, and exactly rank - nsimple
+    independent annihilators, each 0 on every root."""
+    n, roots = datum.nsimple, datum.simple_roots
+    s, forms = wadm.rootdata._cartan_solve(datum, datum.simple_coroots)
+    cone_forms, annihilators = wadm.rootdata._cone_forms(datum)
+    assert forms == cone_forms
+    assert [[dot(u, alpha) for alpha in roots] for u in forms] == [
+        [s * (i == j) for j in range(n)] for i in range(n)]
+    transpose = [[dot(alpha, cov) for alpha in roots] for cov in datum.simple_coroots]
+    columns = [_fraction_solve(transpose, [cov[k] for cov in datum.simple_coroots])
+               for k in range(datum.rank)] if n else []
+    assert s == math.lcm(*[x.denominator for col in columns for x in col])
+    assert len(annihilators) == datum.rank - n
+    assert all(dot(q, alpha) == 0 for q in annihilators for alpha in roots)
+    assert _fraction_rank(annihilators) == len(annihilators)
+
+
+@pytest.mark.parametrize("datum", [d for d, _ in CLOSURE_DATA] + CONE_DATA[-3:-1],
+                         ids=lambda d: d.name)
+def test_cone_forms_are_the_cartan_solve(datum):
+    _check_cone_forms(datum)
+
+
+def test_cone_forms_are_the_cartan_solve_on_random_cartan_matrices():
+    for datum in _random_finite_data(200):
+        _check_cone_forms(datum)
+
+
+def test_root_data_eliminate_only_the_annihilator_candidates(monkeypatch):
+    # the Cartan leaf solve is root data's one elimination: ``exact`` only
+    # ranks the annihilators picked so far plus one candidate, never a
+    # matrix with a row per coordinate
+    sizes = []
+    echelon = wadm.exact._echelon
+    monkeypatch.setattr(wadm.exact, "_echelon", lambda rows: sizes.append(len(rows)) or echelon(rows))
+    for value in vars(wadm.rootdata).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    gl = RootDatum.gl(40)
+    datum = RootDatum(gl.rank, gl.simple_roots, gl.simple_coroots, gl.name)
+    assert in_Vxi(datum, QP, HighestWeight.zero(datum, QP), (0,) * datum.rank)
+    assert sizes and max(sizes) <= datum.rank - datum.nsimple + 1
 
 
 # --- membership domains ------------------------------------------------------
@@ -1048,7 +1139,8 @@ def test_dominance_and_hull_share_no_kernel(monkeypatch):
         if callable(getattr(value, "cache_clear", None)):
             value.cache_clear()
     with monkeypatch.context() as patch:
-        for name in ("_chamber_walk", "_in_root_cone", "_cone_forms", "_domain_bound"):
+        for name in ("_chamber_walk", "_in_root_cone", "_cone_forms", "_domain_bound",
+                     "_two_eta", "_cartan_solve"):
             patch.setattr(wadm.rootdata, name, forbidden(name))
         assert [in_hull(datum, field, xi, z) for z in points] == expected
 
