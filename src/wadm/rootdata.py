@@ -358,9 +358,8 @@ def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, 
     vertex); and the leaves, eliminated in pruning order from pivots 2 by
     p_u -= a_uv a_vu / p_v, all get a pivot > 0.  On a forest these pivots
     are d_v times those of the symmetrized matrix DA, so the last check
-    tests that DA is positive definite.  The leaf order has no fill-in
-    (Rose, J. Math. Anal. Appl. 32, 1970); B's rows take the same steps,
-    then back-substitute in reverse pruning order, by ``_row_step``."""
+    tests that DA is positive definite.  The leaf order has no fill-in (Rose,
+    J. Math. Anal. Appl. 32, 1970); B's rows take the same steps (``_row_step``)."""
     links = [dict(row) for row in datum.cartan]
     for i, row in enumerate(links):
         for j, a in row.items():
@@ -370,13 +369,13 @@ def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, 
                     "the Weyl group is infinite")
     degree = [len(row) - 1 for row in links]  # neighbours not yet pruned
     leaves = [v for v, d in enumerate(degree) if d <= 1]
-    order = []  # (leaf, its neighbour left when it is pruned, or None)
+    order = []  # (leaf, its neighbour left when it is pruned, or itself)
     while leaves:
         v = leaves.pop()
         degree[v] = -1
-        u = next((u for u in links[v] if degree[u] >= 0), None)
+        u = next((u for u in links[v] if degree[u] >= 0), v)
         order.append((v, u))
-        if u is not None:
+        if u != v:
             degree[u] -= 1
             if degree[u] == 1:
                 leaves.append(u)
@@ -391,13 +390,12 @@ def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, 
             raise InfiniteWeylGroupError(
                 f"the Cartan matrix is not of finite type: pivot {pivot[v]} at alpha_{v}; "
                 "the Weyl group is infinite")
-        if u is not None:
+        if u != v:
             f = links[v][u] / pivot[v]
             pivot[u] -= links[u][v] * f
             rows[u] = _row_step(one, rows[u], -f, rows[v])
-    for v, u in reversed(order):  # rows[u] holds u's solution row by now
-        a = links[u][v] if u is not None else 0
-        rows[v] = _row_step(1 / pivot[v], rows[v], -a / pivot[v], rows[v if u is None else u])
+    for v, u in reversed(order):  # rows[u] holds u's solution by now; a root has no u term
+        rows[v] = _row_step(1 / pivot[v], rows[v], -links[u][v] * (u != v) / pivot[v], rows[u])
     s = math.lcm(*[d for _, d in rows])
     return s, tuple(tuple(w * (s // d) for w in x) for x, d in rows)
 
@@ -518,14 +516,16 @@ def _cone_forms(datum: RootDatum) -> tuple[IntMatrix, IntMatrix]:
     is column j of A, u_i . diff = s * c_i for diff = sum_i c_i alpha_i.  The
     q_k = s * e_k - sum_i alpha_i[k] u_i read 0 on every root and span every
     form that does; the annihilators are the first rank - nsimple of them
-    that ``exact.rank`` finds independent of those before."""
+    independent of those before (nonzero off their support, or by ``exact.rank``)."""
     s, forms = _cartan_solve(datum, datum.simple_coroots)
-    annihilators, k = [], 0
+    annihilators, used, k = [], set(), 0
     while len(annihilators) < datum.rank - datum.nsimple:
         col = [(u, alpha[k]) for u, alpha in zip(forms, datum.simple_roots) if alpha[k]]
         q = [s * (j == k) - sum(c * u[j] for u, c in col) for j in range(datum.rank)]
-        if mat_rank(annihilators + [q]) > len(annihilators):
+        support = {j for j, x in enumerate(q) if x}
+        if not support <= used or mat_rank(annihilators + [q]) > len(annihilators):
             annihilators.append(tuple(q))
+            used |= support
         k += 1
     return forms, tuple(annihilators)
 
