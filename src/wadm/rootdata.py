@@ -338,12 +338,12 @@ def all_roots(datum: RootDatum) -> tuple[IntVec, ...]:
     return tuple(sorted(pos + tuple(tuple(-v for v in r) for r in pos)))
 
 
-def _row_step(a: Fraction, x: tuple, b: Fraction, y: tuple) -> tuple[list[int], int]:
-    """a * x + b * y on (integer vector, denominator) rows, reduced last by their gcd."""
-    d = math.lcm(xd := a.denominator * x[1], yd := b.denominator * y[1])
-    fx, fy = a.numerator * (d // xd), b.numerator * (d // yd)
+def _row_step(a, x: tuple, b, y: tuple) -> tuple:
+    """a * x + b * y for rationals a, b and (integer vector, denominator) rows,
+    reduced last by the gcd of its entries and denominator."""
+    fx, fy = a.numerator * b.denominator * y[1], b.numerator * a.denominator * x[1]
     v = [fx * p + fy * q for p, q in zip(x[0], y[0])]
-    g = math.gcd(d, *v)
+    g = math.gcd(d := a.denominator * x[1] * b.denominator * y[1], *v)
     return [w // g for w in v], d // g
 
 
@@ -384,7 +384,7 @@ def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, 
         raise InfiniteWeylGroupError(
             f"the Dynkin graph has a cycle: alpha_{v} is left after pruning its leaves; "
             "the Weyl group is infinite")
-    pivot, rows, one = [Fraction(2)] * len(links), [(list(b), 1) for b in rhs], Fraction(1)
+    pivot, rows = [Fraction(2)] * len(links), [(list(b), 1) for b in rhs]
     for v, u in order:
         if pivot[v] <= 0:
             raise InfiniteWeylGroupError(
@@ -393,7 +393,7 @@ def _cartan_solve(datum: RootDatum, rhs: Sequence[Sequence[int]]) -> tuple[int, 
         if u != v:
             f = links[v][u] / pivot[v]
             pivot[u] -= links[u][v] * f
-            rows[u] = _row_step(one, rows[u], -f, rows[v])
+            rows[u] = _row_step(1, rows[u], -f, rows[v])
     for v, u in reversed(order):  # rows[u] holds u's solution by now; a root has no u term
         rows[v] = _row_step(1 / pivot[v], rows[v], -links[u][v] * (u != v) / pivot[v], rows[u])
     s = math.lcm(*[d for _, d in rows])
@@ -419,7 +419,7 @@ def _two_eta(datum: RootDatum) -> IntVec:
 @lru_cache(maxsize=None)
 def half_sum_positive_roots(datum: RootDatum) -> Vec:
     """Half the sum of the ``positive_roots`` (eta); (-d/2,...,d/2) for GL_{d+1}."""
-    return tuple(Fraction(v, 2) for v in map(sum, zip((0,) * datum.rank, *positive_roots(datum))))
+    return tuple(Fraction(sum(col), 2) for col in zip(*positive_roots(datum), (0,) * datum.rank))
 
 
 @lru_cache(maxsize=None)
