@@ -10,8 +10,10 @@ once per instance and renders what those functions return.  Only
 
 Every row is evaluated in integers, one side at a time: each side takes
 one scale per instance (the lcm of its value denominators) and running
-tail or prefix sums, and a ``Fraction`` is built only for each lhs and
-rhs a ``CheckLine`` reports.  The polygon rows come from one merge walk
+tail or prefix sums (``_norm_tails``, ``isocrystal._partial_sums``), and a
+``Fraction`` is built only for each lhs and rhs a ``CheckLine`` reports;
+the sweep (``translation_verdicts``) reads the same evaluations' ``ok``
+flags and builds no report row.  The polygon rows come from one merge walk
 over both vertex lists (``isocrystal.polygon_rows``).
 
 Sign and inversion table -- the single reconciliation point between the
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exact import FieldData, UnsupportedRegimeError, _Frozen, format_rat
 from .isocrystal import (
@@ -51,7 +53,7 @@ from .isocrystal import (
     Polygon,
     SteinbergChain,
     _generic_flags,
-    admissible_by_inequalities,
+    _partial_sums,
     block_polygons,
     hodge_polygon,
     inequality_rows,
@@ -63,7 +65,9 @@ from .isocrystal import (
     weak_admissible,
 )
 from .rootdata import HighestWeight, RootDatum, in_Vxi, jumps_from_weights, weights_from_jumps
-from .weildeligne import WDRep, block_decompose, mod_of_wd
+
+if TYPE_CHECKING:  # weildeligne is imported where Weil-Deligne data is read
+    from .weildeligne import WDRep
 
 PASS = "pass"
 FAIL = "fail"
@@ -196,20 +200,19 @@ class Instance(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def invariant_norm_inequalities(zeta_vals: Sequence, a_rows: Sequence[Sequence[int]],
-                                field: FieldData) -> Verdict:
-    """Necessary conditions for an invariant norm on the attached locally
-    algebraic representation: sorted tail sums of the zeta valuations
-    against weight tail sums plus the modulus constant, with equality of
-    the totals.
+def _norm_tails(zeta_vals: Sequence, a_rows: Sequence[Sequence[int]],
+                field: FieldData) -> tuple[int, list[tuple]]:
+    """The invariant-norm inequalities, evaluated in integers: ``(scale,
+    rows)``, one (lhs, rhs, ok) row per 1-based tail start i = 2..n and a
+    last row for the whole tail, lhs scaled by ``scale`` and rhs not.
 
     The modulus constant of the tail from 1-based i on,
     [L:Q_p] * (d(d+1) - (i-2)(i-1)) / 2, is [L:Q_p] * ((i-1) + ... + d),
     so each right side is a running tail sum of the integers agg_j +
     [L:Q_p] * j (0-based j).  The left sides are running tail sums of the
     valuations times ``scale``, the lcm of their denominators, sorted as
-    integers; a row compares lhs with rhs * scale and builds its two
-    ``Fraction`` sides only for the report.
+    integers; a row's ``ok`` compares lhs with rhs * scale (<= for a tail,
+    == for the whole).
     """
     vals = [v if type(v) is Fraction else Fraction(v) for v in zeta_vals]
     n = len(vals)
@@ -226,18 +229,25 @@ def invariant_norm_inequalities(zeta_vals: Sequence, a_rows: Sequence[Sequence[i
         lhs += scaled[j]
         rhs += sum(row[j] for row in a_rows) + degree * j
         tails.append((lhs, rhs))
-    checks = []
-    ok_all = True
-    for i in range(2, n + 1):  # 1-based tail start
-        tail_lhs, tail_rhs = tails[n - i]
-        ok = tail_lhs <= tail_rhs * scale
-        ok_all &= ok
-        checks.append(CheckLine(f"norm.ineq.i={i}", ok, Fraction(tail_lhs, scale),
-                                Fraction(tail_rhs)))
-    ok = lhs == rhs * scale  # the whole tail
-    ok_all &= ok
-    checks.append(CheckLine("norm.eq.total", ok, Fraction(lhs, scale), Fraction(rhs)))
-    return Verdict(PASS if ok_all else FAIL, checks)
+    rows = [(lhs, rhs, lhs <= rhs * scale) for lhs, rhs in reversed(tails[:-1])]
+    rows.append((lhs, rhs, lhs == rhs * scale))
+    return scale, rows
+
+
+def invariant_norm_inequalities(zeta_vals: Sequence, a_rows: Sequence[Sequence[int]],
+                                field: FieldData) -> Verdict:
+    """Necessary conditions for an invariant norm on the attached locally
+    algebraic representation: sorted tail sums of the zeta valuations
+    against weight tail sums plus the modulus constant, with equality of
+    the totals.  The rows are ``_norm_tails``'; each builds its two
+    ``Fraction`` sides here, for the report.
+    """
+    scale, rows = _norm_tails(zeta_vals, a_rows, field)
+    n = len(rows)
+    checks = [CheckLine(f"norm.ineq.i={i}" if i <= n else "norm.eq.total", ok,
+                        Fraction(lhs, scale), Fraction(rhs))
+              for i, (lhs, rhs, ok) in enumerate(rows, 2)]
+    return Verdict(PASS if all(ok for _, _, ok in rows) else FAIL, checks)
 
 
 def _inequality_route(instance: Instance, module: PhiModule, newton: Polygon,
@@ -304,6 +314,8 @@ def _regime(instance: Instance):
     rep = instance.wd
     if rep.ramified:
         raise UnsupportedRegimeError("ramified Galois data is outside the decidable regimes")
+    from .weildeligne import block_decompose, mod_of_wd
+
     if len(rep.parts) == 1 and isinstance(rep.parts[0], SteinbergChain):
         return "chain", mod_of_wd(rep)
     if not rep.has_nilpotent():
@@ -344,16 +356,21 @@ def exists_admissible(instance: Instance) -> Verdict:
     return route(instance, data, newton, hodge)
 
 
-def membership_check(instance: Instance) -> Verdict:
-    """Normalized spectral membership of the instance's parameter, alone
-    (``check_instance`` compares it with the invariant-norm inequalities).
-    The spectral point is the zeta-valuation vector shifted by the modulus
-    (see the sign table).
-    """
+def _membership(instance: Instance) -> tuple[tuple[Fraction, ...], bool]:
+    """Normalized spectral membership, evaluated: the spectral point, the
+    zeta-valuation vector shifted by the modulus (see the sign table) and
+    sorted, and whether it lies in the normalized domain."""
     shift = Fraction(instance.field.degree * (instance.dimension - 1), 2)
     point = tuple(sorted(Fraction(v) - shift for v in instance.arithmetic_vals()))
-    member = in_Vxi(instance.datum(), instance.field, HighestWeight.of(instance.weights_a),
-                    point, normalized=True)
+    return point, in_Vxi(instance.datum(), instance.field, HighestWeight.of(instance.weights_a),
+                         point, normalized=True)
+
+
+def membership_check(instance: Instance) -> Verdict:
+    """Normalized spectral membership of the instance's parameter, alone
+    (``check_instance`` compares it with the invariant-norm inequalities),
+    reported with its point."""
+    point, member = _membership(instance)
     check = CheckLine("membership.normalized", member,
                       note="point=(" + ", ".join(format_rat(v) for v in point) + ")")
     return Verdict(PASS if member else FAIL, [check])
@@ -361,12 +378,13 @@ def membership_check(instance: Instance) -> Verdict:
 
 def translation_verdicts(instance: Instance) -> tuple[bool, bool, bool]:
     """The translation identity's three independent verdicts on general-linear
-    data: norm inequalities, partial sums after weight conversion, normalized membership."""
+    data: norm inequalities, partial sums after weight conversion, normalized
+    membership.  Each is read off its criterion's evaluation (``ok`` flags
+    and the membership bit), and no report row is built."""
     vals = instance.arithmetic_vals()
-    ineq = invariant_norm_inequalities(vals, instance.weights_a, instance.field).passed
-    module = PhiModule.of_slopes(instance.field, [-v for v in vals])
-    adm = admissible_by_inequalities(module, instance.jumps())
-    return ineq, adm, membership_check(instance).passed
+    ineq = all(ok for _, _, ok in _norm_tails(vals, instance.weights_a, instance.field)[1])
+    rows = _partial_sums([-v for v in vals], instance.jumps(), instance.field.degree)[2]
+    return ineq, all(ok for _, _, ok in rows), _membership(instance)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,15 @@ Subcommands: check, polygon, satake-norm, affinoid, convert-weights,
 sweep.  Exit codes: 0 pass, 1 fail, 2 undecided or out of memory, 3 input
 error; for batches the worst (numerically largest) code wins.  All output
 is deterministic given the inputs and the seed; the sweep seed can also be
-set through the WADM_SEED environment variable.  ``check``, ``polygon`` and
-``sweep`` import the checker where they run, so that the queries and
-``convert-weights`` load none of the check side (checker, isocrystal,
-weildeligne).
+set through the WADM_SEED environment variable.
+
+A cold command compiles a wadm module only once its input has parsed and
+needs it: ``import wadm.cli`` loads ``instances``, ``rootdata`` and
+``exact``; ``satake-norm`` adds ``satake``; ``check``, ``polygon`` and
+``sweep`` add the checker (with ``isocrystal``) once their input is read,
+and Weil-Deligne data adds ``weildeligne``.  So a file refused before its
+instance is built, a query and ``convert-weights`` load none of the check
+side.
 
 ``check`` parses every file before it checks any, so an input error exits
 3 first.  Reports come in id order, equal ids in command-line order.  Each
@@ -43,7 +48,6 @@ from .instances import (
     svg_polygons,
 )
 from .rootdata import in_Vxi, jumps_from_weights, weights_from_jumps
-from .satake import norm_xi_val
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -87,17 +91,17 @@ def _write(path: str | None, *pieces: str) -> None:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(path, None, f"cannot read file: {exc}") from None
 
 
 def _cmd_check(args) -> int:
-    from .checker import FAIL, PASS, UNDECIDED, check_instance
-
-    status_code = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNDECIDED: EXIT_UNDECIDED}
     instances = [
         parse_instance(_read(path), path, default_id=Path(path).stem) for path in args.files
     ]
+    from .checker import FAIL, PASS, UNDECIDED, check_instance
+
+    status_code = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNDECIDED: EXIT_UNDECIDED}
     instances.sort(key=lambda inst: inst.ident)
     pieces, code = [], EXIT_PASS
     for inst in instances:
@@ -109,9 +113,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
+    inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
     from .checker import polygons_for_instance
 
-    inst = parse_instance(_read(args.file), args.file, default_id=Path(args.file).stem)
     newton, hodge, rows = polygons_for_instance(inst)
     if args.plot:
         _write(args.plot + ".svg", svg_polygons(newton, hodge, title=inst.ident))
@@ -124,6 +128,8 @@ def _cmd_satake_norm(args) -> int:
     ident, datum, field, xi, elem = parse_norm_query(
         _read(args.file), args.file, default_id=Path(args.file).stem
     )
+    from .satake import norm_xi_val
+
     value = norm_xi_val(datum, field, xi, elem)
     val_q_text = "+inf" if value == INF else format_rat(value)
     val_l_text = "+inf" if value == INF else format_rat(value * field.degree)
@@ -182,8 +188,6 @@ def _cmd_convert_weights(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .checker import Instance, translation_verdicts
-
     for flag, value, low in (("--rank", args.rank, 1), ("--embeddings", args.embeddings, 1),
                              ("--count", args.count, 0)):
         if value < low:
@@ -196,6 +200,8 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise InstanceError("sweep", None,
                                 f"WADM_SEED must be an integer, got {env_seed!r}") from None
+    from .checker import Instance, translation_verdicts
+
     rng = random.Random(seed)
     field = FieldData(p=3, e=args.embeddings, f=1)
     n = args.rank

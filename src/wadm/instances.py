@@ -41,9 +41,8 @@ from typing import TYPE_CHECKING, Optional
 from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
 from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, jumps_from_weights,
                        validate_highest_weight, weights_from_jumps)
-from .satake import GroupRingElem
 
-if TYPE_CHECKING:  # the check side is imported where a check object is built or read
+if TYPE_CHECKING:  # the check side and satake are imported where their objects are built
     from .checker import Instance, InstanceResult, Verdict
     from .isocrystal import Polygon
 
@@ -297,9 +296,6 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
     membership queries for other presets, or in the unnormalized domain, go
     through the affinoid query format.
     """
-    from .checker import Instance
-    from .weildeligne import WDRep
-
     kv = KeyValues.parse(text, path)
     field = kv.field()
     group, rank, _ = kv.group() or (None, None, None)
@@ -319,6 +315,8 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
                       for key, value in kv.numbered("galois.wd."))
         if not parts:
             raise InstanceError(kv.path, None, "galois.form wd needs galois.wd.<N> lines")
+        from .weildeligne import WDRep
+
         wd = WDRep(field, parts, ramified=_parse_bool(kv, "galois.wd.ramified", False))
     else:
         raise kv.error("galois.form", f"galois.form must be 'zeta' or 'wd', got {form!r}")
@@ -328,6 +326,8 @@ def parse_instance(text: str, path: str = "<string>", default_id: str = "instanc
             "checker instances are always normalized; use an affinoid query for "
             "the unnormalized domain",
         )
+    from .checker import Instance
+
     try:
         inst = Instance(kv.get("id", default_id), field, weights, zeta_vals=zeta, wd=wd)
     except ValueError as exc:
@@ -397,6 +397,8 @@ def parse_norm_query(text: str, path: str = "<string>", default_id: str = "query
         terms.append((lam, coeff))
     if not terms:
         raise InstanceError(kv.path, None, "need at least one element.<N> line")
+    from .satake import GroupRingElem
+
     return (
         kv.get("id", default_id),
         datum,

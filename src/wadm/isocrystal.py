@@ -3,14 +3,16 @@ polygons, the weak admissibility criterion and its brute-force subobject
 oracle, explicit admissible filtrations, Steinberg chain modules, and the
 block polygons.
 
-Each existence criterion is evaluated here once: ``inequality_rows`` and
-``block_polygons`` return the evaluated rows and paths that the checker
-reports.  ``Block`` and ``SteinbergChain`` are also the two Weil-Deligne
-summand types.  Each input has one form: a jump type is, per embedding,
-the rank-many jumps sorted nondecreasingly, as ``t_H``,
-``hodge_polygon`` and every criterion take it (each reads it once, through
-``_jump_lists``, as integers at one scale); a ``Filtration`` is a jump
-type with its explicit flag vectors, which the subobject oracle reads.
+Each existence criterion is evaluated here once: ``_partial_sums``
+evaluates the partial-sum rows in integers (``inequality_rows`` gives them
+the ``Fraction`` sides the checker reports, and the sweep reads only their
+``ok`` flags), and ``block_polygons`` returns the block paths.  ``Block``
+and ``SteinbergChain`` are also the two Weil-Deligne summand types.  Each
+input has one form: a jump type is, per embedding, the rank-many jumps
+sorted nondecreasingly, as ``t_H``, ``hodge_polygon`` and every criterion
+take it (each reads it once, through ``_jump_lists``, as integers at one
+scale); a ``Filtration`` is a jump type with its explicit flag vectors,
+which the subobject oracle reads.
 
 Normalization, fixed once (see FieldData for the valuation conventions):
 
@@ -345,44 +347,60 @@ def polygon_dominates(newton: Polygon, hodge: Polygon) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]:
-    """The partial-sum inequalities deciding existence of an admissible
-    filtration with the given jump type, evaluated: one (lhs, rhs, ok) row
-    per 1 <= i <= n.
+def _partial_sums(slopes: Sequence, jumps: Sequence[Sequence], degree: int):
+    """The partial-sum inequalities, evaluated in integers: ``(jump_scale,
+    slope_scale, rows)``, ``rows`` yielding one (lhs, rhs, ok) row per
+    1 <= i <= n, lhs and rhs scaled by ``jump_scale`` and ``slope_scale``.
 
     With zeta-valuations v = sorted(-slope) ascending, row i compares the
     sum of the first i aggregated jumps (lhs) with -(sum of the last i
     values of v) (rhs): lhs <= rhs for i < n, lhs == rhs at i = n.
-    Requires a plain module (no chain structure); repeated slopes are
-    fine, the test is purely numerical.
-
     -(sum of the last i values of v) is the sum of the i smallest slopes,
     so both sides are running prefix sums, each in integers at its own
     scale (the ``_jump_lists`` scale, and the lcm of the slope
-    denominators); a row compares them cross-multiplied and builds its
-    two ``Fraction`` sides only for the caller.
+    denominators), and a row compares them cross-multiplied.  The jump
+    type is checked before this returns; the rows are computed as they
+    are read, so a reader that stops at a failing row computes no more.
     """
-    if module.steinberg is not None:
-        raise ValueError("the inequality test applies to modules without chain structure")
-    js, jump_scale = _jump_lists(jumps, module.rank, module.field.degree)
-    n = module.rank
-    slopes = module.slopes_expanded()
+    js, jump_scale = _jump_lists(jumps, len(slopes), degree)
+    slopes = [s if type(s) is Fraction else Fraction(s) for s in slopes]
     slope_scale = math.lcm(*[s.denominator for s in slopes])
     ascending = sorted(s.numerator * (slope_scale // s.denominator) for s in slopes)
-    rows = []
-    lhs = rhs = 0
-    for i, column in enumerate(zip(*js), 1):
-        lhs += sum(column)
-        rhs += ascending[i - 1]
-        left, right = lhs * slope_scale, rhs * jump_scale
-        rows.append((Fraction(lhs, jump_scale), Fraction(rhs, slope_scale),
-                     left <= right if i < n else left == right))
-    return rows
+    n = len(ascending)
+
+    def rows():
+        lhs = rhs = 0
+        for i, (column, slope) in enumerate(zip(zip(*js), ascending), 1):
+            lhs += sum(column)
+            rhs += slope
+            left, right = lhs * slope_scale, rhs * jump_scale
+            yield lhs, rhs, left <= right if i < n else left == right
+
+    return jump_scale, slope_scale, rows()
+
+
+def _module_partial_sums(module: PhiModule, jumps: Sequence[Sequence]):
+    """``_partial_sums`` of a plain module (no chain structure); repeated
+    slopes are fine, the test is purely numerical."""
+    if module.steinberg is not None:
+        raise ValueError("the inequality test applies to modules without chain structure")
+    return _partial_sums(module.slopes_expanded(), jumps, module.field.degree)
+
+
+def inequality_rows(module: PhiModule, jumps: Sequence[Sequence]) -> list[tuple]:
+    """The partial-sum inequalities deciding existence of an admissible
+    filtration with the given jump type, evaluated by ``_partial_sums``:
+    one (lhs, rhs, ok) row per 1 <= i <= n, with its two ``Fraction``
+    sides built for the report.  Requires a plain module (no chain
+    structure)."""
+    jump_scale, slope_scale, rows = _module_partial_sums(module, jumps)
+    return [(Fraction(lhs, jump_scale), Fraction(rhs, slope_scale), ok) for lhs, rhs, ok in rows]
 
 
 def admissible_by_inequalities(module: PhiModule, jumps: Sequence[Sequence]) -> bool:
-    """Whether every partial-sum inequality of ``inequality_rows`` holds."""
-    return all(ok for _, _, ok in inequality_rows(module, jumps))
+    """Whether every partial-sum inequality holds: the ``ok`` flags of
+    ``_partial_sums``, read up to the first failing row."""
+    return all(ok for _, _, ok in _module_partial_sums(module, jumps)[2])
 
 
 def _tail_forms(filtration: Filtration, den: int) -> list[tuple]:

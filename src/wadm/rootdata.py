@@ -240,7 +240,7 @@ class RootDatum(_Frozen):
             v = [0] * n
             v[i], v[i + 1] = -1, 1
             roots.append(tuple(v))
-        return cls(rank=n, simple_roots=tuple(roots), simple_coroots=tuple(roots), name=f"gl({n})")
+        return cls(n, roots, roots, f"gl({n})")
 
     @classmethod
     def sl(cls, n: int) -> "RootDatum":
@@ -251,17 +251,12 @@ class RootDatum(_Frozen):
             [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n - 1)]
             for i in range(n - 1)
         ]
-        return cls.from_cartan(cartan, kind="simply_connected", name=f"sl({n})")
+        return cls.from_cartan(cartan, name=f"sl({n})")
 
     @classmethod
     def sp4(cls) -> "RootDatum":
         """Sp_4 in the standard rank-2 coordinates (short root e1-e2, long 2e2)."""
-        return cls(
-            rank=2,
-            simple_roots=((1, -1), (0, 2)),
-            simple_coroots=((1, -1), (0, 1)),
-            name="sp(4)",
-        )
+        return cls(2, ((1, -1), (0, 2)), ((1, -1), (0, 1)), "sp(4)")
 
     @classmethod
     def from_cartan(cls, cartan: Sequence[Sequence[int]], kind: str = "simply_connected",
@@ -279,10 +274,10 @@ class RootDatum(_Frozen):
             raise ValueError("Cartan matrix must be square")
         ident = _identity(n)
         if kind == "simply_connected":
-            return cls(rank=n, simple_roots=rows, simple_coroots=ident, name=name)
+            return cls(n, rows, ident, name)
         if kind == "adjoint":
             cols = tuple(tuple(rows[i][j] for i in range(n)) for j in range(n))
-            return cls(rank=n, simple_roots=ident, simple_coroots=cols, name=name)
+            return cls(n, ident, cols, name)
         raise ValueError(f"unknown kind {kind!r}")
 
     # -- basic actions ------------------------------------------------------
@@ -418,8 +413,16 @@ def _two_eta(datum: RootDatum) -> IntVec:
 
 @lru_cache(maxsize=None)
 def half_sum_positive_roots(datum: RootDatum) -> Vec:
-    """Half the sum of the ``positive_roots`` (eta); (-d/2,...,d/2) for GL_{d+1}."""
-    return tuple(Fraction(sum(col), 2) for col in zip(*positive_roots(datum), (0,) * datum.rank))
+    """Half the sum of the positive roots (eta), ``_two_eta`` halved;
+    (-d/2,...,d/2) for GL_{d+1}."""
+    return tuple(Fraction(v, 2) for v in _two_eta(datum))
+
+
+def _closure_eta_L(datum: RootDatum, field: FieldData) -> Vec:
+    """eta_L summed off the ``positive_roots`` closure: the hull side's own,
+    which shares no code with the Cartan solve behind ``_two_eta``."""
+    return tuple(Fraction(field.degree * sum(col), 2)
+                 for col in zip(*positive_roots(datum), (0,) * datum.rank))
 
 
 @lru_cache(maxsize=None)
@@ -704,7 +707,7 @@ def _hull_points(datum: RootDatum, field: FieldData,
     first; raises ``OrbitCapError`` when the orbit has more than
     ``ORBIT_CAP`` points."""
     validate_highest_weight(datum, field, xi)
-    el = eta_L(datum, field)
+    el = _closure_eta_L(datum, field)
     top = tuple(a + b for a, b in zip(el, xi.xi_L()))
     pts = sorted(tuple(a - b for a, b in zip(pt, el)) for pt in weyl_orbit(datum, top))
     s = math.lcm(*[v.denominator for pt in pts for v in pt])

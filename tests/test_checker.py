@@ -567,14 +567,15 @@ def test_polygon_rows_evaluated_once_per_polygon_command(plot, monkeypatch, tmp_
 
 
 def _count_norm_calls(monkeypatch):
+    # the norm's one evaluation, which the report and the sweep both read
     calls = []
-    real = wadm.checker.invariant_norm_inequalities
+    real = wadm.checker._norm_tails
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr("wadm.checker.invariant_norm_inequalities", counted)
+    monkeypatch.setattr("wadm.checker._norm_tails", counted)
     return calls
 
 

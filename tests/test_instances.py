@@ -588,6 +588,19 @@ def test_unwritable_stdout_exits_3(argv):
     assert err.startswith("<stdout>: cannot write output: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "polygon", "affinoid", "satake-norm"])
+def test_undecodable_input_exits_3(command, tmp_path):
+    # a file that is not UTF-8 is an input error (3) with one line, not a
+    # UnicodeDecodeError traceback with exit 1, which reads as "fail"
+    path = tmp_path / "bad.inst"
+    path.write_bytes(b"\xff\xfe")
+    proc = _wadm(command, str(path), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (3, "")
+    assert err.startswith(f"{path}: cannot read file: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 _CLOSED_STDOUT = "<stdout>: cannot write output: stdout is closed\n"
 
 

@@ -189,7 +189,7 @@ PAIRS = {
         _norm_side, _partial_sum_side,
         {"wadm.checker.Instance.arithmetic_vals": READS_THE_GALOIS_SIDE,
          "wadm.exact.FieldData.degree": READS_THE_DEGREE},
-        ("wadm.checker.invariant_norm_inequalities", "wadm.isocrystal.inequality_rows"),
+        ("wadm.checker.invariant_norm_inequalities", "wadm.isocrystal._partial_sums"),
     ),
     "construction-vs-oracle": (
         _construction_side, _oracle_side,

@@ -1,7 +1,7 @@
 """The library's package and value types: a cold ``import wadm.cli`` stays
-light, a query loads none of the check side, every name ``wadm`` exports
-resolves to its module's object, and every value class keeps its
-construction, equality, hashing, immutability and repr."""
+light, a command loads only the modules its input needs, every name
+``wadm`` exports resolves to its module's object, and every value class
+keeps its construction, equality, hashing, immutability and repr."""
 
 import copy
 import importlib
@@ -27,7 +27,6 @@ SRC = str(Path(wadm.__file__).parent.parent)
 
 
 GOLDEN = Path(__file__).parent / "golden"
-CHECK_SIDE = {"wadm.checker", "wadm.isocrystal", "wadm.weildeligne"}
 
 
 def _loaded(code: str) -> set:
@@ -42,23 +41,50 @@ def _loaded(code: str) -> set:
     return set(out.splitlines()[-1].split())
 
 
+# the wadm modules that ``import wadm.cli`` loads, and the check side
+CLI = {"wadm", "wadm.cli", "wadm.instances", "wadm.rootdata", "wadm.exact"}
+CHECKER = CLI | {"wadm.checker", "wadm.isocrystal"}
+
+
 def test_cold_import_leaves_out_dataclasses_inspect_and_ast():
     assert {name for name in _loaded("import wadm") if name.startswith("wadm")} == {"wadm"}
     loaded = _loaded("import wadm.cli")
-    assert "wadm.cli" in loaded
+    assert {name for name in loaded if name.startswith("wadm")} == CLI
     assert not {"dataclasses", "inspect", "ast"} & loaded
-    assert not CHECK_SIDE & loaded, sorted(CHECK_SIDE & loaded)
 
 
-@pytest.mark.parametrize("argv", [
-    ["affinoid", str(GOLDEN / "affinoid_gl2.inst")],
-    ["satake-norm", str(GOLDEN / "satake_norm_gl2.inst")],
-    ["convert-weights", "--form", "i", "--values", "-2 0"],
-], ids=lambda argv: argv[0])
-def test_cold_query_leaves_out_the_check_side(argv):
-    loaded = _loaded(f"from wadm.cli import main; assert main({argv!r}) == 0")
-    assert {"wadm.rootdata", "wadm.satake"} <= loaded
-    assert not CHECK_SIDE & loaded, sorted(CHECK_SIDE & loaded)
+ZETA = "field.p: 3\nfield.e: 1\nfield.f: 1\nweights.sigma1: 0 1\ngalois.form: zeta\n"
+# files refused before an instance is built: a bad rational, a bad group line
+REFUSED = {"bad-rational.inst": ZETA + "galois.zeta_vals: 1/0 2\n",
+           "bad-group.inst": ZETA + "group: cartan 5\ngalois.zeta_vals: 0 2\n"}
+
+# row -> (argv, a file name in it read from tests/golden or written from
+# REFUSED, the exit code, every wadm module the run loads)
+MODULE_TABLE = {
+    "affinoid": (["affinoid", "affinoid_gl2.inst"], 0, CLI),
+    "satake-norm": (["satake-norm", "satake_norm_gl2.inst"], 0, CLI | {"wadm.satake"}),
+    "convert-weights": (["convert-weights", "--form", "i", "--values", "-2 0"], 0, CLI),
+    "check-refused": (["check", "bad-rational.inst"], 3, CLI),
+    "polygon-refused": (["polygon", "bad-group.inst"], 3, CLI),
+    "sweep-zero-count": (["sweep", "--count", "0"], 0, CHECKER),
+    "check-zeta": (["check", "gl2_pass.inst"], 0, CHECKER),
+    "check-wd": (["check", "gl2_steinberg.inst"], 0, CHECKER | {"wadm.weildeligne"}),
+}
+
+
+@pytest.mark.parametrize("row", MODULE_TABLE)
+def test_cold_query_leaves_out_the_check_side(row, tmp_path):
+    # a cold command compiles a module only once its input has parsed and
+    # needs it: the queries load none of the check side, only satake-norm
+    # loads satake, a refused file loads no checker, and only Weil-Deligne
+    # data loads weildeligne
+    argv, code, modules = MODULE_TABLE[row]
+    for name, text in REFUSED.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg if arg in REFUSED else GOLDEN / arg) if arg.endswith(".inst")
+            else arg for arg in argv]
+    loaded = _loaded(f"from wadm.cli import main; assert main({argv!r}) == {code}")
+    assert {name for name in loaded if name.startswith("wadm")} == modules
 
 
 # every name the package bound before it resolved names lazily, by the
