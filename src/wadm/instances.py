@@ -42,7 +42,7 @@ from .exact import FieldData, QSqrtQ, _Frozen, format_rat, parse_rat
 from .rootdata import (HighestWeight, InfiniteWeylGroupError, RootDatum, jumps_from_weights,
                        validate_highest_weight, weights_from_jumps)
 
-if TYPE_CHECKING:  # the check side and satake are imported where their objects are built
+if TYPE_CHECKING:  # the check side is imported where a check object is built or read
     from .checker import Instance, InstanceResult, Verdict
     from .isocrystal import Polygon
 
